@@ -17,7 +17,7 @@ from .network import (CompositeEvolution, KickVector, NetworkGeometry,
 from .fisher import (GeneratorMoments, JointState, Qfim2, QcrbReport,
                      joint_overlap, probe_alone_qfi_at_origin,
                      probe_alone_qfim_at_origin, qcrb_global,
-                     qfim_classical_switch, qfim_numerical,
+                     qfim_branch_average, qfim_classical_switch, qfim_numerical,
                      qfim_quantum_switch, qfim_sequential)
 from .wva import (PolarizationState, PostSelection, ReadoutModel,
                   euler_plate_angles, first_order_momentum_shift,

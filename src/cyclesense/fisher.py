@@ -20,7 +20,7 @@ shortcut replaces any general logarithmic-derivative machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -324,6 +324,25 @@ def _pure_qfim_fd(builder: StateBuilder, at: tuple[float, float],
     return 0.5 * (q + q.T)
 
 
+def qfim_branch_average(branches: Sequence[tuple[float, StateBuilder]],
+                        at: tuple[float, float] = (0.0, 0.0),
+                        step: Optional[float] = None, rel_step: float = 1e-4,
+                        max_disagreement: float = 1e-2,
+                        richardson: bool = True) -> Qfim2:
+    """Weight-average of the finite-difference matrices of branch families.
+
+    branches holds (weight, builder) pairs.  This is the information matrix
+    of a labeled classical mixture whose weights do not depend on the
+    parameters, because the label keeps the branches orthogonal; each
+    builder then only has to build its own branch.  A single pair of weight
+    1 is the plain matrix of a pure family.  The remaining arguments are
+    those of qfim_numerical.
+    """
+    arr = sum(w * qfim_numerical(b, at, step, rel_step, max_disagreement,
+                                 richardson).as_array() for w, b in branches)
+    return Qfim2.from_array(arr)
+
+
 def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
                    step: Optional[float] = None, rel_step: float = 1e-4,
                    max_disagreement: float = 1e-2, richardson: bool = True) -> Qfim2:
@@ -356,12 +375,8 @@ def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
             s = builder(g1, g2)
             return JointState(s.branch_minus, None, (1.0, 0.0), 0.0)
 
-        qf = qfim_numerical(fwd_builder, at, step, rel_step, max_disagreement,
-                            richardson)
-        qr = qfim_numerical(rev_builder, at, step, rel_step, max_disagreement,
-                            richardson)
-        arr = w0 * qf.as_array() + w1 * qr.as_array()
-        return Qfim2.from_array(arr)
+        return qfim_branch_average(((w0, fwd_builder), (w1, rev_builder)), at,
+                                   step, rel_step, max_disagreement, richardson)
 
     if step is not None:
         steps = (float(step), float(step))

@@ -10,7 +10,8 @@ convention
 discretized with the midpoint rule, which is spectrally accurate for the
 smooth, rapidly decaying states handled here.  All values are immutable and
 every operation returns a new object, so instances can be shared freely
-across threads.
+across threads; a grid only remembers the last phase mask of each kind it
+built.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 import math
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -78,6 +80,32 @@ class Grid:
     def momenta(self) -> np.ndarray:
         n = self.num_points
         return _readonly((np.arange(n) - n // 2) * self.dp)
+
+    def kick_mask(self, theta: float) -> np.ndarray:
+        """Position-space phase exp(-i theta x) of a momentum kick."""
+        return self._reused_mask("_kick_mask", theta,
+                                 lambda: np.exp(-1j * theta * self.positions))
+
+    def propagation_mask(self, z: float, wave_number: float) -> np.ndarray:
+        """Momentum-space phase exp(-i z p^2 / 2k) of a free propagation."""
+        return self._reused_mask(
+            "_propagation_mask", (z, wave_number),
+            lambda: np.exp(-1j * z * self.momenta**2 / (2.0 * wave_number)))
+
+    def _reused_mask(self, slot: str, key, build: Callable[[], np.ndarray]
+                     ) -> np.ndarray:
+        """Read-only mask, rebuilt only when key differs from the last call's.
+
+        One entry per slot, because traversals repeat their legs and uniform
+        kicks back to back; the (key, mask) pair is stored as one object so
+        that no thread reads a mask under another key.
+        """
+        last = self.__dict__.get(slot)
+        if last is not None and last[0] == key:
+            return last[1]
+        mask = _readonly(build())
+        self.__dict__[slot] = (key, mask)
+        return mask
 
     @classmethod
     def for_probe(cls, spec: "ProbeSpec", total_path: float = 0.0,
@@ -147,11 +175,18 @@ class Moments:
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex amplitudes of the transverse mode in one representation."""
+    """Complex amplitudes of the transverse mode in one representation.
+
+    guard_moments, when set, are the moments of this state carried forward
+    exactly by the unitary operators that produced it; the grid guards read
+    them instead of measuring the state at every step.  They take no part in
+    comparisons, and moments() always measures the amplitudes.
+    """
 
     grid: Grid
     amplitudes: np.ndarray = field(repr=False)
     representation: str = POSITION
+    guard_moments: Optional[Moments] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.representation not in (POSITION, MOMENTUM):
@@ -175,7 +210,7 @@ class WaveFunction:
         g = self.grid
         amps = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(self.amplitudes)))
         amps *= g.num_points * g.dp / math.sqrt(2.0 * math.pi)
-        return WaveFunction(g, amps, POSITION)
+        return WaveFunction(g, amps, POSITION, self.guard_moments)
 
     def to_momentum(self) -> "WaveFunction":
         if self.representation == MOMENTUM:
@@ -183,7 +218,7 @@ class WaveFunction:
         g = self.grid
         amps = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(self.amplitudes)))
         amps *= g.dx / math.sqrt(2.0 * math.pi)
-        return WaveFunction(g, amps, MOMENTUM)
+        return WaveFunction(g, amps, MOMENTUM, self.guard_moments)
 
     # -- norms ---------------------------------------------------------------
 

@@ -13,7 +13,7 @@ the raw operator product and serves as the brute-force oracle for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 import math
 
@@ -21,11 +21,14 @@ import numpy as np
 
 from .errors import GridOverflowError
 from .fisher import JointState
-from .grid import MOMENTUM, POSITION, WaveFunction, moments
+from .grid import MOMENTUM, POSITION, Moments, WaveFunction, moments
 
 #: default wavelength of the tabletop rig (m) and its wave number (1/m).
 DEFAULT_WAVELENGTH = 780e-9
 DEFAULT_WAVE_NUMBER = 2.0 * math.pi / DEFAULT_WAVELENGTH
+
+#: ancilla populations of the balanced control (both orders equally likely).
+BALANCED_WEIGHTS = (0.5, 0.5)
 
 
 class SwitchMode(Enum):
@@ -147,55 +150,86 @@ def g_params(geom: NetworkGeometry, kicks: KickVector) -> CompositeEvolution:
 # -- elementary grid operations ----------------------------------------------
 
 
+def _guard_moments(psi: WaveFunction) -> Moments:
+    """The moments psi carries, measured on the grid when it carries none."""
+    return psi.guard_moments if psi.guard_moments is not None else moments(psi)
+
+
 def apply_kick(psi: WaveFunction, theta: float) -> WaveFunction:
-    """Sensor unitary exp(-i theta X): phase mask in position space."""
+    """Sensor unitary exp(-i theta X): phase mask in position space.
+
+    Guards the momentum window: if the kicked mean momentum plus two spreads
+    exceeds half of the Nyquist momentum pi/dx the step raises
+    GridOverflowError instead of aliasing silently.  The kick sends
+    <P> -> <P> - theta and leaves the second moments unchanged.
+    """
     psi.require_normalized()
+    m = _guard_moments(psi)
+    m = replace(m, mean_p=m.mean_p - theta)
+    p_edge = abs(m.mean_p) + 2.0 * math.sqrt(m.var_p)
+    p_max = math.pi / psi.grid.dx
+    if p_edge > 0.5 * p_max:
+        raise GridOverflowError(
+            f"kicking by {theta} would spread the momentum distribution to "
+            f"{p_edge:.3g}, beyond half of the momentum window {p_max:.3g}")
     pos = psi.to_position()
-    amps = pos.amplitudes * np.exp(-1j * theta * psi.grid.positions)
-    return WaveFunction(psi.grid, amps, POSITION)
+    amps = pos.amplitudes * psi.grid.kick_mask(theta)
+    return WaveFunction(psi.grid, amps, POSITION, m)
 
 
 def apply_shift(psi: WaveFunction, displacement: float) -> WaveFunction:
     """Translation exp(-i d P): moves the state by +d in position."""
     mom = psi.to_momentum()
     amps = mom.amplitudes * np.exp(-1j * displacement * psi.grid.momenta)
-    return WaveFunction(psi.grid, amps, MOMENTUM)
+    m = psi.guard_moments
+    moved = None if m is None else replace(m, mean_x=m.mean_x + displacement)
+    return WaveFunction(psi.grid, amps, MOMENTUM, moved)
 
 
-def apply_propagation(psi: WaveFunction, z: float, wave_number: float,
-                      check_overflow: bool = True) -> WaveFunction:
+def apply_propagation(psi: WaveFunction, z: float, wave_number: float) -> WaveFunction:
     """Free propagation exp(-i z P^2 / 2k) as a momentum-space phase.
 
     Guards against the diffracted beam outgrowing the grid: if the radius
     predicted from the current moments exceeds half of the grid window the
-    step raises GridOverflowError instead of aliasing silently.
+    step raises GridOverflowError instead of aliasing silently.  The guard
+    reads the input's guard_moments and measures the grid only when it
+    carries none; the output carries them propagated exactly by
+    X -> X + (z/k) P.  moments() of the result still measures the grid.
     """
     psi.require_normalized()
     if z < 0:
         raise ValueError(f"propagation distance must be non-negative, got {z}")
-    if check_overflow and z > 0:
-        m = moments(psi)
-        var_pred = m.var_x + 2.0 * (z / wave_number) * m.cov_xp \
-            + (z / wave_number) ** 2 * m.var_p
-        x_pred = abs(m.mean_x + (z / wave_number) * m.mean_p)
-        radius = 2.0 * math.sqrt(var_pred)    # w = 2 Delta X for a Gaussian
+    m = psi.guard_moments                     # z == 0 leaves them unchanged
+    if z > 0:
+        m = _guard_moments(psi)
+        t = z / wave_number
+        m = Moments(m.mean_x + t * m.mean_p, m.mean_p,
+                    m.var_x + 2.0 * t * m.cov_xp + t**2 * m.var_p,
+                    m.var_p, m.cov_xp + t * m.var_p)
+        x_pred = abs(m.mean_x)
+        radius = 2.0 * math.sqrt(m.var_x)     # w = 2 Delta X for a Gaussian
         if x_pred + radius > 0.5 * psi.grid.half_extent:
             raise GridOverflowError(
                 f"propagating {z} would grow the beam to radius {radius:.3g} at "
                 f"offset {x_pred:.3g}, beyond half of the grid window "
                 f"{psi.grid.half_extent:.3g}")
     mom = psi.to_momentum()
-    phase = np.exp(-1j * z * psi.grid.momenta**2 / (2.0 * wave_number))
-    return WaveFunction(psi.grid, mom.amplitudes * phase, MOMENTUM)
+    amps = mom.amplitudes * psi.grid.propagation_mask(z, wave_number)
+    return WaveFunction(psi.grid, amps, MOMENTUM, m)
 
 
 def apply_parity(psi: WaveFunction) -> WaveFunction:
-    """Spatial inversion psi(x) -> psi(-x); exact involution on the grid."""
+    """Spatial inversion psi(x) -> psi(-x); exact involution on the grid.
+
+    X -> -X and P -> -P: both means change sign, the second moments stay.
+    """
     amps = psi.amplitudes
     out = np.empty_like(amps)
     out[0] = amps[0]                          # the unpaired -L edge sample
     out[1:] = amps[:0:-1]
-    return WaveFunction(psi.grid, out, psi.representation)
+    m = psi.guard_moments
+    flipped = None if m is None else replace(m, mean_x=-m.mean_x, mean_p=-m.mean_p)
+    return WaveFunction(psi.grid, out, psi.representation, flipped)
 
 
 # -- traversals ----------------------------------------------------------------
@@ -210,7 +244,9 @@ def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVecto
     U_z0 U_theta1 U_z1 ... U_thetaN U_zN.  With parity_conjugated the whole
     traversal is sandwiched between spatial inversions, which is how the
     reverse branch is realized on the optical table.  Leads, when included,
-    stay outside the parity sandwich.
+    stay outside the parity sandwich.  The grid moments are measured once,
+    at the first step on a state that carries none; every later overflow
+    guard reads the moments carried forward by the steps before it.
     """
     n = geom.n_sensors
     if len(kicks) != n:
@@ -315,30 +351,37 @@ def switched_joint_state(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVe
         if ancilla not in (None, "mixed"):
             raise ValueError(f"{mode.value} needs the balanced mixture ancilla")
         labeled = mode == SwitchMode.CLASSICAL_SWITCH
-        return JointState(fwd, rev, (0.5, 0.5), 0.0, ancilla_labeled=labeled)
+        return JointState(fwd, rev, BALANCED_WEIGHTS, 0.0, ancilla_labeled=labeled)
 
     raise ValueError(f"unhandled mode {mode}")
 
 
-def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: SwitchMode):
+def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: SwitchMode,
+                          direction: str = "forward"):
     """Builder (g1, g2) -> JointState over the reduced evolution.
 
     Used by the finite-difference information-matrix oracle: the family is
     parameterized directly by the shift weights, with the branch dynamic
     phases of the switched joint evolution included, so its derivatives probe
-    exactly the closed forms.
+    exactly the closed forms.  direction selects the order of the
+    sequential family, so that each branch of the classical mixture can be
+    differentiated as a family of its own without building the other.
     """
+    if direction != "forward" and mode != SwitchMode.SEQUENTIAL:
+        raise ValueError(f"{mode.value} holds both orders; direction applies "
+                         f"to the sequential family only")
 
     def build(g1: float, g2: float) -> JointState:
         comp = CompositeEvolution(g1, g2, 0.0, 0.0)
-        fwd = composite_apply(psi, geom, comp, "forward", phase="switch")
         if mode == SwitchMode.SEQUENTIAL:
-            return JointState(fwd, None, (1.0, 0.0), 0.0)
+            branch = composite_apply(psi, geom, comp, direction, phase="switch")
+            return JointState(branch, None, (1.0, 0.0), 0.0)
+        fwd = composite_apply(psi, geom, comp, "forward", phase="switch")
         rev = composite_apply(psi, geom, comp, "reverse", phase="switch")
         if mode == SwitchMode.QUANTUM_SWITCH:
-            return JointState(fwd, rev, (0.5, 0.5), 0.5)
+            return JointState(fwd, rev, BALANCED_WEIGHTS, 0.5)
         if mode == SwitchMode.CLASSICAL_SWITCH:
-            return JointState(fwd, rev, (0.5, 0.5), 0.0)
+            return JointState(fwd, rev, BALANCED_WEIGHTS, 0.0)
         raise ValueError(f"no state family for mode {mode}")
 
     return build
