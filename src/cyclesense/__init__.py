@@ -10,12 +10,11 @@ from .errors import (ConfigError, ConvergenceError, CycleSenseError,
 from .grid import (Grid, Moments, ProbeSpec, WaveFunction, diffracted_radius,
                    fidelity, make_gaussian, moments, overlap)
 from .network import (CompositeEvolution, KickVector, NetworkGeometry,
-                      SwitchMode, apply_kick, apply_parity, apply_propagation,
-                      apply_shift, composite_apply, g_params,
-                      switched_joint_state, switched_state_family,
-                      traverse_sequence)
+                      apply_kick, apply_parity, apply_propagation, apply_shift,
+                      composite_apply, g_params, switched_joint_state,
+                      switched_state_family, traverse_sequence)
 from .fisher import (GeneratorMoments, JointState, Qfim2, QcrbReport,
-                     joint_overlap, probe_alone_qfi_at_origin,
+                     SwitchMode, probe_alone_qfi_at_origin,
                      probe_alone_qfim_at_origin, qcrb_global,
                      qfim_branch_average, qfim_classical_switch, qfim_numerical,
                      qfim_quantum_switch, qfim_sequential)
@@ -26,7 +25,7 @@ from .wva import (PolarizationState, PostSelection, ReadoutModel,
                   quarter_wave_plate, rotation_y, rotation_z, sandwich_jones,
                   waveplate_compensation, weak_value, wva_final_probe)
 from .pipeline import (NoiseModel, QcrbRow, ScalingFit, SensorDriveModel,
-                       SnrLineFit, SnrSample, SweepResult,
+                       SnrLineFit, SweepResult,
                        TABLETOP_PRECISION_TABLE, calibrate_noise_floor,
                        end_to_end_sweep, fit_scaling_law, fit_snr_vs_voltage,
                        qcrb_comparison, snr_model, voltage_to_beam_tilt)

@@ -4,7 +4,9 @@ Every command reads one YAML config (defaults used where absent), writes
 machine-readable outputs into --out and echoes the resolved config next to
 them.  Runs are deterministic for a fixed (config, seed): CSV floats are
 printed with 12 significant digits and JSON keys are sorted.  Exit codes:
-0 success, 1 at least one verification check failed, 2 configuration error.
+0 success, 1 at least one verification check failed, 2 configuration error,
+3 any other toolkit error (an input outside a numerical regime, such as a
+kick that overflows the grid), printed as "error: <ClassName>: <message>".
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .config import RunConfig
 from .errors import ConfigError, CycleSenseError
@@ -29,14 +31,11 @@ from .pipeline import (TABLETOP_PRECISION_TABLE, calibrate_noise_floor,
 from .wva import (first_order_momentum_shift, min_detectable_tilt,
                   momentum_readout, qpd_signal, weak_value, wva_final_probe)
 
-THREADS_ENV = "CYCLESENSE_THREADS"
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -60,7 +59,7 @@ def _prepare_out(cfg: RunConfig, out: str) -> Path:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_qcrb_sweep(cfg: RunConfig, out: str, threads: int) -> int:
+def cmd_qcrb_sweep(cfg: RunConfig, out: str) -> int:
     out_dir = _prepare_out(cfg, out)
     rows = qcrb_comparison(cfg.n_values, cfg.probe_spec(), cfg.z_bar,
                            cfg.switch_modes(), cfg.trials)
@@ -71,7 +70,7 @@ def cmd_qcrb_sweep(cfg: RunConfig, out: str, threads: int) -> int:
     return 0
 
 
-def cmd_oracle_verify(cfg: RunConfig, out: str, threads: int) -> int:
+def cmd_oracle_verify(cfg: RunConfig, out: str) -> int:
     out_dir = _prepare_out(cfg, out)
     checks = oracle.run_all_checks(cfg.num_points, cfg.oracle_seeds,
                                    cfg.oracle_instances)
@@ -86,8 +85,7 @@ def cmd_oracle_verify(cfg: RunConfig, out: str, threads: int) -> int:
     return 0 if payload["all_passed"] else 1
 
 
-def cmd_reproduce_experiment(cfg: RunConfig, out: str, threads: int,
-                             source: str) -> int:
+def cmd_reproduce_experiment(cfg: RunConfig, out: str, source: str) -> int:
     if source == "synthetic" and len(set(cfg.n_values)) < 3:
         raise ConfigError("sweep.n_values: the scaling fit needs at least "
                           "three distinct sensor counts")
@@ -109,11 +107,12 @@ def cmd_reproduce_experiment(cfg: RunConfig, out: str, threads: int,
         noise = cfg.noise_model(calibrated_floor=floor)
         result = end_to_end_sweep(cfg.n_values, cfg.voltages, cfg.replicates,
                                   probe, ps, readout, drive, noise, cfg.z_bar,
-                                  cfg.lead_in, cfg.lead_out, cfg.seed, threads)
+                                  cfg.lead_in, cfg.lead_out, cfg.seed)
         _write_csv(out_dir / "snr_sweep.csv",
                    ["n_sensors", "drive_voltage_pp", "replicate", "snr"],
-                   [[s.n_sensors, s.drive_voltage_pp, s.replicate_index, s.snr]
-                    for s in result.samples])
+                   zip(result.n_sensors.tolist(),
+                       result.drive_voltage_pp.tolist(),
+                       result.replicate.tolist(), result.snr.tolist()))
         points = list(result.precision_points)
         fit = result.scaling
 
@@ -134,7 +133,7 @@ def cmd_reproduce_experiment(cfg: RunConfig, out: str, threads: int,
     return 0
 
 
-def cmd_wva_sim(cfg: RunConfig, out: str, threads: int, n_sensors: int) -> int:
+def cmd_wva_sim(cfg: RunConfig, out: str, n_sensors: int) -> int:
     if n_sensors < 1:
         raise ConfigError(f"--n: need at least one sensor, got {n_sensors}")
     out_dir = _prepare_out(cfg, out)
@@ -195,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config RNG seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help=f"worker threads (env {THREADS_ENV} overrides)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("qcrb-sweep", help="closed-form bound table over N and mode")
     sub.add_parser("oracle-verify", help="run every analytic-vs-oracle check")
@@ -218,28 +215,21 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         cfg.validate()
-        threads = args.threads
-        if os.environ.get(THREADS_ENV):
-            try:
-                threads = int(os.environ[THREADS_ENV])
-            except ValueError:
-                raise ConfigError(f"environment variable {THREADS_ENV} must be "
-                                  f"an integer") from None
-        if threads < 1:
-            raise ConfigError("threads must be at least 1")
-
         if args.command == "qcrb-sweep":
-            return cmd_qcrb_sweep(cfg, args.out, threads)
+            return cmd_qcrb_sweep(cfg, args.out)
         if args.command == "oracle-verify":
-            return cmd_oracle_verify(cfg, args.out, threads)
+            return cmd_oracle_verify(cfg, args.out)
         if args.command == "reproduce-experiment":
-            return cmd_reproduce_experiment(cfg, args.out, threads, args.source)
+            return cmd_reproduce_experiment(cfg, args.out, args.source)
         if args.command == "wva-sim":
-            return cmd_wva_sim(cfg, args.out, threads, args.n)
+            return cmd_wva_sim(cfg, args.out, args.n)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except CycleSenseError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ echoed into each output directory for provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 import math
 from pathlib import Path
 
@@ -19,6 +19,15 @@ from .grid import Grid, ProbeSpec
 from .network import DEFAULT_WAVELENGTH, NetworkGeometry, SwitchMode
 from .pipeline import NoiseModel, SensorDriveModel
 from .wva import PostSelection, ReadoutModel
+
+#: accepted Python types of each field annotation; bool is rejected wherever
+#: a number is expected.
+_KINDS = {"float": ((int, float), "a number"), "int": ((int,), "an integer"),
+          "list": ((list, tuple), "a list")}
+
+
+def _is_kind(value, kinds: tuple[type, ...]) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass
@@ -77,7 +86,23 @@ class RunConfig:
 
     # -- validation -----------------------------------------------------------
 
+    def _check_types(self) -> None:
+        """Name the field whose value has the wrong type, before any comparison."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds, what = _KINDS[f.type]
+            if not _is_kind(value, kinds):
+                raise ConfigError(f"{self._field_path(f.name)}: must be {what}, "
+                                  f"got {value!r}")
+        kinds, what = _KINDS["float"]
+        for name in ("n_values", "voltages"):
+            for v in getattr(self, name):
+                if not _is_kind(v, kinds):
+                    raise ConfigError(f"{self._field_path(name)}: entries must "
+                                      f"be {what}, got {v!r}")
+
     def validate(self) -> None:
+        self._check_types()
         pos = ("waist_radius", "wavelength", "z_bar", "weak_value_magnitude",
                "focal_length", "qpd_gain", "total_power", "position_slope",
                "pzt_displacement_per_volt", "chip_separation",
@@ -105,7 +130,7 @@ class RunConfig:
         if not self.n_values:
             raise ConfigError("sweep.n_values: must be non-empty")
         for v in self.n_values:
-            if int(v) != v or v < 1:
+            if v % 1 != 0 or v < 1:
                 raise ConfigError(f"sweep.n_values: entries must be integers >= 1, got {v}")
         if not self.voltages:
             raise ConfigError("sweep.voltages: must be non-empty")

@@ -20,15 +20,25 @@ shortcut replaces any general logarithmic-derivative machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, EstimabilityError
-from .grid import Moments, ProbeSpec, WaveFunction, overlap
+from .grid import Moments, ProbeSpec, WaveFunction
 
 #: eigenvalues below RANK_TOL * max(eigenvalue) are treated as zero.
 RANK_TOL = 1e-10
+
+
+class SwitchMode(Enum):
+    """Strategy for ordering the sensor queries."""
+
+    SEQUENTIAL = "sequential"
+    QUANTUM_SWITCH = "quantum_switch"
+    CLASSICAL_SWITCH = "classical_switch"
+    PROBE_ALONE = "probe_alone"
 
 
 @dataclass(frozen=True)
@@ -66,17 +76,6 @@ class JointState:
         if w1 == 0.0 or w0 == 0.0:
             return True
         return abs(abs(self.coherence) - np.sqrt(w0 * w1)) <= 1e-9
-
-
-def joint_overlap(a: JointState, b: JointState) -> complex:
-    """<A|B> of two pure joint states sharing the same ancilla."""
-    if a.weights != b.weights:
-        raise ValueError("joint states carry different branch weights")
-    w0, w1 = a.weights
-    val = w0 * overlap(a.branch_plus, b.branch_plus)
-    if w1 != 0.0:
-        val += w1 * overlap(a.branch_minus, b.branch_minus)
-    return val
 
 
 @dataclass(frozen=True)
@@ -220,6 +219,16 @@ def qfim_classical_switch(gm: GeneratorMoments) -> Qfim2:
     c = gm.cov_xp * u / k
     diag = a + 0.5 * b + c
     return Qfim2(4.0 * diag, 4.0 * (a + c), 4.0 * diag)
+
+
+#: the one SwitchMode -> closed-form information matrix dispatch.
+#: PROBE_ALONE is absent: its matrix exists only at the origin and is
+#: singular, so its bound comes from probe_alone_qfi_at_origin.
+QFIM_CLOSED_FORMS: dict[SwitchMode, Callable[[GeneratorMoments], Qfim2]] = {
+    SwitchMode.SEQUENTIAL: qfim_sequential,
+    SwitchMode.QUANTUM_SWITCH: qfim_quantum_switch,
+    SwitchMode.CLASSICAL_SWITCH: qfim_classical_switch,
+}
 
 
 def probe_alone_qfim_at_origin(gm: GeneratorMoments) -> Qfim2:

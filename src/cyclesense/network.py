@@ -14,13 +14,12 @@ the raw operator product and serves as the brute-force oracle for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 import math
 
 import numpy as np
 
 from .errors import GridOverflowError
-from .fisher import JointState
+from .fisher import JointState, SwitchMode
 from .grid import MOMENTUM, POSITION, Moments, WaveFunction, moments
 
 #: default wavelength of the tabletop rig (m) and its wave number (1/m).
@@ -29,15 +28,6 @@ DEFAULT_WAVE_NUMBER = 2.0 * math.pi / DEFAULT_WAVELENGTH
 
 #: ancilla populations of the balanced control (both orders equally likely).
 BALANCED_WEIGHTS = (0.5, 0.5)
-
-
-class SwitchMode(Enum):
-    """Strategy for ordering the sensor queries."""
-
-    SEQUENTIAL = "sequential"
-    QUANTUM_SWITCH = "quantum_switch"
-    CLASSICAL_SWITCH = "classical_switch"
-    PROBE_ALONE = "probe_alone"
 
 
 @dataclass(frozen=True)
@@ -121,7 +111,6 @@ class CompositeEvolution:
     g2: float
     xi1: float
     xi2: float
-    order: str = "switched"
 
 
 def g_params(geom: NetworkGeometry, kicks: KickVector) -> CompositeEvolution:
@@ -284,14 +273,13 @@ def composite_apply(psi: WaveFunction, geom: NetworkGeometry, comp: CompositeEvo
     """Apply the reduced traversal as three grid phases plus a scalar phase.
 
     phase selects the scalar factor: "exact" uses exp(-i xi/2k) and makes the
-    result equal the raw operator product including its global phase,
+    result equal the raw operator product including its global phase and
     "switch" uses the branch phases exp(-/+ i (g1^2-g2^2)/(4k(N+1)zbar)) of
-    the order-switched joint evolution (same state up to a global phase) and
-    "none" drops the scalar entirely.
+    the order-switched joint evolution (same state up to a global phase).
     """
     if direction not in ("forward", "reverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    if phase not in ("exact", "switch", "none"):
+    if phase not in ("exact", "switch"):
         raise ValueError(f"unknown phase convention {phase!r}")
     k = geom.wave_number
     n_legs = geom.n_sensors + 1
@@ -309,11 +297,9 @@ def composite_apply(psi: WaveFunction, geom: NetworkGeometry, comp: CompositeEvo
     if phase == "exact":
         xi = comp.xi1 if direction == "forward" else comp.xi2
         scalar = np.exp(-1j * xi / (2.0 * k))
-    elif phase == "switch":
+    else:
         alpha = (comp.g1**2 - comp.g2**2) / (4.0 * k * span)
         scalar = np.exp(-1j * alpha) if direction == "forward" else np.exp(1j * alpha)
-    else:
-        scalar = 1.0
     pos = psi.to_position()
     return WaveFunction(pos.grid, scalar * pos.amplitudes, POSITION)
 

@@ -15,12 +15,13 @@ import math
 
 import numpy as np
 
-from .fisher import (GeneratorMoments, qcrb_global, qfim_branch_average,
-                     qfim_classical_switch, qfim_quantum_switch, qfim_sequential,
+from .fisher import (QFIM_CLOSED_FORMS, GeneratorMoments, SwitchMode,
+                     qcrb_global, qfim_branch_average, qfim_classical_switch,
+                     qfim_quantum_switch, qfim_sequential,
                      probe_alone_qfi_at_origin)
 from .grid import (Grid, ProbeSpec, WaveFunction, fidelity, make_gaussian, moments,
                    overlap)
-from .network import (BALANCED_WEIGHTS, KickVector, NetworkGeometry, SwitchMode,
+from .network import (BALANCED_WEIGHTS, KickVector, NetworkGeometry,
                       composite_apply, g_params, switched_state_family,
                       traverse_sequence)
 from .pipeline import TABLETOP_PRECISION_TABLE, fit_scaling_law
@@ -187,9 +188,7 @@ def check_qfim_mode(mode: SwitchMode, instances: int = 10,
                     seed_base: int = 5000) -> CheckResult:
     """Closed-form information matrix versus finite differences on the grid."""
     name = f"qfim_{mode.value}_vs_finite_difference"
-    closed = {SwitchMode.SEQUENTIAL: qfim_sequential,
-              SwitchMode.QUANTUM_SWITCH: qfim_quantum_switch,
-              SwitchMode.CLASSICAL_SWITCH: qfim_classical_switch}[mode]
+    closed = QFIM_CLOSED_FORMS[mode]
     try:
         worst = 0.0
         for i in range(instances):

@@ -9,17 +9,16 @@ resulting minimum detectable tilts are fitted to a / (N^2 + b N).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import FitError
-from .fisher import GeneratorMoments, probe_alone_qfi_at_origin, qcrb_global, \
-    qfim_classical_switch, qfim_quantum_switch, qfim_sequential
+from .fisher import QFIM_CLOSED_FORMS, GeneratorMoments, SwitchMode, \
+    probe_alone_qfi_at_origin, qcrb_global
 from .grid import ProbeSpec
-from .network import NetworkGeometry, SwitchMode
+from .network import NetworkGeometry
 from .wva import PostSelection, ReadoutModel, qpd_signal
 
 
@@ -48,20 +47,6 @@ def voltage_to_beam_tilt(v_pp: float, model: SensorDriveModel) -> float:
     if v_pp < 0:
         raise ValueError(f"voltage must be non-negative, got {v_pp}")
     return v_pp * model.tilt_per_volt
-
-
-@dataclass(frozen=True)
-class SnrSample:
-    """One SNR reading at a sensor count and drive voltage."""
-
-    n_sensors: int
-    drive_voltage_pp: float
-    snr: float
-    replicate_index: int = 0
-
-    def __post_init__(self):
-        if self.snr < 0:
-            raise ValueError("snr must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -145,21 +130,24 @@ def calibrate_noise_floor(geom_for_n, waist_radius: float, ps: PostSelection,
     return v_delta
 
 
-def fit_snr_vs_voltage(samples: Sequence[SnrSample],
+def fit_snr_vs_voltage(n_sensors: int, voltages: Sequence[float],
+                       snr: Sequence[float],
                        force_zero_intercept: bool = True) -> SnrLineFit:
     """Least-squares SNR-versus-voltage line and its SNR = 1 crossing.
 
-    The intercept is pinned to zero by default (no drive, no signal); the
-    free-intercept variant is available for robustness comparisons.  All
-    samples must belong to a single sensor count.
+    voltages and snr are the paired readings of one sensor count.  The
+    intercept is pinned to zero by default (no drive, no signal); the
+    free-intercept variant is available for robustness comparisons.
     """
-    if not samples:
+    v = np.asarray(voltages, dtype=float)
+    y = np.asarray(snr, dtype=float)
+    if v.shape != y.shape or v.ndim != 1:
+        raise FitError(f"need paired 1-D voltages and SNR values, got shapes "
+                       f"{v.shape} and {y.shape}")
+    if not v.size:
         raise FitError("no samples to fit")
-    counts = {s.n_sensors for s in samples}
-    if len(counts) != 1:
-        raise FitError(f"samples mix sensor counts {sorted(counts)}")
-    v = np.array([s.drive_voltage_pp for s in samples])
-    y = np.array([s.snr for s in samples])
+    if np.any(y < 0):
+        raise FitError("SNR values must be non-negative")
     if len(np.unique(v)) < 2:
         raise FitError("need at least two distinct drive voltages")
     if np.all(y == 0):
@@ -172,7 +160,7 @@ def fit_snr_vs_voltage(samples: Sequence[SnrSample],
         slope = float(slope_f)
     if slope <= 0:
         raise FitError(f"non-positive fitted slope {slope}")
-    return SnrLineFit(samples[0].n_sensors, slope, float(intercept),
+    return SnrLineFit(n_sensors, slope, float(intercept),
                       (1.0 - intercept) / slope)
 
 
@@ -220,14 +208,11 @@ def qcrb_comparison(n_values: Iterable[int], probe: ProbeSpec, z_bar: float,
     for n in n_values:
         gm = GeneratorMoments.from_probe_spec(probe, z_bar, n)
         for mode in modes:
-            if mode == SwitchMode.SEQUENTIAL:
-                rep = qcrb_global(qfim_sequential(gm), n, z_bar, trials, mode)
-            elif mode == SwitchMode.QUANTUM_SWITCH:
-                rep = qcrb_global(qfim_quantum_switch(gm), n, z_bar, trials, mode)
-            elif mode == SwitchMode.CLASSICAL_SWITCH:
-                rep = qcrb_global(qfim_classical_switch(gm), n, z_bar, trials, mode)
-            else:
+            if mode == SwitchMode.PROBE_ALONE:
                 rep = probe_alone_qfi_at_origin(gm, trials, mode)
+            else:
+                rep = qcrb_global(QFIM_CLOSED_FORMS[mode](gm), n, z_bar, trials,
+                                  mode)
             rows.append(QcrbRow(n, mode, rep.bound_on_theta_bar,
                                 rep.scaled_bound, rep.per_shot_precision))
     return rows
@@ -235,9 +220,17 @@ def qcrb_comparison(n_values: Iterable[int], probe: ProbeSpec, z_bar: float,
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Synthetic sweep outputs: raw samples, per-N fits and the scaling law."""
+    """Synthetic sweep outputs: per-sample columns, per-N fits, scaling law.
 
-    samples: tuple[SnrSample, ...]
+    n_sensors, drive_voltage_pp, replicate and snr are equal-length 1-D
+    arrays with one entry per SNR reading, ordered by sensor count, then
+    voltage, then replicate.
+    """
+
+    n_sensors: np.ndarray
+    drive_voltage_pp: np.ndarray
+    replicate: np.ndarray
+    snr: np.ndarray
     line_fits: tuple[SnrLineFit, ...]
     precision_points: tuple[tuple[int, float], ...]
     scaling: ScalingFit
@@ -248,52 +241,47 @@ def end_to_end_sweep(n_values: Sequence[int], voltages: Sequence[float],
                      replicates: int, probe: ProbeSpec, ps: PostSelection,
                      readout: ReadoutModel, drive: SensorDriveModel,
                      noise: NoiseModel, z_bar: float, lead_in: float = 0.0,
-                     lead_out: float = 0.0, seed: int = 0,
-                     threads: int = 1) -> SweepResult:
+                     lead_out: float = 0.0, seed: int = 0) -> SweepResult:
     """Generate a synthetic SNR sweep and run the full analysis chain on it.
 
     Every (N, voltage) cell owns an RNG stream spawned from (seed, N,
-    voltage index), so serial and threaded executions produce identical
-    output and the draws are reproducible for a fixed seed.  The noise
-    model itself (floor and jitter width) is shared by all cells: nothing
-    about the noise depends on the sensor count.
+    voltage index), so the draws of a cell are reproducible for a fixed
+    seed whatever the other cells are.  The noise model itself (floor and
+    jitter width) is shared by all cells: nothing about the noise depends
+    on the sensor count.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     if not n_values or not voltages:
         raise ValueError("n_values and voltages must be non-empty")
 
-    def geom_for(n: int) -> NetworkGeometry:
-        return NetworkGeometry.uniform(n, z_bar, lead_in, lead_out,
+    snr = np.empty((len(n_values), len(voltages), replicates))
+    for ni, n in enumerate(n_values):
+        geom = NetworkGeometry.uniform(n, z_bar, lead_in, lead_out,
                                        probe.wave_number)
+        for vi, v in enumerate(voltages):
+            phi = voltage_to_beam_tilt(v, drive)
+            snr[ni, vi] = snr_model(phi, geom, probe.waist_radius, ps, readout,
+                                    noise)
+            if noise.jitter > 0:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(n, vi)))
+                snr[ni, vi] *= np.exp(noise.jitter
+                                      * rng.standard_normal(replicates))
 
-    def run_cell(args: tuple[int, int, float]) -> list[SnrSample]:
-        n, vi, v = args
-        phi = voltage_to_beam_tilt(v, drive)
-        base = snr_model(phi, geom_for(n), probe.waist_radius, ps, readout, noise)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n, vi)))
-        out = []
-        for r in range(replicates):
-            factor = float(np.exp(noise.jitter * rng.standard_normal())) \
-                if noise.jitter > 0 else 1.0
-            out.append(SnrSample(n, v, base * factor, r))
-        return out
-
-    cells = [(n, vi, v) for n in n_values for vi, v in enumerate(voltages)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(pool.map(run_cell, cells))
-    else:
-        per_cell = [run_cell(c) for c in cells]
-    samples = tuple(s for cell in per_cell for s in cell)
+    n_col = np.repeat(np.asarray(n_values), len(voltages) * replicates)
+    v_col = np.tile(np.repeat(np.asarray(voltages), replicates), len(n_values))
+    r_col = np.tile(np.arange(replicates), len(n_values) * len(voltages))
+    snr = snr.ravel()
 
     line_fits = []
     points = []
     for n in n_values:
-        fit = fit_snr_vs_voltage([s for s in samples if s.n_sensors == n])
+        cell = n_col == n
+        fit = fit_snr_vs_voltage(n, v_col[cell], snr[cell])
         line_fits.append(fit)
         points.append((n, voltage_to_beam_tilt(fit.min_voltage, drive)))
     scaling = fit_scaling_law(points)
     rows = qcrb_comparison(n_values, probe, z_bar)
-    return SweepResult(samples, tuple(line_fits), tuple(points), scaling,
-                       tuple(rows))
+    return SweepResult(n_col, v_col, r_col, snr, tuple(line_fits),
+                       tuple(points), scaling, tuple(rows))

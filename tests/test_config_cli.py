@@ -135,9 +135,29 @@ class TestCli:
                      "qcrb-sweep"]) == 2
         assert "sweep.replicates" in capsys.readouterr().err
 
-    def test_invalid_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CYCLESENSE_THREADS", "many")
-        assert main(["--out", str(tmp_path / "x"), "qcrb-sweep"]) == 2
+    @pytest.mark.parametrize("yaml_text,needle", [
+        ("probe: {waist_radius: abc}\n", "probe.waist_radius"),
+        ("grid: {num_points: 4096.0}\n", "grid.num_points"),
+        ("sweep: {n_values: [1, x]}\n", "sweep.n_values"),
+    ])
+    def test_mistyped_config_exit_code(self, tmp_path, capsys, yaml_text, needle):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml_text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "x"),
+                     "qcrb-sweep"]) == 2
+        assert f"config error: {needle}:" in capsys.readouterr().err
+
+    def test_integral_float_sensor_counts_accepted(self, tmp_path):
+        path = tmp_path / "float_n.yaml"
+        path.write_text("sweep: {n_values: [3.0]}\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "x"),
+                     "qcrb-sweep"]) == 0
+
+    def test_regime_error_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, theta_bar=1e5, num_points=1 << 10)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "wva-sim", "--n", "200"]) == 3
+        assert capsys.readouterr().err.startswith("error: GridOverflowError: ")
 
     def test_too_few_sensor_counts_for_fit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_values=[2], voltages=[1e-3, 2e-3])
@@ -152,13 +172,6 @@ class TestCli:
     def test_negative_seed_rejected(self, tmp_path):
         assert main(["--out", str(tmp_path / "x"), "--seed", "-3",
                      "qcrb-sweep"]) == 2
-
-    def test_threads_env_overrides_flag(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, **SMALL_SWEEP)
-        monkeypatch.setenv("CYCLESENSE_THREADS", "2")
-        out = tmp_path / "env"
-        assert main(["--config", str(cfg), "--out", str(out), "--threads", "1",
-                     "reproduce-experiment"]) == 0
 
     def test_seed_flag_changes_jittered_output(self, tmp_path):
         cfg = write_config(tmp_path, n_values=[1, 2, 3],

@@ -282,5 +282,5 @@ class TestJointStateValidation:
             JointState(unit_probe, unit_probe, (0.5, 0.5), 0.9)
 
     def test_composite_evolution_is_plain_record(self):
-        comp = CompositeEvolution(1.0, 2.0, 0.5, 0.25, "forward")
-        assert comp.order == "forward"
+        comp = CompositeEvolution(1.0, 2.0, 0.5, 0.25)
+        assert (comp.g1, comp.g2, comp.xi1, comp.xi2) == (1.0, 2.0, 0.5, 0.25)

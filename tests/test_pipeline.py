@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from cyclesense import (FitError, NetworkGeometry, NoiseModel, PostSelection,
-                        ProbeSpec, ReadoutModel, SensorDriveModel, SnrSample,
+                        ProbeSpec, ReadoutModel, SensorDriveModel,
                         SwitchMode, TABLETOP_PRECISION_TABLE,
                         calibrate_noise_floor, end_to_end_sweep, fit_scaling_law,
                         fit_snr_vs_voltage, qcrb_comparison, snr_model,
@@ -19,6 +21,22 @@ PROBE = ProbeSpec(2e-3, LAB_WAVE_NUMBER)
 def lab_geom(n):
     return NetworkGeometry.uniform(n, 0.2, lead_in=0.325,
                                    wave_number=LAB_WAVE_NUMBER)
+
+
+def samples(result):
+    """(n_sensors, drive_voltage_pp, replicate, snr) of every sweep reading."""
+    return list(zip(result.n_sensors.tolist(), result.drive_voltage_pp.tolist(),
+                    result.replicate.tolist(), result.snr.tolist()))
+
+
+def sweeps_equal(a, b) -> bool:
+    """Field-by-field equality of two SweepResults, columns compared exactly."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        same = np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        if not same:
+            return False
+    return True
 
 
 class TestDriveModel:
@@ -66,40 +84,42 @@ class TestSnrModel:
 class TestSnrLineFit:
     def test_recovers_noiseless_slope_exactly(self):
         slope = 1234.5
-        samples = [SnrSample(3, v, slope * v) for v in (1e-3, 2e-3, 5e-3, 1e-2)]
-        fit = fit_snr_vs_voltage(samples)
+        volts = [1e-3, 2e-3, 5e-3, 1e-2]
+        fit = fit_snr_vs_voltage(3, volts, [slope * v for v in volts])
+        assert fit.n_sensors == 3
         assert fit.slope == pytest.approx(slope, rel=1e-10)
         assert fit.min_voltage == pytest.approx(1.0 / slope, rel=1e-10)
         assert fit.intercept == 0.0
 
     def test_free_intercept_variant(self):
-        samples = [SnrSample(3, v, 100.0 * v + 0.5) for v in (1e-3, 5e-3, 1e-2)]
-        fit = fit_snr_vs_voltage(samples, force_zero_intercept=False)
+        volts = [1e-3, 5e-3, 1e-2]
+        fit = fit_snr_vs_voltage(3, volts, [100.0 * v + 0.5 for v in volts],
+                                 force_zero_intercept=False)
         assert fit.slope == pytest.approx(100.0, rel=1e-9)
         assert fit.intercept == pytest.approx(0.5, rel=1e-9)
         assert fit.min_voltage == pytest.approx(0.5 / 100.0, rel=1e-9)
 
     def test_degenerate_inputs_rejected(self):
-        with pytest.raises(FitError):
-            fit_snr_vs_voltage([])
-        with pytest.raises(FitError):
-            fit_snr_vs_voltage([SnrSample(1, 1e-3, 1.0), SnrSample(1, 1e-3, 2.0)])
-        with pytest.raises(FitError):
-            fit_snr_vs_voltage([SnrSample(1, 1e-3, 0.0), SnrSample(1, 2e-3, 0.0)])
-        with pytest.raises(FitError):
-            fit_snr_vs_voltage([SnrSample(1, 1e-3, 1.0), SnrSample(2, 2e-3, 2.0)])
+        with pytest.raises(FitError, match="no samples"):
+            fit_snr_vs_voltage(1, [], [])
+        with pytest.raises(FitError, match="distinct drive voltages"):
+            fit_snr_vs_voltage(1, [1e-3, 1e-3], [1.0, 2.0])
+        with pytest.raises(FitError, match="all SNR values are zero"):
+            fit_snr_vs_voltage(1, [1e-3, 2e-3], [0.0, 0.0])
+        with pytest.raises(FitError, match="non-negative"):
+            fit_snr_vs_voltage(1, [1e-3, 2e-3], [1.0, -2.0])
+        with pytest.raises(FitError, match="paired"):
+            fit_snr_vs_voltage(1, [1e-3, 2e-3], [1.0, 2.0, 3.0])
 
     def test_calibrated_floor_reproduces_reference_row(self):
         # with the floor anchored at the first table row, the fitted
         # threshold voltage and tilt land back on that row
         floor = calibrate_noise_floor(lab_geom, 2e-3, PS, READOUT, DRIVE)
         noise = NoiseModel(floor)
-        samples = [
-            SnrSample(1, v, snr_model(voltage_to_beam_tilt(v, DRIVE),
-                                      lab_geom(1), 2e-3, PS, READOUT, noise))
-            for v in (1e-3, 2e-3, 5e-3, 1e-2)
-        ]
-        fit = fit_snr_vs_voltage(samples)
+        volts = [1e-3, 2e-3, 5e-3, 1e-2]
+        snrs = [snr_model(voltage_to_beam_tilt(v, DRIVE), lab_geom(1), 2e-3, PS,
+                          READOUT, noise) for v in volts]
+        fit = fit_snr_vs_voltage(1, volts, snrs)
         assert fit.min_voltage == pytest.approx(382.6e-6, rel=1e-10)
         assert voltage_to_beam_tilt(fit.min_voltage, DRIVE) == pytest.approx(
             841.72e-12, rel=1e-4)
@@ -111,8 +131,8 @@ class TestSnrLineFit:
     def test_threshold_rows_recovered_from_their_lines(self, n, v_min, phi_min):
         # SNR lines crossing 1 at the recorded voltages convert back to the
         # recorded tilts through the drive chain
-        samples = [SnrSample(n, v, v / v_min) for v in (1e-3, 2e-3, 5e-3, 1e-2)]
-        fit = fit_snr_vs_voltage(samples)
+        volts = [1e-3, 2e-3, 5e-3, 1e-2]
+        fit = fit_snr_vs_voltage(n, volts, [v / v_min for v in volts])
         assert fit.min_voltage == pytest.approx(v_min, rel=1e-10)
         assert voltage_to_beam_tilt(fit.min_voltage, DRIVE) == pytest.approx(
             phi_min, rel=1e-3)
@@ -146,16 +166,18 @@ class TestScalingLaw:
 class TestEndToEndSweep:
     KW = dict(probe=PROBE, ps=PS, readout=READOUT, drive=DRIVE,
               z_bar=0.2, lead_in=0.325, seed=7)
+    N_VALUES = list(range(1, 6))
+    VOLTAGES = [i * 1e-3 for i in range(1, 6)]
 
-    def run(self, jitter, replicates=3, threads=1, seed=7):
+    def floor(self):
+        return calibrate_noise_floor(lab_geom, PROBE.waist_radius, PS, READOUT,
+                                     DRIVE)
+
+    def run(self, jitter, replicates=3, seed=7):
         kw = dict(self.KW)
         kw["seed"] = seed
-        floor = calibrate_noise_floor(lab_geom, PROBE.waist_radius, PS, READOUT,
-                                      DRIVE)
-        return end_to_end_sweep(list(range(1, 6)),
-                                [i * 1e-3 for i in range(1, 6)],
-                                replicates, noise=NoiseModel(floor, jitter),
-                                threads=threads, **kw)
+        return end_to_end_sweep(self.N_VALUES, self.VOLTAGES, replicates,
+                                noise=NoiseModel(self.floor(), jitter), **kw)
 
     def test_zero_jitter_closes_the_loop(self):
         # the analysis chain run on its own forward model recovers the
@@ -167,17 +189,33 @@ class TestEndToEndSweep:
     def test_deterministic_given_seed(self):
         a = self.run(jitter=0.05)
         b = self.run(jitter=0.05)
-        assert a == b
+        assert sweeps_equal(a, b)
         c = self.run(jitter=0.05, seed=8)
-        assert c != a
+        assert not sweeps_equal(c, a)
 
-    def test_threaded_run_matches_serial(self):
-        assert self.run(jitter=0.05, threads=4) == self.run(jitter=0.05)
+    def test_cells_follow_their_scalar_streams(self):
+        # the per-cell stream contract, bit for bit: each (N, voltage) cell
+        # is its base SNR times one log-normal factor per replicate, drawn
+        # one at a time from the stream spawned from (seed, N, voltage index)
+        jitter, seed, replicates = 0.05, 7, 4
+        result = self.run(jitter=jitter, replicates=replicates, seed=seed)
+        noise = NoiseModel(self.floor(), jitter)
+        expected = []
+        for n in self.N_VALUES:
+            for vi, v in enumerate(self.VOLTAGES):
+                base = snr_model(voltage_to_beam_tilt(v, DRIVE), lab_geom(n),
+                                 PROBE.waist_radius, PS, READOUT, noise)
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(n, vi)))
+                for r in range(replicates):
+                    factor = float(np.exp(jitter * rng.standard_normal()))
+                    expected.append((n, v, r, base * factor))
+        assert samples(result) == expected
 
     def test_snr_monotonicity(self):
         result = self.run(jitter=0.0, replicates=1)
-        by_cell = {(s.n_sensors, s.drive_voltage_pp): s.snr for s in result.samples}
-        voltages = sorted({s.drive_voltage_pp for s in result.samples})
+        by_cell = {(n, v): s for n, v, _, s in samples(result)}
+        voltages = sorted({v for _, v, _, _ in samples(result)})
         for v in voltages:
             col = [by_cell[(n, v)] for n in range(1, 6)]
             assert all(b > a for a, b in zip(col, col[1:]))
@@ -191,20 +229,14 @@ class TestEndToEndSweep:
         # jitter factors are exactly 1 everywhere
         result = self.run(jitter=0.05, replicates=50)
         base = self.run(jitter=0.0, replicates=50)
-        base_map = {(s.n_sensors, s.drive_voltage_pp, s.replicate_index): s.snr
-                    for s in base.samples}
-        import numpy as np
+        base_map = {(n, v, r): s for n, v, r, s in samples(base)}
         log_factors = {}
-        for s in result.samples:
-            f = s.snr / base_map[(s.n_sensors, s.drive_voltage_pp,
-                                  s.replicate_index)]
-            log_factors.setdefault(s.n_sensors, []).append(math.log(f))
+        for n, v, r, s in samples(result):
+            log_factors.setdefault(n, []).append(math.log(s / base_map[(n, v, r)]))
         stds = {n: float(np.std(v)) for n, v in log_factors.items()}
         for n, std in stds.items():
             assert std == pytest.approx(0.05, rel=0.35), (n, std)
-        assert all(s.snr == base_map[(s.n_sensors, s.drive_voltage_pp,
-                                      s.replicate_index)]
-                   for s in base.samples)
+        assert all(s == base_map[(n, v, r)] for n, v, r, s in samples(base))
 
 
 class TestFullScaleSweep:
@@ -217,7 +249,7 @@ class TestFullScaleSweep:
                                   PROBE, PS, READOUT, DRIVE,
                                   NoiseModel(floor, 0.05), 0.2, lead_in=0.325,
                                   seed=0)
-        assert len(result.samples) == 9000
+        assert len(result.snr) == 9000
         assert result.scaling.b == pytest.approx(4.25, rel=0.1)
         assert result.scaling.r_squared > 0.99
 
