@@ -132,6 +132,8 @@ class RunConfig:
         for v in self.n_values:
             if v % 1 != 0 or v < 1:
                 raise ConfigError(f"sweep.n_values: entries must be integers >= 1, got {v}")
+        # integral floats such as 3.0 count sensors too; store them as int
+        self.n_values = [int(v) for v in self.n_values]
         if not self.voltages:
             raise ConfigError("sweep.voltages: must be non-empty")
         for v in self.voltages:

@@ -98,7 +98,8 @@ class Qfim2:
 
     @classmethod
     def from_array(cls, q: np.ndarray) -> "Qfim2":
-        if q.shape != (2, 2) or abs(q[0, 1] - q[1, 0]) > 1e-9 * (abs(q[0, 1]) + 1e-300):
+        """Matrix from a 2x2 array symmetric to 1e-9 of its largest entry."""
+        if q.shape != (2, 2) or abs(q[0, 1] - q[1, 0]) > 1e-9 * (np.max(np.abs(q)) + 1e-300):
             raise ValueError("expected a symmetric 2x2 array")
         return cls(float(q[0, 0]), 0.5 * float(q[0, 1] + q[1, 0]), float(q[1, 1]))
 

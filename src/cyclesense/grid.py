@@ -11,7 +11,7 @@ discretized with the midpoint rule, which is spectrally accurate for the
 smooth, rapidly decaying states handled here.  All values are immutable and
 every operation returns a new object, so instances can be shared freely
 across threads; a grid only remembers the last phase mask of each kind it
-built.
+built, and a wavefunction its moments once measured.
 """
 
 from __future__ import annotations
@@ -38,6 +38,43 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     a.flags.writeable = False
     return a
+
+
+def symmetric_phase(coordinates: np.ndarray,
+                    angle: Callable[[np.ndarray], np.ndarray],
+                    odd: bool) -> np.ndarray:
+    """exp(1j * angle(coordinates)) along one axis of a symmetric grid.
+
+    The axis is symmetric about sample n/2 (c_{n/2+m} = -c_{n/2-m}
+    exactly), so angle is evaluated on samples 0..n/2 only and the rest is
+    mirrored: as the complex conjugate when angle is odd in the
+    coordinate, as a copy when it is even.  One real cos and one real sin,
+    written into the real and imaginary views, give the same bits as
+    np.exp(1j * angle) when angle repeats the float operations of the
+    complex expression it replaces.
+    """
+    h = coordinates.size // 2
+    out = np.empty(coordinates.size, dtype=np.complex128)
+    re, im = out.real, out.imag
+    half = angle(coordinates[: h + 1])
+    np.cos(half, out=re[: h + 1])
+    np.sin(half, out=im[: h + 1])
+    # The complex product behind np.exp(-1j * t * c) forms its angle as
+    # 0.0 + (-t * c), so a zero angle is +0.0 there; adding and subtracting
+    # from 0.0 keeps that sign on both halves.
+    np.add(im[: h + 1], 0.0, out=im[: h + 1])
+    re[h + 1:] = re[h - 1:0:-1]
+    if odd:
+        np.subtract(0.0, im[h - 1:0:-1], out=im[h + 1:])
+    else:
+        im[h + 1:] = im[h - 1:0:-1]
+    return out
+
+
+def _swap_halves(a: np.ndarray) -> np.ndarray:
+    """fftshift, which for an even length is also ifftshift."""
+    h = a.size // 2
+    return np.concatenate((a[h:], a[:h]))
 
 
 @dataclass(frozen=True)
@@ -83,14 +120,19 @@ class Grid:
 
     def kick_mask(self, theta: float) -> np.ndarray:
         """Position-space phase exp(-i theta x) of a momentum kick."""
-        return self._reused_mask("_kick_mask", theta,
-                                 lambda: np.exp(-1j * theta * self.positions))
+        return self._reused_mask(
+            "_kick_mask", theta,
+            lambda: symmetric_phase(self.positions, lambda x: -theta * x, odd=True))
 
     def propagation_mask(self, z: float, wave_number: float) -> np.ndarray:
         """Momentum-space phase exp(-i z p^2 / 2k) of a free propagation."""
+        # numpy divides a complex array by a real scalar by multiplying with
+        # its reciprocal; the angle repeats that to keep np.exp's bits.
         return self._reused_mask(
             "_propagation_mask", (z, wave_number),
-            lambda: np.exp(-1j * z * self.momenta**2 / (2.0 * wave_number)))
+            lambda: symmetric_phase(
+                self.momenta, lambda p: -z * p**2 * (1.0 / (2.0 * wave_number)),
+                odd=False))
 
     def _reused_mask(self, slot: str, key, build: Callable[[], np.ndarray]
                      ) -> np.ndarray:
@@ -180,7 +222,8 @@ class WaveFunction:
     guard_moments, when set, are the moments of this state carried forward
     exactly by the unitary operators that produced it; the grid guards read
     them instead of measuring the state at every step.  They take no part in
-    comparisons, and moments() always measures the amplitudes.
+    comparisons, and moments() always measures the amplitudes, once per
+    instance.
     """
 
     grid: Grid
@@ -208,7 +251,7 @@ class WaveFunction:
         if self.representation == POSITION:
             return self
         g = self.grid
-        amps = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(self.amplitudes)))
+        amps = _swap_halves(np.fft.ifft(_swap_halves(self.amplitudes)))
         amps *= g.num_points * g.dp / math.sqrt(2.0 * math.pi)
         return WaveFunction(g, amps, POSITION, self.guard_moments)
 
@@ -216,7 +259,7 @@ class WaveFunction:
         if self.representation == MOMENTUM:
             return self
         g = self.grid
-        amps = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(self.amplitudes)))
+        amps = _swap_halves(np.fft.fft(_swap_halves(self.amplitudes)))
         amps *= g.dx / math.sqrt(2.0 * math.pi)
         return WaveFunction(g, amps, MOMENTUM, self.guard_moments)
 
@@ -235,7 +278,9 @@ class WaveFunction:
         return WaveFunction(self.grid, self.amplitudes / n, self.representation)
 
     def require_normalized(self, tol: float = NORM_PRECONDITION_TOL) -> None:
-        n = self.norm()
+        # one dot product; norm() keeps its own sum, whose bits reach outputs
+        a = self.amplitudes
+        n = math.sqrt(np.vdot(a, a).real * self._weight)
         if abs(n - 1.0) > tol:
             raise NormalizationError(f"wavefunction norm {n} deviates from 1 by more than {tol}")
 
@@ -276,8 +321,13 @@ def moments(psi: WaveFunction) -> Moments:
     """Phase-space moments <X>, <P>, Var X, Var P and Cov(X,P).
 
     The covariance is the symmetrized one, Cov = <{X,P}>/2 - <X><P>,
-    evaluated as Re<psi| X P |psi> - <X><P> on the grid.
+    evaluated as Re<psi| X P |psi> - <X><P> on the grid.  The state is
+    immutable, so the measurement is stored on it and a second call on the
+    same instance returns it without touching the grid.
     """
+    measured = psi.__dict__.get("_moments")
+    if measured is not None:
+        return measured
     psi.require_normalized()
     pos = psi.to_position()
     mom = psi.to_momentum()
@@ -290,4 +340,6 @@ def moments(psi: WaveFunction) -> Moments:
     var_p = float(np.sum((g.momenta - mean_p) ** 2 * wp))
     p_psi = WaveFunction(g, g.momenta * mom.amplitudes, MOMENTUM).to_position()
     mean_xp = float(np.real(np.vdot(g.positions * pos.amplitudes, p_psi.amplitudes)) * g.dx)
-    return Moments(mean_x, mean_p, var_x, var_p, mean_xp - mean_x * mean_p)
+    measured = Moments(mean_x, mean_p, var_x, var_p, mean_xp - mean_x * mean_p)
+    psi.__dict__["_moments"] = measured
+    return measured

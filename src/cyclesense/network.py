@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import GridOverflowError
 from .fisher import JointState, SwitchMode
-from .grid import MOMENTUM, POSITION, Moments, WaveFunction, moments
+from .grid import (MOMENTUM, POSITION, Moments, WaveFunction, moments,
+                   symmetric_phase)
 
 #: default wavelength of the tabletop rig (m) and its wave number (1/m).
 DEFAULT_WAVELENGTH = 780e-9
@@ -169,7 +170,8 @@ def apply_kick(psi: WaveFunction, theta: float) -> WaveFunction:
 def apply_shift(psi: WaveFunction, displacement: float) -> WaveFunction:
     """Translation exp(-i d P): moves the state by +d in position."""
     mom = psi.to_momentum()
-    amps = mom.amplitudes * np.exp(-1j * displacement * psi.grid.momenta)
+    amps = mom.amplitudes * symmetric_phase(psi.grid.momenta,
+                                            lambda p: -displacement * p, odd=True)
     m = psi.guard_moments
     moved = None if m is None else replace(m, mean_x=m.mean_x + displacement)
     return WaveFunction(psi.grid, amps, MOMENTUM, moved)

@@ -186,6 +186,8 @@ def fit_scaling_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     predicted = a / (n**2 + b * n)
     ss_res = float(np.sum((y - predicted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    if ss_tot == 0.0:                         # e.g. a spread that underflows
+        raise FitError("the minimum detectable tilts have no spread; R^2 is undefined")
     return ScalingFit(a, b, 1.0 - ss_res / ss_tot)
 
 

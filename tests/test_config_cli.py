@@ -153,6 +153,16 @@ class TestCli:
         assert main(["--config", str(path), "--out", str(tmp_path / "x"),
                      "qcrb-sweep"]) == 0
 
+    def test_integral_float_sensor_counts_reach_the_synthetic_replay(self, tmp_path):
+        path = tmp_path / "float_n.yaml"
+        path.write_text("sweep: {n_values: [1.0, 2.0, 3.0], replicates: 2}\n")
+        assert RunConfig.from_yaml(path).n_values == [1, 2, 3]
+        out = tmp_path / "x"
+        assert main(["--config", str(path), "--out", str(out),
+                     "reproduce-experiment", "--source", "synthetic"]) == 0
+        rows = (out / "snr_sweep.csv").read_text().splitlines()[1:]
+        assert {r.split(",")[0] for r in rows} == {"1", "2", "3"}
+
     def test_regime_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, theta_bar=1e5, num_points=1 << 10)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),

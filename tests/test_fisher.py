@@ -178,6 +178,15 @@ class TestQcrb:
         rep = qcrb_global(q, 1, 1.0)
         assert rep.bound_on_theta_bar == pytest.approx(0.2, rel=1e-12)
 
+    def test_from_array_tolerance_scales_with_largest_entry(self):
+        # a zero off-diagonal next to a rounding-sized partner is symmetric
+        q = Qfim2.from_array(np.array([[2.0, 0.0], [1e-18, 3.0]]))
+        assert (q.q11, q.q22) == (2.0, 3.0)
+        assert q.q12 == pytest.approx(0.0, abs=1e-18)
+        for bad in ([[2.0, 0.0], [1e-6, 3.0]], [[1.0, 0.5], [0.4, 1.0]]):
+            with pytest.raises(ValueError, match="symmetric"):
+                Qfim2.from_array(np.array(bad))
+
     def test_estimability_error(self):
         # rank-1 matrix whose range excludes the (1,1) Jacobian direction
         with pytest.raises(EstimabilityError):

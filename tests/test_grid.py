@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cyclesense import (Grid, GridError, Moments, NormalizationError, ProbeSpec,
-                        WaveFunction, diffracted_radius, fidelity, make_gaussian,
-                        moments, overlap)
-from cyclesense.grid import MOMENTUM, POSITION
+                        WaveFunction, apply_kick, diffracted_radius, fidelity,
+                        make_gaussian, moments, overlap)
+from cyclesense.grid import MOMENTUM, POSITION, _swap_halves
 
 
 class TestGrid:
@@ -52,6 +52,22 @@ class TestTransforms:
         phase = mom[len(mom) // 2] / expected[len(mom) // 2]
         assert abs(abs(phase) - 1.0) < 1e-9
         assert np.max(np.abs(mom - phase * expected)) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 8, 1 << 10])
+    def test_half_swap_is_both_shifts(self, n):
+        a = np.random.default_rng(n).standard_normal(n) + 0j
+        assert np.array_equal(_swap_halves(a), np.fft.fftshift(a))
+        assert np.array_equal(_swap_halves(a), np.fft.ifftshift(a))
+
+    def test_transforms_keep_the_shifted_fft_bits(self, unit_grid):
+        g = unit_grid
+        psi = make_gaussian(ProbeSpec(1.3, 1.0, center_x=0.4, center_p=-0.2), g)
+        mom = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(psi.amplitudes)))
+        mom *= g.dx / math.sqrt(2.0 * math.pi)
+        assert np.array_equal(psi.to_momentum().amplitudes, mom)
+        back = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(mom)))
+        back *= g.num_points * g.dp / math.sqrt(2.0 * math.pi)
+        assert np.array_equal(psi.to_momentum().to_position().amplitudes, back)
 
 
 class TestMakeGaussian:
@@ -134,6 +150,29 @@ class TestMoments:
         with pytest.raises(NormalizationError):
             moments(bad)
 
+    def test_second_measurement_is_free(self, unit_grid, unit_probe, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        psi = WaveFunction(unit_grid, unit_probe.amplitudes)   # fresh instance
+        first = moments(psi)
+        assert calls
+        calls.clear()
+        assert moments(psi) == first
+        assert calls == []
+        # a kicked state built from it is measured afresh
+        kicked = apply_kick(psi, 0.3)
+        assert calls == []
+        assert moments(kicked).mean_p == pytest.approx(first.mean_p - 0.3, abs=1e-9)
+        assert calls
+
     def test_moments_validation(self):
         with pytest.raises(ValueError):
             Moments(0.0, 0.0, -1.0, 1.0, 0.0)
@@ -170,6 +209,17 @@ class TestWaveFunction:
     def test_representation_tag_validated(self, unit_grid):
         with pytest.raises(ValueError):
             WaveFunction(unit_grid, np.zeros(unit_grid.num_points), "fock")
+
+    @pytest.mark.parametrize("deviation", [2e-6, -2e-6])
+    def test_norm_precondition_rejects(self, unit_probe, deviation):
+        off = WaveFunction(unit_probe.grid, (1.0 + deviation) * unit_probe.amplitudes)
+        with pytest.raises(NormalizationError):
+            off.require_normalized()
+
+    @pytest.mark.parametrize("deviation", [5e-7, -5e-7])
+    def test_norm_precondition_tolerates(self, unit_probe, deviation):
+        WaveFunction(unit_probe.grid, (1.0 + deviation) * unit_probe.amplitudes
+                     ).to_momentum().require_normalized()
 
     def test_norm_after_normalize(self, unit_grid):
         psi = WaveFunction(unit_grid, np.exp(-unit_grid.positions**2 / 4) + 0j)

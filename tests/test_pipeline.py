@@ -162,6 +162,15 @@ class TestScalingLaw:
         with pytest.raises(FitError):
             fit_scaling_law([(1, 1.0), (2, 0.5), (3, -0.1)])
 
+    def test_tilts_without_spread_rejected(self):
+        # equal tilts cannot give a positive N^2 coefficient
+        with pytest.raises(FitError, match="quadratic coefficient"):
+            fit_scaling_law([(n, 2e-9) for n in range(1, 5)])
+        # an exact law at 1e-170 rad fits, but the squared spread of the
+        # tilts underflows to 0, which leaves R^2 undefined
+        with pytest.raises(FitError, match="no spread"):
+            fit_scaling_law([(n, 1e-170 / (n**2 + 3.0 * n)) for n in range(1, 5)])
+
 
 class TestEndToEndSweep:
     KW = dict(probe=PROBE, ps=PS, readout=READOUT, drive=DRIVE,
@@ -236,7 +245,12 @@ class TestEndToEndSweep:
         stds = {n: float(np.std(v)) for n, v in log_factors.items()}
         for n, std in stds.items():
             assert std == pytest.approx(0.05, rel=0.35), (n, std)
-        assert all(s == base_map[(n, v, r)] for n, v, r, s in samples(base))
+        noise = NoiseModel(self.floor(), 0.0)
+        model = {(n, v): snr_model(voltage_to_beam_tilt(v, DRIVE), lab_geom(n),
+                                   PROBE.waist_radius, PS, READOUT, noise)
+                 for n in self.N_VALUES for v in self.VOLTAGES}
+        for n, v, r, s in samples(base):
+            assert s == model[(n, v)], (n, v, r)
 
 
 class TestFullScaleSweep:

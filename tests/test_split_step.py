@@ -11,6 +11,7 @@ from cyclesense import (Grid, GridOverflowError, JointState, KickVector, Moments
                         make_gaussian, moments, qfim_branch_average,
                         qfim_numerical, switched_state_family, traverse_sequence)
 from cyclesense import network
+from cyclesense.grid import MOMENTUM
 
 from conftest import LAB_WAVE_NUMBER
 
@@ -151,6 +152,27 @@ class TestPhaseMasks:
                     assert np.array_equal(
                         g.propagation_mask(z, k),
                         np.exp(-1j * z * g.momenta**2 / (2.0 * k)))
+
+    @pytest.mark.parametrize("num_points", [1 << 10, 1 << 14])
+    def test_phases_match_complex_exp(self, num_points):
+        # cos/sin on half the grid, mirrored, against np.exp on all of it;
+        # angles reach ~1e4 rad at the window edges
+        g = Grid(num_points, 3.0)
+        x_max, p_max = g.half_extent, abs(g.momenta[0])
+        atol = 4 * np.finfo(float).eps
+        flat = WaveFunction(g, np.ones(num_points), MOMENTUM)
+        for a in (1e4, -37.5, 0.0):
+            theta, d, k = a / x_max, a / p_max, 2.5
+            z = 2.0 * k * abs(a) / p_max**2
+            np.testing.assert_allclose(g.kick_mask(theta),
+                                       np.exp(-1j * theta * g.positions),
+                                       rtol=0, atol=atol)
+            np.testing.assert_allclose(g.propagation_mask(z, k),
+                                       np.exp(-1j * z * g.momenta**2 / (2.0 * k)),
+                                       rtol=0, atol=atol)
+            np.testing.assert_allclose(apply_shift(flat, d).amplitudes,
+                                       np.exp(-1j * d * g.momenta),
+                                       rtol=0, atol=atol)
 
     def test_masks_are_read_only(self):
         g = Grid(1 << 8, 10.0)
