@@ -3,7 +3,11 @@
 Every command reads one YAML config (defaults used where absent), writes
 machine-readable outputs into --out and echoes the resolved config next to
 them.  Runs are deterministic for a fixed (config, seed): CSV floats are
-printed with 12 significant digits and JSON keys are sorted.  Exit codes:
+printed with 12 significant digits, JSON keys are sorted, and the inner
+products behind the outputs are numpy sums, so their bits do not depend on
+the BLAS thread count.  Amplitudes are stored in FFT order (sample 0 at
+x = 0), so the grid transforms are plain numpy FFTs.  A non-finite config
+value is a configuration error, and no NaN is written to JSON.  Exit codes:
 0 success, 1 at least one verification check failed, 2 configuration error,
 3 any other toolkit error (an input outside a numerical regime, such as a
 kick that overflows the grid), printed as "error: <ClassName>: <message>".
@@ -44,9 +48,11 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    # allow_nan=False: a NaN or infinity raises here instead of writing
+    # invalid JSON; encoding first leaves no partial file behind
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _prepare_out(cfg: RunConfig, out: str) -> Path:

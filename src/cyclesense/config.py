@@ -30,6 +30,13 @@ def _is_kind(value, kinds: tuple[type, ...]) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:                     # an int beyond the float range
+        return False
+
+
 @dataclass
 class RunConfig:
     """All knobs of a toolkit run, grouped by subsystem."""
@@ -87,19 +94,23 @@ class RunConfig:
     # -- validation -----------------------------------------------------------
 
     def _check_types(self) -> None:
-        """Name the field whose value has the wrong type, before any comparison."""
+        """Name the field whose value has the wrong type or is not finite,
+        before any comparison."""
         for f in fields(self):
             value = getattr(self, f.name)
             kinds, what = _KINDS[f.type]
             if not _is_kind(value, kinds):
                 raise ConfigError(f"{self._field_path(f.name)}: must be {what}, "
                                   f"got {value!r}")
-        kinds, what = _KINDS["float"]
+            if f.type == "float" and not _is_finite(value):
+                raise ConfigError(f"{self._field_path(f.name)}: must be finite, "
+                                  f"got {value!r}")
+        kinds, _ = _KINDS["float"]
         for name in ("n_values", "voltages"):
             for v in getattr(self, name):
-                if not _is_kind(v, kinds):
+                if not (_is_kind(v, kinds) and _is_finite(v)):
                     raise ConfigError(f"{self._field_path(name)}: entries must "
-                                      f"be {what}, got {v!r}")
+                                      f"be finite numbers, got {v!r}")
 
     def validate(self) -> None:
         self._check_types()

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, EstimabilityError
-from .grid import Moments, ProbeSpec, WaveFunction
+from .grid import POSITION, Moments, ProbeSpec, WaveFunction, _vdot
 
 #: eigenvalues below RANK_TOL * max(eigenvalue) are treated as zero.
 RANK_TOL = 1e-10
@@ -296,42 +296,52 @@ StateBuilder = Callable[[float, float], JointState]
 
 
 def _pure_qfim_fd(builder: StateBuilder, at: tuple[float, float],
-                  steps: tuple[float, float]) -> np.ndarray:
+                  steps: tuple[float, float], center: JointState) -> np.ndarray:
+    """Central-difference matrix of a pure family around center = builder(*at).
+
+    Differences and inner products are taken in the representation the
+    centre's forward branch comes in, with that representation's quadrature
+    weight; a branch built in the other one is transformed first.  By
+    Parseval the matrix is the same in either, to rounding.
+    """
     g1, g2 = at
     h1, h2 = steps
-    center = builder(g1, g2)
+    rep = center.branch_plus.representation
+    weight = center.branch_plus._weight
+
+    def amps(psi: WaveFunction) -> np.ndarray:
+        return (psi.to_position() if rep == POSITION else psi.to_momentum()).amplitudes
 
     def raw_diff(plus: JointState, minus: JointState, h: float):
-        dp = (plus.branch_plus.to_position().amplitudes
-              - minus.branch_plus.to_position().amplitudes) / (2 * h)
+        dp = (amps(plus.branch_plus) - amps(minus.branch_plus)) / (2 * h)
         dm = None
         if plus.branch_minus is not None:
-            dm = (plus.branch_minus.to_position().amplitudes
-                  - minus.branch_minus.to_position().amplitudes) / (2 * h)
+            dm = (amps(plus.branch_minus) - amps(minus.branch_minus)) / (2 * h)
         return dp, dm
 
     d1 = raw_diff(builder(g1 + h1, g2), builder(g1 - h1, g2), h1)
     d2 = raw_diff(builder(g1, g2 + h2), builder(g1, g2 - h2), h2)
     w0, w1 = center.weights
-    dx = center.branch_plus.grid.dx
-    c_plus = center.branch_plus.to_position().amplitudes
-    c_minus = (center.branch_minus.to_position().amplitudes
+    c_plus = amps(center.branch_plus)
+    c_minus = (amps(center.branch_minus)
                if center.branch_minus is not None else None)
 
     def ip(a, b) -> complex:
-        val = w0 * np.vdot(a[0], b[0]) * dx
+        val = w0 * _vdot(a[0], b[0]) * weight
         if w1 != 0.0 and a[1] is not None:
-            val += w1 * np.vdot(a[1], b[1]) * dx
-        return complex(val)
+            val += w1 * _vdot(a[1], b[1]) * weight
+        return val
 
     cen = (c_plus, c_minus)
     ders = (d1, d2)
+    # swapping the arguments of ip conjugates it exactly, so q is symmetric
+    proj = [ip(cen, d) for d in ders]
     q = np.empty((2, 2))
     for j in range(2):
-        for l in range(2):
-            q[j, l] = 4.0 * np.real(ip(ders[j], ders[l])
-                                    - ip(ders[j], cen) * ip(cen, ders[l]))
-    return 0.5 * (q + q.T)
+        for l in range(j, 2):
+            q[j, l] = q[l, j] = 4.0 * np.real(ip(ders[j], ders[l])
+                                              - proj[j].conjugate() * proj[l])
+    return q
 
 
 def qfim_branch_average(branches: Sequence[tuple[float, StateBuilder]],
@@ -369,13 +379,13 @@ def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
     evaluation and the convergence check (plain second-order differences,
     useful for step-scaling studies).
     """
-    probe = builder(*at)
-    if not probe.is_pure:
-        if not probe.ancilla_labeled:
+    center = builder(*at)
+    if not center.is_pure:
+        if not center.ancilla_labeled:
             raise EstimabilityError(
                 "finite-difference matrix for an unlabeled mixture is not "
                 "supported; use the closed form at the origin instead")
-        w0, w1 = probe.weights
+        w0, w1 = center.weights
 
         def fwd_builder(g1, g2):
             s = builder(g1, g2)
@@ -392,10 +402,10 @@ def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
         steps = (float(step), float(step))
     else:
         steps = (rel_step * max(abs(at[0]), 1.0), rel_step * max(abs(at[1]), 1.0))
-    q_h = _pure_qfim_fd(builder, at, steps)
+    q_h = _pure_qfim_fd(builder, at, steps, center)
     if not richardson:
         return Qfim2.from_array(q_h)
-    q_h2 = _pure_qfim_fd(builder, at, (0.5 * steps[0], 0.5 * steps[1]))
+    q_h2 = _pure_qfim_fd(builder, at, (0.5 * steps[0], 0.5 * steps[1]), center)
     scale = np.linalg.norm(q_h2)
     if scale == 0.0:
         raise ConvergenceError("finite-difference matrix vanished identically")

@@ -1,9 +1,13 @@
 """Transverse-mode wavefunctions on a uniform 1-D grid.
 
-The probe lives on a symmetric position grid x_j = (j - n/2) * dx and its
-momentum representation lives on the conjugate grid p_m = (m - n/2) * dp with
-dp = 2*pi/(n*dx).  Transforms between the two use the unitary continuum
-convention
+The probe lives on a symmetric position grid of n samples spaced dx, covering
+[-L, L) with L = n*dx/2, and its momentum representation lives on the
+conjugate grid spaced dp = 2*pi/(n*dx).  Both are stored in FFT order:
+sample j holds x_j = j * dx for j < n/2 and x_j = (j - n) * dx from n/2 on,
+so sample 0 is x = 0, samples 1..n/2-1 climb to L - dx, sample n/2 is the
+unpaired edge -L and the rest climb back towards 0 (likewise p_m with dp and
+the edge -pi/dx).  numpy's FFTs then act on the amplitudes directly, with no
+reordering.  Transforms between the two use the unitary continuum convention
 
     psi~(p) = (2*pi)^(-1/2) * integral psi(x) exp(-i p x) dx,
 
@@ -11,7 +15,9 @@ discretized with the midpoint rule, which is spectrally accurate for the
 smooth, rapidly decaying states handled here.  All values are immutable and
 every operation returns a new object, so instances can be shared freely
 across threads; a grid only remembers the last phase mask of each kind it
-built, and a wavefunction its moments once measured.
+built, and a wavefunction its moments once measured.  Inner products that
+reach outputs are numpy sums, not BLAS dot products, so results do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -43,15 +49,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def symmetric_phase(coordinates: np.ndarray,
                     angle: Callable[[np.ndarray], np.ndarray],
                     odd: bool) -> np.ndarray:
-    """exp(1j * angle(coordinates)) along one axis of a symmetric grid.
+    """exp(1j * angle(coordinates)) along one axis of a grid in FFT order.
 
-    The axis is symmetric about sample n/2 (c_{n/2+m} = -c_{n/2-m}
-    exactly), so angle is evaluated on samples 0..n/2 only and the rest is
-    mirrored: as the complex conjugate when angle is odd in the
-    coordinate, as a copy when it is even.  One real cos and one real sin,
-    written into the real and imaginary views, give the same bits as
-    np.exp(1j * angle) when angle repeats the float operations of the
-    complex expression it replaces.
+    The axis is symmetric about sample 0 (c_{n-m} = -c_m exactly), so angle
+    is evaluated on samples 0..n/2 only and the rest is mirrored: as the
+    complex conjugate when angle is odd in the coordinate, as a copy when it
+    is even.  One real cos and one real sin, written into the real and
+    imaginary views, give the same bits as np.exp(1j * angle) when angle
+    repeats the float operations of the complex expression it replaces.
     """
     h = coordinates.size // 2
     out = np.empty(coordinates.size, dtype=np.complex128)
@@ -71,15 +76,19 @@ def symmetric_phase(coordinates: np.ndarray,
     return out
 
 
-def _swap_halves(a: np.ndarray) -> np.ndarray:
-    """fftshift, which for an even length is also ifftshift."""
-    h = a.size // 2
-    return np.concatenate((a[h:], a[:h]))
+def _fft_order(n: int) -> np.ndarray:
+    """Sample offsets 0, 1, .., n/2 - 1, -n/2, .., -1 of an FFT-ordered axis."""
+    return (np.arange(n) + n // 2) % n - n // 2
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """sum(conj(a) * b), reduced by numpy rather than a threaded BLAS call."""
+    return complex(np.sum(a.conj() * b))
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform symmetric grid with num_points a power of two.
+    """Uniform symmetric grid with num_points a power of two, in FFT order.
 
     Parameters
     ----------
@@ -110,13 +119,11 @@ class Grid:
 
     @cached_property
     def positions(self) -> np.ndarray:
-        n = self.num_points
-        return _readonly((np.arange(n) - n // 2) * self.dx)
+        return _readonly(_fft_order(self.num_points) * self.dx)
 
     @cached_property
     def momenta(self) -> np.ndarray:
-        n = self.num_points
-        return _readonly((np.arange(n) - n // 2) * self.dp)
+        return _readonly(_fft_order(self.num_points) * self.dp)
 
     def kick_mask(self, theta: float) -> np.ndarray:
         """Position-space phase exp(-i theta x) of a momentum kick."""
@@ -223,7 +230,8 @@ class WaveFunction:
     exactly by the unitary operators that produced it; the grid guards read
     them instead of measuring the state at every step.  They take no part in
     comparisons, and moments() always measures the amplitudes, once per
-    instance.
+    instance.  The state owns its amplitudes: the constructor copies the
+    array it is given.
     """
 
     grid: Grid
@@ -234,12 +242,23 @@ class WaveFunction:
     def __post_init__(self):
         if self.representation not in (POSITION, MOMENTUM):
             raise ValueError(f"unknown representation {self.representation!r}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (self.grid.num_points,):
             raise GridError(
                 f"amplitude array of shape {amps.shape} does not match grid "
                 f"with {self.grid.num_points} points")
         object.__setattr__(self, "amplitudes", _readonly(amps))
+
+    @classmethod
+    def _adopt(cls, grid: Grid, amps: np.ndarray, representation: str,
+               guard_moments: Optional[Moments] = None) -> "WaveFunction":
+        """State owning amps, a complex128 array of grid's size that its
+        caller has just made and keeps no other reference to; no copy."""
+        psi = object.__new__(cls)
+        psi.__dict__.update(grid=grid, amplitudes=_readonly(amps),
+                            representation=representation,
+                            guard_moments=guard_moments)
+        return psi
 
     # -- representation handling -------------------------------------------
 
@@ -251,17 +270,17 @@ class WaveFunction:
         if self.representation == POSITION:
             return self
         g = self.grid
-        amps = _swap_halves(np.fft.ifft(_swap_halves(self.amplitudes)))
+        amps = np.fft.ifft(self.amplitudes)
         amps *= g.num_points * g.dp / math.sqrt(2.0 * math.pi)
-        return WaveFunction(g, amps, POSITION, self.guard_moments)
+        return WaveFunction._adopt(g, amps, POSITION, self.guard_moments)
 
     def to_momentum(self) -> "WaveFunction":
         if self.representation == MOMENTUM:
             return self
         g = self.grid
-        amps = _swap_halves(np.fft.fft(_swap_halves(self.amplitudes)))
+        amps = np.fft.fft(self.amplitudes)
         amps *= g.dx / math.sqrt(2.0 * math.pi)
-        return WaveFunction(g, amps, MOMENTUM, self.guard_moments)
+        return WaveFunction._adopt(g, amps, MOMENTUM, self.guard_moments)
 
     # -- norms ---------------------------------------------------------------
 
@@ -275,7 +294,7 @@ class WaveFunction:
         n = self.norm()
         if n == 0.0:
             raise NormalizationError("cannot normalize the zero wavefunction")
-        return WaveFunction(self.grid, self.amplitudes / n, self.representation)
+        return WaveFunction._adopt(self.grid, self.amplitudes / n, self.representation)
 
     def require_normalized(self, tol: float = NORM_PRECONDITION_TOL) -> None:
         # one dot product; norm() keeps its own sum, whose bits reach outputs
@@ -298,7 +317,7 @@ def make_gaussian(spec: ProbeSpec, grid: Grid) -> WaveFunction:
     x = grid.positions
     amps = np.exp(-((x - spec.center_x) ** 2) / spec.waist_radius**2)
     amps = amps.astype(np.complex128) * np.exp(1j * spec.center_p * x)
-    return WaveFunction(grid, amps, POSITION).normalized()
+    return WaveFunction._adopt(grid, amps, POSITION).normalized()
 
 
 def overlap(a: WaveFunction, b: WaveFunction) -> complex:
@@ -307,7 +326,7 @@ def overlap(a: WaveFunction, b: WaveFunction) -> complex:
         raise GridError("wavefunctions live on different grids")
     if a.representation != b.representation:
         b = b.to_position() if a.representation == POSITION else b.to_momentum()
-    return complex(np.vdot(a.amplitudes, b.amplitudes) * a._weight)
+    return _vdot(a.amplitudes, b.amplitudes) * a._weight
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:
@@ -338,8 +357,8 @@ def moments(psi: WaveFunction) -> Moments:
     mean_p = float(np.sum(g.momenta * wp))
     var_x = float(np.sum((g.positions - mean_x) ** 2 * wx))
     var_p = float(np.sum((g.momenta - mean_p) ** 2 * wp))
-    p_psi = WaveFunction(g, g.momenta * mom.amplitudes, MOMENTUM).to_position()
-    mean_xp = float(np.real(np.vdot(g.positions * pos.amplitudes, p_psi.amplitudes)) * g.dx)
+    p_psi = WaveFunction._adopt(g, g.momenta * mom.amplitudes, MOMENTUM).to_position()
+    mean_xp = _vdot(g.positions * pos.amplitudes, p_psi.amplitudes).real * g.dx
     measured = Moments(mean_x, mean_p, var_x, var_p, mean_xp - mean_x * mean_p)
     psi.__dict__["_moments"] = measured
     return measured

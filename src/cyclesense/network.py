@@ -164,7 +164,7 @@ def apply_kick(psi: WaveFunction, theta: float) -> WaveFunction:
             f"{p_edge:.3g}, beyond half of the momentum window {p_max:.3g}")
     pos = psi.to_position()
     amps = pos.amplitudes * psi.grid.kick_mask(theta)
-    return WaveFunction(psi.grid, amps, POSITION, m)
+    return WaveFunction._adopt(psi.grid, amps, POSITION, m)
 
 
 def apply_shift(psi: WaveFunction, displacement: float) -> WaveFunction:
@@ -174,7 +174,7 @@ def apply_shift(psi: WaveFunction, displacement: float) -> WaveFunction:
                                             lambda p: -displacement * p, odd=True)
     m = psi.guard_moments
     moved = None if m is None else replace(m, mean_x=m.mean_x + displacement)
-    return WaveFunction(psi.grid, amps, MOMENTUM, moved)
+    return WaveFunction._adopt(psi.grid, amps, MOMENTUM, moved)
 
 
 def apply_propagation(psi: WaveFunction, z: float, wave_number: float) -> WaveFunction:
@@ -206,7 +206,7 @@ def apply_propagation(psi: WaveFunction, z: float, wave_number: float) -> WaveFu
                 f"{psi.grid.half_extent:.3g}")
     mom = psi.to_momentum()
     amps = mom.amplitudes * psi.grid.propagation_mask(z, wave_number)
-    return WaveFunction(psi.grid, amps, MOMENTUM, m)
+    return WaveFunction._adopt(psi.grid, amps, MOMENTUM, m)
 
 
 def apply_parity(psi: WaveFunction) -> WaveFunction:
@@ -216,11 +216,11 @@ def apply_parity(psi: WaveFunction) -> WaveFunction:
     """
     amps = psi.amplitudes
     out = np.empty_like(amps)
-    out[0] = amps[0]                          # the unpaired -L edge sample
-    out[1:] = amps[:0:-1]
+    out[0] = amps[0]                          # x = 0 (p = 0) maps to itself
+    out[1:] = amps[:0:-1]                     # sample j to sample -j mod n
     m = psi.guard_moments
     flipped = None if m is None else replace(m, mean_x=-m.mean_x, mean_p=-m.mean_p)
-    return WaveFunction(psi.grid, out, psi.representation, flipped)
+    return WaveFunction._adopt(psi.grid, out, psi.representation, flipped)
 
 
 # -- traversals ----------------------------------------------------------------
@@ -278,7 +278,16 @@ def composite_apply(psi: WaveFunction, geom: NetworkGeometry, comp: CompositeEvo
     result equal the raw operator product including its global phase and
     "switch" uses the branch phases exp(-/+ i (g1^2-g2^2)/(4k(N+1)zbar)) of
     the order-switched joint evolution (same state up to a global phase).
+    The result is in position space.
     """
+    return _composite_momentum(psi, geom, comp, direction, phase,
+                               include_leads).to_position()
+
+
+def _composite_momentum(psi: WaveFunction, geom: NetworkGeometry,
+                        comp: CompositeEvolution, direction: str, phase: str,
+                        include_leads: bool) -> WaveFunction:
+    """composite_apply without its final transform: the state in momentum space."""
     if direction not in ("forward", "reverse"):
         raise ValueError(f"unknown direction {direction!r}")
     if phase not in ("exact", "switch"):
@@ -302,8 +311,7 @@ def composite_apply(psi: WaveFunction, geom: NetworkGeometry, comp: CompositeEvo
     else:
         alpha = (comp.g1**2 - comp.g2**2) / (4.0 * k * span)
         scalar = np.exp(-1j * alpha) if direction == "forward" else np.exp(1j * alpha)
-    pos = psi.to_position()
-    return WaveFunction(pos.grid, scalar * pos.amplitudes, POSITION)
+    return WaveFunction._adopt(psi.grid, scalar * psi.amplitudes, MOMENTUM)
 
 
 def switched_joint_state(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
@@ -354,6 +362,7 @@ def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: Switch
     exactly the closed forms.  direction selects the order of the
     sequential family, so that each branch of the classical mixture can be
     differentiated as a family of its own without building the other.
+    Branches come in momentum space, where the reduced evolution ends.
     """
     if direction != "forward" and mode != SwitchMode.SEQUENTIAL:
         raise ValueError(f"{mode.value} holds both orders; direction applies "
@@ -362,10 +371,10 @@ def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: Switch
     def build(g1: float, g2: float) -> JointState:
         comp = CompositeEvolution(g1, g2, 0.0, 0.0)
         if mode == SwitchMode.SEQUENTIAL:
-            branch = composite_apply(psi, geom, comp, direction, phase="switch")
+            branch = _composite_momentum(psi, geom, comp, direction, "switch", False)
             return JointState(branch, None, (1.0, 0.0), 0.0)
-        fwd = composite_apply(psi, geom, comp, "forward", phase="switch")
-        rev = composite_apply(psi, geom, comp, "reverse", phase="switch")
+        fwd = _composite_momentum(psi, geom, comp, "forward", "switch", False)
+        rev = _composite_momentum(psi, geom, comp, "reverse", "switch", False)
         if mode == SwitchMode.QUANTUM_SWITCH:
             return JointState(fwd, rev, BALANCED_WEIGHTS, 0.5)
         if mode == SwitchMode.CLASSICAL_SWITCH:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from cyclesense import ConfigError, RunConfig
-from cyclesense.cli import main
+from cyclesense.cli import _write_json, main
 
 
 class TestRunConfig:
@@ -29,6 +29,21 @@ class TestRunConfig:
     def test_validation_names_field(self, field, value, needle):
         cfg = RunConfig(**{field: value})
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
+            cfg.validate()
+
+    @pytest.mark.parametrize("field,value,needle", [
+        ("wavelength", math.inf, "probe.wavelength"),
+        ("center_x", math.nan, "probe.center_x"),
+        ("lead_in", math.inf, "geometry.lead_in"),
+        ("theta_bar", -math.inf, "sweep.theta_bar"),
+        ("waist_radius", 10**400, "probe.waist_radius"),
+        ("voltages", [1e-3, math.inf], "sweep.voltages"),
+        ("n_values", [1, math.nan], "sweep.n_values"),
+    ], ids=["wavelength-inf", "center_x-nan", "lead_in-inf", "theta_bar-minus-inf",
+            "waist_radius-int-beyond-float", "voltages-inf", "n_values-nan"])
+    def test_non_finite_values_named(self, field, value, needle):
+        cfg = RunConfig(**{field: value})
+        with pytest.raises(ConfigError, match=needle.replace(".", r"\.") + ": "):
             cfg.validate()
 
     def test_unknown_section_and_field_rejected(self):
@@ -146,6 +161,28 @@ class TestCli:
         assert main(["--config", str(path), "--out", str(tmp_path / "x"),
                      "qcrb-sweep"]) == 2
         assert f"config error: {needle}:" in capsys.readouterr().err
+
+    def test_infinite_wavelength_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "inf.yaml"
+        path.write_text("probe: {wavelength: .inf}\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "x"),
+                     "wva-sim", "--n", "2"]) == 2
+        assert "config error: probe.wavelength: must be finite" in capsys.readouterr().err
+
+    def test_infinite_lead_in_writes_no_nan(self, tmp_path, capsys):
+        path = tmp_path / "inf.yaml"
+        path.write_text("geometry: {lead_in: .inf}\nsweep: {replicates: 2}\n")
+        out = tmp_path / "x"
+        assert main(["--config", str(path), "--out", str(out),
+                     "reproduce-experiment", "--source", "synthetic"]) == 2
+        assert "config error: geometry.lead_in: must be finite" in capsys.readouterr().err
+        assert not (out / "scaling_fit.json").exists()
+
+    def test_json_writer_refuses_nan(self, tmp_path):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError):
+            _write_json(path, {"a_rad": math.nan})
+        assert not path.exists()
 
     def test_integral_float_sensor_counts_accepted(self, tmp_path):
         path = tmp_path / "float_n.yaml"

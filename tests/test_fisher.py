@@ -124,6 +124,29 @@ class TestNumericalOracle:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
+    @pytest.mark.parametrize("mode", [SwitchMode.SEQUENTIAL, SwitchMode.QUANTUM_SWITCH])
+    def test_matrix_does_not_depend_on_the_representation(self, mode):
+        # the families come in momentum space; by Parseval, differencing in
+        # position space, or in the centre's space with every other branch
+        # transformed into it, gives the same matrix to rounding
+        geom, psi, g1, g2 = grid_instance(61)
+        family = switched_state_family(psi, geom, mode)
+
+        def in_position(a, b):
+            s = family(a, b)
+            return JointState(s.branch_plus.to_position(),
+                              None if s.branch_minus is None
+                              else s.branch_minus.to_position(),
+                              s.weights, s.coherence)
+
+        def centre_in_position(a, b):
+            return in_position(a, b) if (a, b) == (g1, g2) else family(a, b)
+
+        ref = qfim_numerical(family, (g1, g2), step=1e-4).as_array()
+        for other in (in_position, centre_in_position):
+            q = qfim_numerical(other, (g1, g2), step=1e-4).as_array()
+            assert np.linalg.norm(q - ref) < 1e-11 * np.linalg.norm(ref)
+
     def test_convergence_guard_raises(self):
         geom, psi, g1, g2 = grid_instance(41, with_offsets=False)
         family = switched_state_family(psi, geom, SwitchMode.QUANTUM_SWITCH)

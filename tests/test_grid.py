@@ -1,4 +1,8 @@
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import pytest
 from cyclesense import (Grid, GridError, Moments, NormalizationError, ProbeSpec,
                         WaveFunction, apply_kick, diffracted_radius, fidelity,
                         make_gaussian, moments, overlap)
-from cyclesense.grid import MOMENTUM, POSITION, _swap_halves
+from cyclesense.grid import MOMENTUM, POSITION
 
 
 class TestGrid:
@@ -14,8 +18,15 @@ class TestGrid:
         g = Grid(1 << 10, 5.0)
         assert g.dx == pytest.approx(10.0 / 1024)
         assert g.dp == pytest.approx(2 * np.pi / (1024 * g.dx))
-        assert g.positions[512] == 0.0
-        assert g.momenta[512] == 0.0
+        # FFT order: x = 0 and p = 0 at index 0, the unpaired edges at n/2
+        assert g.positions[0] == 0.0
+        assert g.momenta[0] == 0.0
+        assert g.positions[512] == -5.0
+        assert g.momenta[512] == pytest.approx(-np.pi / g.dx)
+        assert np.array_equal(g.positions[1:512], -g.positions[:512:-1])
+        assert np.array_equal(g.momenta[1:512], -g.momenta[:512:-1])
+        assert np.array_equal(np.diff(np.sort(g.positions)),
+                              np.full(1023, g.dx))
 
     @pytest.mark.parametrize("n", [0, 1, 3, 1000])
     def test_rejects_non_power_of_two(self, n):
@@ -49,23 +60,17 @@ class TestTransforms:
         p = unit_grid.momenta
         expected = np.exp(-(p * w0 / 2.0) ** 2)
         expected /= np.sqrt(np.sum(np.abs(expected) ** 2) * unit_grid.dp)
-        phase = mom[len(mom) // 2] / expected[len(mom) // 2]
+        phase = mom[0] / expected[0]              # the p = 0 sample
         assert abs(abs(phase) - 1.0) < 1e-9
         assert np.max(np.abs(mom - phase * expected)) < 1e-9
-
-    @pytest.mark.parametrize("n", [2, 8, 1 << 10])
-    def test_half_swap_is_both_shifts(self, n):
-        a = np.random.default_rng(n).standard_normal(n) + 0j
-        assert np.array_equal(_swap_halves(a), np.fft.fftshift(a))
-        assert np.array_equal(_swap_halves(a), np.fft.ifftshift(a))
 
     def test_transforms_keep_the_shifted_fft_bits(self, unit_grid):
         g = unit_grid
         psi = make_gaussian(ProbeSpec(1.3, 1.0, center_x=0.4, center_p=-0.2), g)
-        mom = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(psi.amplitudes)))
+        mom = np.fft.fft(psi.amplitudes)
         mom *= g.dx / math.sqrt(2.0 * math.pi)
         assert np.array_equal(psi.to_momentum().amplitudes, mom)
-        back = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(mom)))
+        back = np.fft.ifft(mom)
         back *= g.num_points * g.dp / math.sqrt(2.0 * math.pi)
         assert np.array_equal(psi.to_momentum().to_position().amplitudes, back)
 
@@ -206,6 +211,18 @@ class TestWaveFunction:
         with pytest.raises(ValueError):
             unit_probe.amplitudes[0] = 1.0
 
+    def test_state_owns_its_amplitudes(self, unit_grid, unit_probe):
+        caller = unit_probe.amplitudes.copy()
+        psi = WaveFunction(unit_grid, caller)
+        first = moments(psi)
+        assert caller.flags.writeable
+        assert not np.shares_memory(caller, psi.amplitudes)
+        caller *= np.exp(1j * 0.9 * unit_grid.positions)   # a momentum kick
+        caller[:10] = 0.0
+        assert np.array_equal(psi.amplitudes, unit_probe.amplitudes)
+        assert moments(psi) == first
+        assert moments(WaveFunction(unit_grid, psi.amplitudes)) == first
+
     def test_representation_tag_validated(self, unit_grid):
         with pytest.raises(ValueError):
             WaveFunction(unit_grid, np.zeros(unit_grid.num_points), "fock")
@@ -228,3 +245,33 @@ class TestWaveFunction:
     def test_representation_round_trip_preserves_tag(self, unit_probe):
         assert unit_probe.representation == POSITION
         assert unit_probe.to_momentum().representation == MOMENTUM
+
+
+#: values that reach outputs through inner products at 2^14 points, where
+#: OpenBLAS splits a threaded dot product and rounds differently per count
+THREAD_PROBE = """
+from cyclesense import (Grid, NetworkGeometry, ProbeSpec, SwitchMode, apply_kick,
+                        apply_propagation, make_gaussian, moments, overlap,
+                        qfim_numerical, switched_state_family)
+g = Grid(1 << 14, 30.0)
+psi = make_gaussian(ProbeSpec(2.0, 1.0, center_x=0.3, center_p=0.2), g)
+phi = apply_propagation(apply_kick(psi, 0.3), 1.5, 1.0)
+fam = switched_state_family(psi, NetworkGeometry.uniform(2, 1.0, wave_number=1.0),
+                            SwitchMode.QUANTUM_SWITCH)
+print(repr(overlap(psi, phi)), repr(moments(phi).cov_xp),
+      repr(qfim_numerical(fam, (0.03, -0.05))))
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    seen = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen.append(proc.stdout)
+    assert seen[0] == seen[1]
