@@ -5,8 +5,9 @@ weak-value-amplified optical readout, and the drive-voltage-to-scaling-law
 analysis chain of the tabletop demonstration."""
 
 from .errors import (ConfigError, ConvergenceError, CycleSenseError,
-                     EstimabilityError, FitError, GridError, GridOverflowError,
-                     NormalizationError, PostSelectionError, RegimeError)
+                     DomainError, EstimabilityError, FitError, GridError,
+                     GridOverflowError, NormalizationError, PostSelectionError,
+                     RegimeError)
 from .grid import (Grid, Moments, ProbeSpec, WaveFunction, diffracted_radius,
                    fidelity, make_gaussian, moments, overlap)
 from .network import (CompositeEvolution, KickVector, NetworkGeometry,
@@ -16,7 +17,7 @@ from .network import (CompositeEvolution, KickVector, NetworkGeometry,
 from .fisher import (GeneratorMoments, JointState, Qfim2, QcrbReport,
                      SwitchMode, probe_alone_qfi_at_origin,
                      probe_alone_qfim_at_origin, qcrb_global,
-                     qfim_branch_average, qfim_classical_switch, qfim_numerical,
+                     qfim_classical_switch, qfim_numerical,
                      qfim_quantum_switch, qfim_sequential)
 from .wva import (PolarizationState, PostSelection, ReadoutModel,
                   euler_plate_angles, first_order_momentum_shift,

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .config import RunConfig
+from .config import MAX_SENSORS, MAX_SYNTHETIC_SAMPLES, RunConfig
 from .errors import ConfigError, CycleSenseError
 from .fisher import GeneratorMoments
 from .grid import make_gaussian, moments
@@ -95,6 +95,10 @@ def cmd_reproduce_experiment(cfg: RunConfig, out: str, source: str) -> int:
     if source == "synthetic" and len(set(cfg.n_values)) < 3:
         raise ConfigError("sweep.n_values: the scaling fit needs at least "
                           "three distinct sensor counts")
+    samples = len(cfg.n_values) * len(cfg.voltages) * cfg.replicates
+    if source == "synthetic" and samples > MAX_SYNTHETIC_SAMPLES:
+        raise ConfigError(f"sweep.replicates: {samples} synthetic samples, above "
+                          f"the ceiling of {MAX_SYNTHETIC_SAMPLES}")
     out_dir = _prepare_out(cfg, out)
     probe = cfg.probe_spec()
     ps = cfg.post_selection()
@@ -140,8 +144,8 @@ def cmd_reproduce_experiment(cfg: RunConfig, out: str, source: str) -> int:
 
 
 def cmd_wva_sim(cfg: RunConfig, out: str, n_sensors: int) -> int:
-    if n_sensors < 1:
-        raise ConfigError(f"--n: need at least one sensor, got {n_sensors}")
+    if not 1 <= n_sensors <= MAX_SENSORS:
+        raise ConfigError(f"--n: need 1 to {MAX_SENSORS} sensors, got {n_sensors}")
     out_dir = _prepare_out(cfg, out)
     probe = cfg.probe_spec()
     ps = cfg.post_selection()

@@ -26,6 +26,14 @@ _KINDS = {"float": ((int, float), "a number"), "int": ((int,), "an integer"),
           "list": ((list, tuple), "a list")}
 
 
+#: resource ceilings, checked before anything is allocated: bytes of one
+#: complex128 grid state, sensors in one network, and samples (sensor counts
+#: x voltages x replicates) of one synthetic sweep (checked by the replay).
+MAX_GRID_BYTES = 1 << 26
+MAX_SENSORS = 100_000
+MAX_SYNTHETIC_SAMPLES = 4_000_000
+
+
 def _is_kind(value, kinds: tuple[type, ...]) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
@@ -128,6 +136,9 @@ class RunConfig:
         n = self.num_points
         if n < 2 or (n & (n - 1)) != 0:
             raise ConfigError(f"grid.num_points: must be a power of two, got {n}")
+        if 16 * n > MAX_GRID_BYTES:
+            raise ConfigError(f"grid.num_points: {n} points take {16 * n} bytes "
+                              f"per state, above the ceiling of {MAX_GRID_BYTES}")
         if self.replicates < 1:
             raise ConfigError("sweep.replicates: must be at least 1")
         if self.trials < 1:
@@ -141,8 +152,9 @@ class RunConfig:
         if not self.n_values:
             raise ConfigError("sweep.n_values: must be non-empty")
         for v in self.n_values:
-            if v % 1 != 0 or v < 1:
-                raise ConfigError(f"sweep.n_values: entries must be integers >= 1, got {v}")
+            if v % 1 != 0 or not 1 <= v <= MAX_SENSORS:
+                raise ConfigError(f"sweep.n_values: entries must be integers from 1 "
+                                  f"to {MAX_SENSORS}, got {v}")
         # integral floats such as 3.0 count sensors too; store them as int
         self.n_values = [int(v) for v in self.n_values]
         if not self.voltages:

@@ -29,6 +29,10 @@ class EstimabilityError(CycleSenseError):
     """The requested scalar is not estimable from a singular information matrix."""
 
 
+class DomainError(CycleSenseError, ValueError):
+    """An input, or a value derived from it, is outside a formula's domain."""
+
+
 class ConvergenceError(CycleSenseError):
     """A numerical estimate failed its internal convergence check."""
 

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+import math
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, EstimabilityError
+from .errors import ConvergenceError, DomainError, EstimabilityError
 from .grid import POSITION, Moments, ProbeSpec, WaveFunction, _vdot
 
 #: eigenvalues below RANK_TOL * max(eigenvalue) are treated as zero.
@@ -114,8 +115,9 @@ class QcrbReport:
     trials: int = 1
 
     def __post_init__(self):
-        if not self.bound_on_theta_bar > 0:
-            raise ValueError("bound must be positive")
+        if not (self.bound_on_theta_bar > 0 and math.isfinite(self.scaled_bound)):
+            raise DomainError(f"bound {self.bound_on_theta_bar:g} at N = "
+                              f"{self.n_sensors} is not positive and finite")
         if self.trials < 1:
             raise ValueError("trials must be a positive integer")
 
@@ -149,9 +151,17 @@ class GeneratorMoments:
 
     def __post_init__(self):
         if not (self.var_x > 0 and self.var_p > 0):
-            raise ValueError("variances must be positive")
+            raise DomainError("variances must be positive")
         if not (self.wave_number > 0 and self.z_bar > 0 and self.n_sensors >= 1):
-            raise ValueError("need positive wave number, spacing and sensor count")
+            raise DomainError("need positive wave number, spacing and sensor count")
+        try:                  # the closed-form terms and span^2 must stay in range
+            a, b, c = _terms(self)
+            ok = 0 < a < math.inf and 0 < b < math.inf and math.isfinite(c + self.span**2)
+        except (OverflowError, ZeroDivisionError):     # float ** out of range
+            ok = False
+        if not ok:
+            raise DomainError(f"Var X / ((N+1) zbar)^2 or Var P / k^2 leaves the float "
+                              f"range at k = {self.wave_number:g} 1/m, zbar = {self.z_bar:g} m")
 
     @property
     def span(self) -> float:
@@ -169,8 +179,19 @@ class GeneratorMoments:
     def from_probe_spec(cls, spec: ProbeSpec, z_bar: float, n_sensors: int,
                         g1: float = 0.0, g2: float = 0.0) -> "GeneratorMoments":
         """Analytic Gaussian moments: Var X = w0^2/4, Var P = 1/w0^2, Cov = 0."""
-        return cls(spec.delta_x**2, spec.delta_p**2, 0.0, spec.center_p,
-                   spec.wave_number, z_bar, n_sensors, g1, g2)
+        try:
+            var_x, var_p = spec.delta_x**2, spec.delta_p**2
+        except OverflowError:
+            raise DomainError(f"waist {spec.waist_radius:g} m: probe variances overflow") from None
+        return cls(var_x, var_p, 0.0, spec.center_p, spec.wave_number, z_bar,
+                   n_sensors, g1, g2)
+
+
+def _terms(gm: GeneratorMoments) -> tuple[float, float, float]:
+    """a = Var X u^2, b = Var P / k^2 and c = Cov u / k, u = 1/((N+1) zbar)."""
+    u = 1.0 / gm.span
+    k = gm.wave_number
+    return gm.var_x * u**2, gm.var_p / k**2, gm.cov_xp * u / k
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -178,11 +199,7 @@ class GeneratorMoments:
 
 def qfim_sequential(gm: GeneratorMoments) -> Qfim2:
     """Information matrix of a fixed-order traversal (pure final state)."""
-    u = 1.0 / gm.span
-    k = gm.wave_number
-    a = gm.var_x * u**2
-    b = gm.var_p / k**2
-    c = gm.cov_xp * u / k
+    a, b, c = _terms(gm)
     return Qfim2(4.0 * (a + b + 2.0 * c), 4.0 * (a + c), 4.0 * a)
 
 
@@ -213,11 +230,7 @@ def qfim_classical_switch(gm: GeneratorMoments) -> Qfim2:
     sequential matrices: the ancilla label keeps the branches orthogonal and
     the weights carry no parameter dependence.
     """
-    u = 1.0 / gm.span
-    k = gm.wave_number
-    a = gm.var_x * u**2
-    b = gm.var_p / k**2
-    c = gm.cov_xp * u / k
+    a, b, c = _terms(gm)
     diag = a + 0.5 * b + c
     return Qfim2(4.0 * diag, 4.0 * (a + c), 4.0 * diag)
 
@@ -243,9 +256,8 @@ def probe_alone_qfim_at_origin(gm: GeneratorMoments) -> Qfim2:
 
 
 def _var_h0(gm: GeneratorMoments) -> float:
-    u = 1.0 / gm.span
-    k = gm.wave_number
-    return gm.var_p / k**2 + 4.0 * gm.var_x * u**2 + 4.0 * gm.cov_xp * u / k
+    a, b, c = _terms(gm)
+    return b + 4.0 * a + 4.0 * c
 
 
 def probe_alone_qfi_at_origin(gm: GeneratorMoments, trials: int = 1,
@@ -294,125 +306,105 @@ def qcrb_global(q: Qfim2, n_sensors: int, z_bar: float, trials: int = 1,
 
 StateBuilder = Callable[[float, float], JointState]
 
+#: default step relative to each parameter value (and its floor at zero).
+REL_STEP = 1e-4
+#: largest relative Frobenius disagreement between the h and h/2 estimates.
+MAX_DISAGREEMENT = 1e-2
 
-def _pure_qfim_fd(builder: StateBuilder, at: tuple[float, float],
-                  steps: tuple[float, float], center: JointState) -> np.ndarray:
-    """Central-difference matrix of a pure family around center = builder(*at).
 
-    Differences and inner products are taken in the representation the
-    centre's forward branch comes in, with that representation's quadrature
-    weight; a branch built in the other one is transformed first.  By
-    Parseval the matrix is the same in either, to rounding.
+def _qfim_fd(builder: StateBuilder, at: tuple[float, float],
+             steps: tuple[float, float], center: JointState) -> np.ndarray:
+    """Central-difference matrix of a family around center = builder(*at).
+
+    With branch projections p_ij = <psi_i|d_j psi_i>, a pure centre subtracts
+    the joint projection conj(sum_i w_i p_ij) * sum_i w_i p_il, and a labeled
+    mixture subtracts each branch's own, sum_i w_i conj(p_ij) p_il, which
+    makes its matrix the weight-average of the branch matrices.  Differences
+    and inner products are taken in the representation the centre's forward
+    branch comes in, with that representation's quadrature weight; a branch
+    built in the other one is transformed first.  By Parseval the matrix is
+    the same in either, to rounding.
     """
     g1, g2 = at
     h1, h2 = steps
     rep = center.branch_plus.representation
     weight = center.branch_plus._weight
+    # branches of weight 0 (a missing reverse branch among them) drop out
+    used = [(w, pick) for w, pick in zip(center.weights,
+                                         ("branch_plus", "branch_minus")) if w != 0.0]
 
-    def amps(psi: WaveFunction) -> np.ndarray:
-        return (psi.to_position() if rep == POSITION else psi.to_momentum()).amplitudes
+    def amps(state: JointState) -> list[np.ndarray]:
+        out = []
+        for _, pick in used:
+            psi = getattr(state, pick)
+            out.append((psi.to_position() if rep == POSITION
+                        else psi.to_momentum()).amplitudes)
+        return out
 
-    def raw_diff(plus: JointState, minus: JointState, h: float):
-        dp = (amps(plus.branch_plus) - amps(minus.branch_plus)) / (2 * h)
-        dm = None
-        if plus.branch_minus is not None:
-            dm = (amps(plus.branch_minus) - amps(minus.branch_minus)) / (2 * h)
-        return dp, dm
+    def diff(plus: JointState, minus: JointState, h: float) -> list[np.ndarray]:
+        return [(a - b) / (2 * h) for a, b in zip(amps(plus), amps(minus))]
 
-    d1 = raw_diff(builder(g1 + h1, g2), builder(g1 - h1, g2), h1)
-    d2 = raw_diff(builder(g1, g2 + h2), builder(g1, g2 - h2), h2)
-    w0, w1 = center.weights
-    c_plus = amps(center.branch_plus)
-    c_minus = (amps(center.branch_minus)
-               if center.branch_minus is not None else None)
+    def terms(a, b) -> list[complex]:
+        return [w * _vdot(x, y) * weight for (w, _), x, y in zip(used, a, b)]
 
-    def ip(a, b) -> complex:
-        val = w0 * _vdot(a[0], b[0]) * weight
-        if w1 != 0.0 and a[1] is not None:
-            val += w1 * _vdot(a[1], b[1]) * weight
-        return val
-
-    cen = (c_plus, c_minus)
-    ders = (d1, d2)
-    # swapping the arguments of ip conjugates it exactly, so q is symmetric
-    proj = [ip(cen, d) for d in ders]
+    ders = (diff(builder(g1 + h1, g2), builder(g1 - h1, g2), h1),
+            diff(builder(g1, g2 + h2), builder(g1, g2 - h2), h2))
+    cen = amps(center)
+    proj = [terms(cen, d) for d in ders]
+    if center.is_pure:
+        def projection(j: int, l: int) -> complex:
+            return sum(proj[j]).conjugate() * sum(proj[l])
+    else:
+        def projection(j: int, l: int) -> complex:
+            return sum(a.conjugate() * b / w
+                       for (w, _), a, b in zip(used, proj[j], proj[l]))
+    # swapping the arguments of an inner product conjugates it exactly, so
+    # q is symmetric
     q = np.empty((2, 2))
     for j in range(2):
         for l in range(j, 2):
-            q[j, l] = q[l, j] = 4.0 * np.real(ip(ders[j], ders[l])
-                                              - proj[j].conjugate() * proj[l])
+            q[j, l] = q[l, j] = 4.0 * np.real(sum(terms(ders[j], ders[l]))
+                                              - projection(j, l))
     return q
 
 
-def qfim_branch_average(branches: Sequence[tuple[float, StateBuilder]],
-                        at: tuple[float, float] = (0.0, 0.0),
-                        step: Optional[float] = None, rel_step: float = 1e-4,
-                        max_disagreement: float = 1e-2,
-                        richardson: bool = True) -> Qfim2:
-    """Weight-average of the finite-difference matrices of branch families.
-
-    branches holds (weight, builder) pairs.  This is the information matrix
-    of a labeled classical mixture whose weights do not depend on the
-    parameters, because the label keeps the branches orthogonal; each
-    builder then only has to build its own branch.  A single pair of weight
-    1 is the plain matrix of a pure family.  The remaining arguments are
-    those of qfim_numerical.
-    """
-    arr = sum(w * qfim_numerical(b, at, step, rel_step, max_disagreement,
-                                 richardson).as_array() for w, b in branches)
-    return Qfim2.from_array(arr)
-
-
 def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
-                   step: Optional[float] = None, rel_step: float = 1e-4,
-                   max_disagreement: float = 1e-2, richardson: bool = True) -> Qfim2:
+                   step: Optional[float] = None, richardson: bool = True) -> Qfim2:
     """Finite-difference information matrix of a state family.
 
     Central differences at step h and h/2 with one Richardson extrapolation
     level; raises ConvergenceError when the two estimates disagree by more
-    than max_disagreement in relative Frobenius norm.  The default step is
-    rel_step relative to each parameter value (with a floor of rel_step for
-    parameters at zero).  Pure families are differentiated jointly; the
-    labeled classical mixture is handled as the weight-average of its branch
-    matrices, valid because the weights are parameter-independent and the
-    label keeps the branches orthogonal.  richardson=False skips the second
+    than MAX_DISAGREEMENT in relative Frobenius norm.  The default step is
+    REL_STEP relative to each parameter value (with a floor of REL_STEP for
+    parameters at zero).  Pure families are differentiated jointly; in a
+    labeled mixture of zero coherence each branch keeps its own projection,
+    which gives the weight-average of the branch matrices (the weights do
+    not depend on the parameters, the label keeps the branches orthogonal).
+    Other mixed centres raise EstimabilityError.  The centre is built once,
+    so a matrix costs 9 builds.  richardson=False skips the second
     evaluation and the convergence check (plain second-order differences,
     useful for step-scaling studies).
     """
     center = builder(*at)
-    if not center.is_pure:
-        if not center.ancilla_labeled:
-            raise EstimabilityError(
-                "finite-difference matrix for an unlabeled mixture is not "
-                "supported; use the closed form at the origin instead")
-        w0, w1 = center.weights
-
-        def fwd_builder(g1, g2):
-            s = builder(g1, g2)
-            return JointState(s.branch_plus, None, (1.0, 0.0), 0.0)
-
-        def rev_builder(g1, g2):
-            s = builder(g1, g2)
-            return JointState(s.branch_minus, None, (1.0, 0.0), 0.0)
-
-        return qfim_branch_average(((w0, fwd_builder), (w1, rev_builder)), at,
-                                   step, rel_step, max_disagreement, richardson)
-
+    if not (center.is_pure or center.ancilla_labeled and center.coherence == 0):
+        raise EstimabilityError(
+            "finite differences need a pure state or a labeled mixture with zero "
+            "coherence; an unlabeled mixture has a closed form at the origin")
     if step is not None:
         steps = (float(step), float(step))
     else:
-        steps = (rel_step * max(abs(at[0]), 1.0), rel_step * max(abs(at[1]), 1.0))
-    q_h = _pure_qfim_fd(builder, at, steps, center)
+        steps = (REL_STEP * max(abs(at[0]), 1.0), REL_STEP * max(abs(at[1]), 1.0))
+    q_h = _qfim_fd(builder, at, steps, center)
     if not richardson:
         return Qfim2.from_array(q_h)
-    q_h2 = _pure_qfim_fd(builder, at, (0.5 * steps[0], 0.5 * steps[1]), center)
+    q_h2 = _qfim_fd(builder, at, (0.5 * steps[0], 0.5 * steps[1]), center)
     scale = np.linalg.norm(q_h2)
     if scale == 0.0:
         raise ConvergenceError("finite-difference matrix vanished identically")
     disagreement = np.linalg.norm(q_h2 - q_h) / scale
-    if disagreement > max_disagreement:
+    if disagreement > MAX_DISAGREEMENT:
         raise ConvergenceError(
             f"central-difference estimates at h and h/2 disagree by "
-            f"{disagreement:.3e} (limit {max_disagreement:g}); refine the grid "
+            f"{disagreement:.3e} (limit {MAX_DISAGREEMENT:g}); refine the grid "
             f"or the step")
     return Qfim2.from_array((4.0 * q_h2 - q_h) / 3.0)

@@ -352,28 +352,22 @@ def switched_joint_state(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVe
     raise ValueError(f"unhandled mode {mode}")
 
 
-def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: SwitchMode,
-                          direction: str = "forward"):
+def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: SwitchMode):
     """Builder (g1, g2) -> JointState over the reduced evolution.
 
     Used by the finite-difference information-matrix oracle: the family is
     parameterized directly by the shift weights, with the branch dynamic
     phases of the switched joint evolution included, so its derivatives probe
-    exactly the closed forms.  direction selects the order of the
-    sequential family, so that each branch of the classical mixture can be
-    differentiated as a family of its own without building the other.
-    Branches come in momentum space, where the reduced evolution ends.
+    exactly the closed forms.  Every branch a builder makes is
+    differentiated.  Branches come in momentum space, where the reduced
+    evolution ends.
     """
-    if direction != "forward" and mode != SwitchMode.SEQUENTIAL:
-        raise ValueError(f"{mode.value} holds both orders; direction applies "
-                         f"to the sequential family only")
 
     def build(g1: float, g2: float) -> JointState:
         comp = CompositeEvolution(g1, g2, 0.0, 0.0)
-        if mode == SwitchMode.SEQUENTIAL:
-            branch = _composite_momentum(psi, geom, comp, direction, "switch", False)
-            return JointState(branch, None, (1.0, 0.0), 0.0)
         fwd = _composite_momentum(psi, geom, comp, "forward", "switch", False)
+        if mode == SwitchMode.SEQUENTIAL:
+            return JointState(fwd, None, (1.0, 0.0), 0.0)
         rev = _composite_momentum(psi, geom, comp, "reverse", "switch", False)
         if mode == SwitchMode.QUANTUM_SWITCH:
             return JointState(fwd, rev, BALANCED_WEIGHTS, 0.5)

@@ -16,14 +16,12 @@ import math
 import numpy as np
 
 from .fisher import (QFIM_CLOSED_FORMS, GeneratorMoments, SwitchMode,
-                     qcrb_global, qfim_branch_average, qfim_classical_switch,
+                     qcrb_global, qfim_classical_switch, qfim_numerical,
                      qfim_quantum_switch, qfim_sequential,
                      probe_alone_qfi_at_origin)
-from .grid import (Grid, ProbeSpec, WaveFunction, fidelity, make_gaussian, moments,
-                   overlap)
-from .network import (BALANCED_WEIGHTS, KickVector, NetworkGeometry,
-                      composite_apply, g_params, switched_state_family,
-                      traverse_sequence)
+from .grid import Grid, ProbeSpec, fidelity, make_gaussian, moments, overlap
+from .network import (KickVector, NetworkGeometry, composite_apply, g_params,
+                      switched_state_family, traverse_sequence)
 from .pipeline import TABLETOP_PRECISION_TABLE, fit_scaling_law
 from .wva import (PostSelection, first_order_momentum_shift, min_detectable_tilt,
                   rotation_z, sandwich_jones, waveplate_compensation,
@@ -170,19 +168,6 @@ def _fisher_instances(rng: np.random.Generator, num_points: int):
     return geom, psi, float(g1), float(g2)
 
 
-def _branch_families(psi: WaveFunction, geom: NetworkGeometry, mode: SwitchMode):
-    """(weight, family) pairs whose averaged matrices are the mode's matrix.
-
-    The labeled classical mixture splits into its two single-order families,
-    so that no builder makes a branch it does not differentiate; the pure
-    modes are one family of weight 1.
-    """
-    if mode != SwitchMode.CLASSICAL_SWITCH:
-        return ((1.0, switched_state_family(psi, geom, mode)),)
-    return tuple((w, switched_state_family(psi, geom, SwitchMode.SEQUENTIAL, d))
-                 for w, d in zip(BALANCED_WEIGHTS, ("forward", "reverse")))
-
-
 def check_qfim_mode(mode: SwitchMode, instances: int = 10,
                     num_points: int = 1 << 13, tolerance: float = 1e-3,
                     seed_base: int = 5000) -> CheckResult:
@@ -197,8 +182,8 @@ def check_qfim_mode(mode: SwitchMode, instances: int = 10,
             gm = GeneratorMoments.from_moments(moments(psi), geom.wave_number,
                                                geom.z_bar, geom.n_sensors, g1, g2)
             analytic = closed(gm).as_array()
-            numeric = qfim_branch_average(_branch_families(psi, geom, mode),
-                                          (g1, g2), step=1e-4).as_array()
+            numeric = qfim_numerical(switched_state_family(psi, geom, mode),
+                                     (g1, g2), step=1e-4).as_array()
             err = np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic)
             worst = max(worst, float(err))
         return _result(name, 0.0, worst, worst, tolerance,

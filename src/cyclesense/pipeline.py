@@ -146,6 +146,8 @@ def fit_snr_vs_voltage(n_sensors: int, voltages: Sequence[float],
                        f"{v.shape} and {y.shape}")
     if not v.size:
         raise FitError("no samples to fit")
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(y))):
+        raise FitError(f"non-finite drive voltages or SNR values at N = {n_sensors}")
     if np.any(y < 0):
         raise FitError("SNR values must be non-negative")
     if len(np.unique(v)) < 2:
@@ -158,8 +160,8 @@ def fit_snr_vs_voltage(n_sensors: int, voltages: Sequence[float],
     else:
         slope_f, intercept = np.polyfit(v, y, 1)
         slope = float(slope_f)
-    if slope <= 0:
-        raise FitError(f"non-positive fitted slope {slope}")
+    if not 0 < slope < np.inf:
+        raise FitError(f"fitted slope {slope} is not positive and finite")
     return SnrLineFit(n_sensors, slope, float(intercept),
                       (1.0 - intercept) / slope)
 
@@ -173,8 +175,8 @@ def fit_scaling_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     """
     if len({n for n, _ in points}) < 3:
         raise FitError("need at least three distinct sensor counts")
-    if any(d <= 0 for _, d in points):
-        raise FitError("minimum detectable tilts must be positive")
+    if not all(0 < d < np.inf for _, d in points):
+        raise FitError("minimum detectable tilts must be positive and finite")
     n = np.array([float(p[0]) for p in points])
     y = np.array([float(p[1]) for p in points])
     design = np.column_stack([n**2, n])
@@ -188,7 +190,10 @@ def fit_scaling_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     if ss_tot == 0.0:                         # e.g. a spread that underflows
         raise FitError("the minimum detectable tilts have no spread; R^2 is undefined")
-    return ScalingFit(a, b, 1.0 - ss_res / ss_tot)
+    r_squared = 1.0 - ss_res / ss_tot
+    if not np.all(np.isfinite((a, b, r_squared))):
+        raise FitError(f"non-finite scaling fit: a = {a}, b = {b}, R^2 = {r_squared}")
+    return ScalingFit(a, b, r_squared)
 
 
 @dataclass(frozen=True)

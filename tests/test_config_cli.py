@@ -5,6 +5,10 @@ import pytest
 
 from cyclesense import ConfigError, RunConfig
 from cyclesense.cli import _write_json, main
+from cyclesense.config import MAX_GRID_BYTES, MAX_SENSORS, MAX_SYNTHETIC_SAMPLES
+
+QCRB = ["qcrb-sweep"]
+SYNTHETIC = ["reproduce-experiment", "--source", "synthetic"]
 
 
 class TestRunConfig:
@@ -212,6 +216,56 @@ class TestCli:
                      "reproduce-experiment"])
         assert code == 2
         assert "three distinct sensor counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,yaml_text,error", [
+        (QCRB, "probe: {waist_radius: 1.0e-300}", "DomainError"),
+        (QCRB, "probe: {waist_radius: 1.0e+160}", "DomainError"),
+        (QCRB, "probe: {wavelength: 1.0e-300}", "DomainError"),
+        (QCRB, "probe: {wavelength: 1.0e+300}", "DomainError"),
+        (QCRB, "geometry: {z_bar: 1.0e-300}", "DomainError"),
+        (QCRB, "geometry: {z_bar: 1.0e+300}", "DomainError"),
+        (SYNTHETIC, "probe: {waist_radius: 1.0e-300}", "DomainError"),
+        (SYNTHETIC, "probe: {waist_radius: 1.0e+160}", "DomainError"),
+        (SYNTHETIC, "probe: {wavelength: 1.0e-300}", "DomainError"),
+        (SYNTHETIC, "probe: {wavelength: 1.0e+300}", "DomainError"),
+        (SYNTHETIC, "geometry: {z_bar: 1.0e-300}", "FitError"),
+        (SYNTHETIC, "geometry: {z_bar: 1.0e+300}", "DomainError"),
+        (SYNTHETIC, "drive: {pzt_displacement_per_volt: 1.0e+300}", "FitError"),
+        (SYNTHETIC, "sweep: {voltages: [1.0e+300, 2.0e+300]}", "FitError"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_extreme_finite_values_exit_3_by_name(self, tmp_path, capsys, command,
+                                                  yaml_text, error):
+        path = tmp_path / "extreme.yaml"
+        path.write_text(yaml_text + "\n")
+        out = tmp_path / "x"
+        assert main(["--config", str(path), "--out", str(out), *command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and "Traceback" not in err
+        assert not (out / "scaling_fit.json").exists()
+
+    @pytest.mark.parametrize("command,yaml_text,needle", [
+        (QCRB, "grid: {num_points: 1099511627776}", "grid.num_points"),
+        (SYNTHETIC, "sweep: {n_values: [1, 2, 100000000000000000000]}",
+         "sweep.n_values"),
+        (SYNTHETIC, "sweep: {n_values: [1, 2, 1000000000]}", "sweep.n_values"),
+        (SYNTHETIC, "sweep: {replicates: 1000000000000}", "sweep.replicates"),
+        (["wva-sim", "--n", "1000000000"], "run: {seed: 0}", "--n"),
+    ], ids=["grid-2^40", "n-1e20", "n-1e9", "samples-1e14", "wva-sim-n-1e9"])
+    def test_resource_ceilings_before_allocation(self, tmp_path, capsys, command,
+                                                 yaml_text, needle):
+        """Only values rejected before any allocation: the ceilings fail by name."""
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml_text + "\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "x"),
+                     *command]) == 2
+        assert f"config error: {needle}: " in capsys.readouterr().err
+
+    def test_resource_ceilings_clear_the_workloads(self):
+        # ten times over: 2^14 points, N = 3000 (the companion test of
+        # criterion 1) and the 300k-sample synthetic replay
+        assert 10 * 16 * (1 << 14) <= MAX_GRID_BYTES
+        assert 10 * 3000 <= MAX_SENSORS
+        assert 10 * 300_000 <= MAX_SYNTHETIC_SAMPLES
 
     def test_wva_sim_rejects_zero_sensors(self, tmp_path):
         assert main(["--out", str(tmp_path / "x"), "wva-sim", "--n", "0"]) == 2

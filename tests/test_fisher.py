@@ -165,6 +165,18 @@ class TestNumericalOracle:
         with pytest.raises(EstimabilityError):
             qfim_numerical(unlabeled, (g1, g2), step=1e-4)
 
+    def test_partially_coherent_state_rejected(self):
+        # neither pure nor a mixture: the weight-average rule does not hold
+        geom, psi, g1, g2 = grid_instance(51)
+        family = switched_state_family(psi, geom, SwitchMode.QUANTUM_SWITCH)
+
+        def partial(a, b):
+            s = family(a, b)
+            return JointState(s.branch_plus, s.branch_minus, s.weights, 0.25)
+
+        with pytest.raises(EstimabilityError, match="coherence"):
+            qfim_numerical(partial, (g1, g2), step=1e-4)
+
 
 class TestQcrb:
     def test_sequential_bound_examples(self):

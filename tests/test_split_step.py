@@ -8,8 +8,8 @@ import pytest
 from cyclesense import (Grid, GridOverflowError, JointState, KickVector, Moments,
                         NetworkGeometry, ProbeSpec, SwitchMode, WaveFunction,
                         apply_kick, apply_parity, apply_propagation, apply_shift,
-                        make_gaussian, moments, qfim_branch_average,
-                        qfim_numerical, switched_state_family, traverse_sequence)
+                        make_gaussian, moments, qfim_numerical,
+                        switched_state_family, traverse_sequence)
 from cyclesense import network
 from cyclesense.grid import MOMENTUM
 
@@ -183,29 +183,14 @@ class TestPhaseMasks:
 
 
 class TestBranchFamilies:
-    def test_sequential_reverse_is_the_mixture_branch(self, unit_probe):
-        geom = NetworkGeometry.uniform(3, 1.0, wave_number=1.0)
-        mixed = switched_state_family(unit_probe, geom, SwitchMode.CLASSICAL_SWITCH)
-        for direction, pick in (("forward", "branch_plus"),
-                                ("reverse", "branch_minus")):
-            single = switched_state_family(unit_probe, geom, SwitchMode.SEQUENTIAL,
-                                           direction)(0.03, -0.05)
-            assert isinstance(single, JointState) and single.branch_minus is None
-            assert np.array_equal(single.branch_plus.amplitudes,
-                                  getattr(mixed(0.03, -0.05), pick).amplitudes)
-
-    def test_direction_only_for_sequential(self, unit_probe):
-        geom = NetworkGeometry.uniform(2, 1.0, wave_number=1.0)
-        with pytest.raises(ValueError):
-            switched_state_family(unit_probe, geom, SwitchMode.QUANTUM_SWITCH,
-                                  "reverse")
-
     def test_one_centre_build_and_no_inverse_transforms(self, monkeypatch):
         """9 builds per matrix (centre, then 2 x 4 steps), each one forward FFT
-        of the shifted state; differences stay in momentum space."""
+        per branch of the shifted state; differences stay in momentum space.
+        The classical mixture builds only the two branches it differentiates."""
         psi = make_gaussian(ProbeSpec(2.0, 1.0), Grid(1 << 10, 24.0))
         moments(psi)                          # measured once, before counting
-        counts = {"builder": 0, "fft": 0, "ifft": 0}
+        geom = NetworkGeometry.uniform(2, 1.0, wave_number=1.0)
+        counts = {}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -213,20 +198,34 @@ class TestBranchFamilies:
                 return fn(*args, **kwargs)
             return wrapper
 
-        build = switched_state_family(psi, NetworkGeometry.uniform(2, 1.0, wave_number=1.0),
-                                      SwitchMode.SEQUENTIAL)
         monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
-        qfim_numerical(counted("builder", build), (0.03, -0.05))
-        assert counts == {"builder": 9, "fft": 9, "ifft": 0}
+        for mode, ffts in ((SwitchMode.SEQUENTIAL, 9),
+                           (SwitchMode.CLASSICAL_SWITCH, 18)):
+            counts.update(builder=0, fft=0, ifft=0)
+            build = switched_state_family(psi, geom, mode)
+            qfim_numerical(counted("builder", build), (0.03, -0.05))
+            assert counts == {"builder": 9, "fft": ffts, "ifft": 0}, mode
 
-    def test_branch_average_is_the_mixture_matrix(self, unit_probe):
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.2, 0.8)])
+    def test_labeled_mixture_is_the_weighted_branch_average(self, unit_probe,
+                                                            weights):
         geom = NetworkGeometry.uniform(2, 1.0, wave_number=1.0)
         at = (0.03, -0.05)
-        mixed = qfim_numerical(
-            switched_state_family(unit_probe, geom, SwitchMode.CLASSICAL_SWITCH),
-            at, step=1e-4)
-        branches = [(0.5, switched_state_family(unit_probe, geom,
-                                                SwitchMode.SEQUENTIAL, d))
-                    for d in ("forward", "reverse")]
-        assert qfim_branch_average(branches, at, step=1e-4) == mixed
+        family = switched_state_family(unit_probe, geom, SwitchMode.QUANTUM_SWITCH)
+
+        def mixture(a, b):
+            s = family(a, b)
+            return JointState(s.branch_plus, s.branch_minus, weights, 0.0)
+
+        def only(pick):
+            def build(a, b):
+                return JointState(getattr(family(a, b), pick), None, (1.0, 0.0), 0.0)
+            return build
+
+        mixed = qfim_numerical(mixture, at, step=1e-4).as_array()
+        average = (weights[0] * qfim_numerical(only("branch_plus"), at,
+                                               step=1e-4).as_array()
+                   + weights[1] * qfim_numerical(only("branch_minus"), at,
+                                                 step=1e-4).as_array())
+        assert np.linalg.norm(mixed - average) / np.linalg.norm(average) < 1e-12
