@@ -3,29 +3,35 @@
 Every command reads one YAML config (defaults used where absent), writes
 machine-readable outputs into --out and echoes the resolved config next to
 them.  Runs are deterministic for a fixed (config, seed): CSV floats are
-printed with 12 significant digits, JSON keys are sorted, and the inner
-products behind the outputs are numpy sums, so their bits do not depend on
-the BLAS thread count.  Amplitudes are stored in FFT order (sample 0 at
-x = 0), so the grid transforms are plain numpy FFTs.  A non-finite config
-value is a configuration error, and no NaN is written to JSON.  Exit codes:
-0 success, 1 at least one verification check failed, 2 configuration error,
-3 any other toolkit error (an input outside a numerical regime, such as a
-kick that overflows the grid), printed as "error: <ClassName>: <message>".
+printed in exponent form with 12 digits after the point, JSON keys are
+sorted, and the inner products behind the outputs are numpy sums, so their
+bits do not depend on the BLAS thread count.  Amplitudes are stored in FFT
+order (sample 0 at x = 0), so the grid transforms are plain numpy FFTs.
+Each CSV table runs over the product of its key axes and is written one
+block of rows at a time (one (N, voltage) cell of the SNR sweep), with the
+keys formatted once per block, so the 300k-row replay builds no per-row
+lists.  A non-finite config value is a configuration error, and no NaN or
+infinity is written to JSON or CSV.  Exit codes: 0 success, 1 at least one
+verification check failed, 2 configuration error, 3 any other toolkit error
+(an input outside a numerical regime, such as a kick that overflows the
+grid), printed as "error: <ClassName>: <message>".
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .config import MAX_SENSORS, MAX_SYNTHETIC_SAMPLES, RunConfig
-from .errors import ConfigError, CycleSenseError
+from .errors import ConfigError, CycleSenseError, DomainError
 from .fisher import GeneratorMoments
 from .grid import make_gaussian, moments
 from .network import KickVector
@@ -35,16 +41,49 @@ from .pipeline import (TABLETOP_PRECISION_TABLE, calibrate_noise_floor,
 from .wva import (first_order_momentum_shift, min_detectable_tilt,
                   momentum_readout, qpd_signal, weak_value, wva_final_probe)
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
+#: every float in a CSV file: 12 digits after the point, exponent form
+_FLOAT = "{:.12e}"
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+def _non_finite(path: Path, column: str) -> DomainError:
+    return DomainError(f"{path.name}: non-finite value in column {column}")
+
+
+def _key_fields(path: Path, column: str, axis: Sequence) -> list[str]:
+    """CSV fields of one key axis: floats as _FLOAT, anything else by str."""
+    if not all(math.isfinite(k) for k in axis if isinstance(k, float)):
+        raise _non_finite(path, column)
+    return [_FLOAT.format(k) if isinstance(k, float) else str(k) for k in axis]
+
+
+def _write_csv(path: Path, header: Sequence[str], keys: Sequence[Sequence],
+               values: Sequence[Sequence[float]]) -> None:
+    """Write a table whose rows run over the product of its key axes.
+
+    The first key axis varies slowest.  Each row holds its keys, then one
+    entry of each float column in values, whose entries follow the row
+    order.  The rows that share all but the last key form one block: its
+    leading fields are formatted once, the last key's fields once per file,
+    so only the values are formatted per row, and the block goes to the
+    file as one chunk.  Every field is a number or an identifier, so none
+    is quoted.  A non-finite float raises DomainError naming the file and
+    column before the file is opened.
+    """
+    *outer, inner = [_key_fields(path, column, axis)
+                     for column, axis in zip(header, keys)]
+    columns = [np.asarray(v, dtype=float) for v in values]
+    for column, col in zip(header[len(keys):], columns):
+        if not np.all(np.isfinite(col)):
+            raise _non_finite(path, column)
+    prefixes = ["".join(f + "," for f in p) for p in itertools.product(*outer)]
+    tails = [f + "," for f in inner]
+    blocks = [col.reshape(len(prefixes), len(tails)) for col in columns]
+    row = ("{}{}" + ",".join([_FLOAT] * len(columns)) + "\n").format
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\n")
+        for i, prefix in enumerate(prefixes):
+            fh.write("".join(map(row, itertools.repeat(prefix), tails,
+                                 *(b[i].tolist() for b in blocks))))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -67,12 +106,14 @@ def _prepare_out(cfg: RunConfig, out: str) -> Path:
 
 def cmd_qcrb_sweep(cfg: RunConfig, out: str) -> int:
     out_dir = _prepare_out(cfg, out)
-    rows = qcrb_comparison(cfg.n_values, cfg.probe_spec(), cfg.z_bar,
-                           cfg.switch_modes(), cfg.trials)
+    modes = cfg.switch_modes()
+    rows = qcrb_comparison(cfg.n_values, cfg.probe_spec(), cfg.z_bar, modes,
+                           cfg.trials)
     _write_csv(out_dir / "qcrb_sweep.csv",
                ["n_sensors", "mode", "qcrb", "qcrb_times_N4", "per_shot_precision"],
-               [[r.n_sensors, r.mode.value, r.bound, r.scaled_bound,
-                 r.per_shot_precision] for r in rows])
+               (cfg.n_values, [m.value for m in modes]),
+               ([r.bound for r in rows], [r.scaled_bound for r in rows],
+                [r.per_shot_precision for r in rows]))
     return 0
 
 
@@ -108,9 +149,10 @@ def cmd_reproduce_experiment(cfg: RunConfig, out: str, source: str) -> int:
     if source == "tabletop":
         points = [(n, phi) for n, _, phi in TABLETOP_PRECISION_TABLE]
         fit = fit_scaling_law(points)
+        n_col, v_col, phi_col = zip(*TABLETOP_PRECISION_TABLE)
         _write_csv(out_dir / "precision_points.csv",
                    ["n_sensors", "min_voltage_pp", "delta_phi_min"],
-                   [[n, v, phi] for n, v, phi in TABLETOP_PRECISION_TABLE])
+                   (n_col,), (v_col, phi_col))
     else:
         floor = calibrate_noise_floor(cfg.geometry, probe.waist_radius, ps,
                                       readout, drive)
@@ -118,11 +160,15 @@ def cmd_reproduce_experiment(cfg: RunConfig, out: str, source: str) -> int:
         result = end_to_end_sweep(cfg.n_values, cfg.voltages, cfg.replicates,
                                   probe, ps, readout, drive, noise, cfg.z_bar,
                                   cfg.lead_in, cfg.lead_out, cfg.seed)
+        # rows run over N, then voltage, then replicate: the key axes are
+        # slices of the result's own columns, which keep their dtypes
+        cell = cfg.replicates
+        per_n = cell * len(cfg.voltages)
         _write_csv(out_dir / "snr_sweep.csv",
                    ["n_sensors", "drive_voltage_pp", "replicate", "snr"],
-                   zip(result.n_sensors.tolist(),
-                       result.drive_voltage_pp.tolist(),
-                       result.replicate.tolist(), result.snr.tolist()))
+                   (result.n_sensors[::per_n], result.drive_voltage_pp[:per_n:cell],
+                    result.replicate[:cell]),
+                   (result.snr,))
         points = list(result.precision_points)
         fit = result.scaling
 
@@ -137,9 +183,9 @@ def cmd_reproduce_experiment(cfg: RunConfig, out: str, source: str) -> int:
     n_max = max(int(n) for n, _ in points)
     dense = [1.0 + 0.1 * i for i in range(10 * (n_max - 1) + 1)]
     _write_csv(out_dir / "fitted_curve.csv", ["n_sensors", "delta_phi_min"],
-               [[_fmt(n), fit.predict(n)] for n in dense])
+               (dense,), ([fit.predict(n) for n in dense],))
     _write_csv(out_dir / "heisenberg_curve.csv", ["n_sensors", "delta_phi_min"],
-               [[_fmt(n), fit.heisenberg_comparison(n)] for n in dense])
+               (dense,), ([fit.heisenberg_comparison(n) for n in dense],))
     return 0
 
 

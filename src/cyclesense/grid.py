@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GridError, NormalizationError
+from .errors import DomainError, GridError, NormalizationError
 
 #: L2-norm drift allowed after an explicit normalization.
 NORM_TOL = 1e-10
@@ -163,15 +163,36 @@ class Grid:
 
         half_extent = padding * max(w0, w(total_path)) with w(z) the
         diffracted beam radius, so the state never approaches the edge even
-        after the longest propagation in the run.
+        after the longest propagation in the run.  Raises DomainError when
+        that extent is not positive and finite, or when the spacing dx
+        exceeds pi * w0: the momentum window pi/dx then holds less than one
+        momentum spread 1/w0, and the sampled probe collapses onto a few
+        samples with no measurable variance.
         """
-        w_end = diffracted_radius(spec.waist_radius, total_path, spec.wave_number)
-        return cls(num_points, padding * max(spec.waist_radius, w_end))
+        w0 = spec.waist_radius
+        half_extent = padding * max(w0, diffracted_radius(w0, total_path,
+                                                          spec.wave_number))
+        if not 0 < 2.0 * half_extent / num_points <= math.pi * w0:
+            raise DomainError(
+                f"grid half_extent {half_extent} over {num_points} points does "
+                f"not resolve the waist radius {w0}")
+        return cls(num_points, half_extent)
 
 
 def diffracted_radius(w0: float, z: float, k: float) -> float:
-    """Beam radius w(z) = w0 * sqrt(1 + (2 z / (k w0^2))^2) of a Gaussian."""
-    return w0 * math.sqrt(1.0 + (2.0 * z / (k * w0 * w0)) ** 2)
+    """Beam radius w(z) = w0 * sqrt(1 + (2 z / (k w0^2))^2) of a Gaussian.
+
+    Raises DomainError when the radius is not a positive finite float,
+    including when k * w0^2 underflows to zero or the square overflows.
+    """
+    try:
+        w = w0 * math.sqrt(1.0 + (2.0 * z / (k * w0 * w0)) ** 2)
+    except ArithmeticError:             # ZeroDivisionError, OverflowError
+        w = math.nan
+    if not 0 < w < math.inf:
+        raise DomainError(f"beam radius for w0 = {w0}, z = {z}, k = {k} is "
+                          f"not a positive finite float")
+    return w
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FitError
+from .errors import DomainError, FitError
 from .fisher import QFIM_CLOSED_FORMS, GeneratorMoments, SwitchMode, \
     probe_alone_qfi_at_origin, qcrb_global
 from .grid import ProbeSpec
@@ -45,7 +45,7 @@ class SensorDriveModel:
 def voltage_to_beam_tilt(v_pp: float, model: SensorDriveModel) -> float:
     """Beam-tilt modulation amplitude for a peak-to-peak drive voltage."""
     if v_pp < 0:
-        raise ValueError(f"voltage must be non-negative, got {v_pp}")
+        raise DomainError(f"voltage must be non-negative, got {v_pp}")
     return v_pp * model.tilt_per_volt
 
 
@@ -62,9 +62,9 @@ class NoiseModel:
 
     def __post_init__(self):
         if not self.noise_floor > 0:
-            raise ValueError("noise_floor must be positive")
+            raise DomainError("noise_floor must be positive")
         if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
+            raise DomainError("jitter must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -258,9 +258,9 @@ def end_to_end_sweep(n_values: Sequence[int], voltages: Sequence[float],
     on the sensor count.
     """
     if replicates < 1:
-        raise ValueError("replicates must be at least 1")
+        raise DomainError("replicates must be at least 1")
     if not n_values or not voltages:
-        raise ValueError("n_values and voltages must be non-empty")
+        raise DomainError("n_values and voltages must be non-empty")
 
     snr = np.empty((len(n_values), len(voltages), replicates))
     for ni, n in enumerate(n_values):

@@ -1,10 +1,16 @@
+import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from cyclesense import ConfigError, RunConfig
-from cyclesense.cli import _write_json, main
+from cyclesense import (ConfigError, DomainError, NoiseModel, RunConfig,
+                        SensorDriveModel, TABLETOP_PRECISION_TABLE,
+                        end_to_end_sweep, voltage_to_beam_tilt)
+from cyclesense import cli
+from cyclesense.cli import _write_csv, _write_json, main
 from cyclesense.config import MAX_GRID_BYTES, MAX_SENSORS, MAX_SYNTHETIC_SAMPLES
 
 QCRB = ["qcrb-sweep"]
@@ -188,6 +194,17 @@ class TestCli:
             _write_json(path, {"a_rad": math.nan})
         assert not path.exists()
 
+    @pytest.mark.parametrize("keys,values,column", [
+        (([1, 2], [0, 1]), ([1.0, 2.0, math.nan, 4.0],), "snr"),
+        (([1, 2], [0, 1]), (np.array([1.0, 2.0, 3.0, -math.inf]),), "snr"),
+        (([1, 2], [1e-3, math.inf]), ([1.0, 2.0, 3.0, 4.0],), "drive_voltage_pp"),
+    ], ids=["nan-value", "minus-inf-value", "inf-key"])
+    def test_csv_writer_refuses_non_finite(self, tmp_path, keys, values, column):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(DomainError, match=f"bad.csv: .* column {column}$"):
+            _write_csv(path, ["n_sensors", "drive_voltage_pp", "snr"], keys, values)
+        assert not path.exists()
+
     def test_integral_float_sensor_counts_accepted(self, tmp_path):
         path = tmp_path / "float_n.yaml"
         path.write_text("sweep: {n_values: [3.0]}\n")
@@ -284,6 +301,125 @@ class TestCli:
                          "reproduce-experiment"]) == 0
             texts.append((out / "snr_sweep.csv").read_text())
         assert texts[0] != texts[1]
+
+
+def reference_csv(header, rows) -> bytes:
+    """CSV text as the standard csv module writes it, floats with 12 digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{x:.12e}" if isinstance(x, float) else x for x in row])
+    return buf.getvalue().encode()
+
+
+def capture(monkeypatch, name):
+    """Record every return value of cli.<name> while the CLI runs."""
+    seen = []
+    func = getattr(cli, name)
+
+    def recording(*args, **kwargs):
+        seen.append(func(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(cli, name, recording)
+    return seen
+
+
+class TestCsvBytes:
+    """The block-wise CSV writer against the csv module, row by row."""
+
+    @pytest.mark.parametrize("sweep", [
+        dict(n_values=[1, 2, 3], voltages=[1e-3, 2.5e-3, 4e-3], replicates=3,
+             jitter=0.05),
+        dict(n_values=[1, 2, 3], voltages=[1, 2, 3], replicates=2, jitter=0.05),
+        dict(n_values=[1, 2, 257, 300], voltages=[1e-3, 2e-3], replicates=260,
+             jitter=0.05),
+    ], ids=["float-voltages", "integer-voltages", "counts-above-256"])
+    def test_synthetic_replay_matches_csv_module(self, tmp_path, monkeypatch, sweep):
+        sweeps = capture(monkeypatch, "end_to_end_sweep")
+        cfg = write_config(tmp_path, **sweep)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), *SYNTHETIC]) == 0
+        (result,) = sweeps
+        assert (out / "snr_sweep.csv").read_bytes() == reference_csv(
+            ["n_sensors", "drive_voltage_pp", "replicate", "snr"],
+            zip(result.n_sensors.tolist(), result.drive_voltage_pp.tolist(),
+                result.replicate.tolist(), result.snr.tolist()))
+        n_max = max(sweep["n_values"])
+        dense = [1.0 + 0.1 * i for i in range(10 * (n_max - 1) + 1)]
+        fit = result.scaling
+        assert (out / "fitted_curve.csv").read_bytes() == reference_csv(
+            ["n_sensors", "delta_phi_min"], [[n, fit.predict(n)] for n in dense])
+        assert (out / "heisenberg_curve.csv").read_bytes() == reference_csv(
+            ["n_sensors", "delta_phi_min"],
+            [[n, fit.heisenberg_comparison(n)] for n in dense])
+
+    def test_integer_voltages_print_as_integers(self, tmp_path):
+        path = tmp_path / "int_volts.yaml"
+        path.write_text("sweep: {n_values: [1, 2, 3], voltages: [1, 2, 3], "
+                        "replicates: 2}\n")
+        out = tmp_path / "x"
+        assert main(["--config", str(path), "--out", str(out), *SYNTHETIC]) == 0
+        rows = (out / "snr_sweep.csv").read_text().splitlines()[1:]
+        assert rows[0].startswith("1,1,0,") and rows[1].startswith("1,1,1,")
+        assert rows[2].startswith("1,2,0,") and rows[-1].startswith("3,3,1,")
+
+    def test_qcrb_sweep_matches_csv_module(self, tmp_path, monkeypatch):
+        tables = capture(monkeypatch, "qcrb_comparison")
+        cfg = write_config(tmp_path, n_values=[1, 2, 300])
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), *QCRB]) == 0
+        (rows,) = tables
+        assert {r.mode.value for r in rows} == {
+            "sequential", "quantum_switch", "classical_switch", "probe_alone"}
+        assert (out / "qcrb_sweep.csv").read_bytes() == reference_csv(
+            ["n_sensors", "mode", "qcrb", "qcrb_times_N4", "per_shot_precision"],
+            [[r.n_sensors, r.mode.value, r.bound, r.scaled_bound,
+              r.per_shot_precision] for r in rows])
+
+    def test_precision_points_match_csv_module(self, tmp_path):
+        out = tmp_path / "tab"
+        assert main(["--out", str(out), "reproduce-experiment", "--source",
+                     "tabletop"]) == 0
+        assert (out / "precision_points.csv").read_bytes() == reference_csv(
+            ["n_sensors", "min_voltage_pp", "delta_phi_min"],
+            TABLETOP_PRECISION_TABLE)
+
+
+@pytest.mark.parametrize("yaml_text", [
+    "probe: {waist_radius: 1.0e-300}",
+    "probe: {wavelength: 1.0e+300}",
+    "geometry: {z_bar: 1.0e+300}",
+    "geometry: {lead_in: 1.0e+300}",
+    "grid: {padding: 1.0e+300}",
+])
+def test_wva_sim_extreme_grid_values_exit_3(tmp_path, capsys, yaml_text):
+    path = tmp_path / "extreme.yaml"
+    path.write_text(yaml_text + "\n")
+    out = tmp_path / "x"
+    assert main(["--config", str(path), "--out", str(out), "wva-sim", "--n", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError: ") and "Traceback" not in err
+    assert not (out / "wva_sim.json").exists()
+
+
+# the sweep checks its sizes before it touches the forward-model arguments
+NO_CHAIN = dict(probe=None, ps=None, readout=None, drive=None, noise=None,
+                z_bar=0.2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: voltage_to_beam_tilt(-1.0, SensorDriveModel()),
+    lambda: NoiseModel(0.0),
+    lambda: NoiseModel(1.0, jitter=-0.1),
+    lambda: end_to_end_sweep([1, 2, 3], [1e-3], 0, **NO_CHAIN),
+    lambda: end_to_end_sweep([], [1e-3], 1, **NO_CHAIN),
+], ids=["negative-voltage", "zero-noise-floor", "negative-jitter",
+        "zero-replicates", "no-sensor-counts"])
+def test_pipeline_inputs_out_of_domain(call):
+    # DomainError is what the CLI reports with exit code 3
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestOracleVerifyCommand:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from cyclesense import (Grid, GridError, Moments, NormalizationError, ProbeSpec,
+from cyclesense import (DomainError, Grid, GridError, Moments, NormalizationError, ProbeSpec,
                         WaveFunction, apply_kick, diffracted_radius, fidelity,
                         make_gaussian, moments, overlap)
 from cyclesense.grid import MOMENTUM, POSITION
@@ -41,6 +41,18 @@ class TestGrid:
         spec = ProbeSpec(1.0, 1.0)
         g = Grid.for_probe(spec, total_path=10.0, num_points=1 << 12)
         assert g.half_extent == pytest.approx(8.0 * diffracted_radius(1.0, 10.0, 1.0))
+
+    @pytest.mark.parametrize("w0,z,k", [(1e-300, 1.0, 1.0), (1.0, 1e300, 1e-10),
+                                        (-1.0, 0.0, 1.0)])
+    def test_diffracted_radius_outside_float_range(self, w0, z, k):
+        with pytest.raises(DomainError, match="beam radius"):
+            diffracted_radius(w0, z, k)
+
+    @pytest.mark.parametrize("padding", [0.0, -1.0, math.nan, 1e300])
+    def test_for_probe_rejects_unresolved_waist(self, padding):
+        # 1e300 is finite, but its spacing leaves the waist on one sample
+        with pytest.raises(DomainError, match="does not resolve"):
+            Grid.for_probe(ProbeSpec(1.0, 1.0), 10.0, 1 << 12, padding)
 
 
 class TestTransforms:
