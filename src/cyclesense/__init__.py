@@ -12,8 +12,8 @@ from .grid import (Grid, Moments, ProbeSpec, WaveFunction, diffracted_radius,
                    fidelity, make_gaussian, moments, overlap)
 from .network import (CompositeEvolution, KickVector, NetworkGeometry,
                       apply_kick, apply_parity, apply_propagation, apply_shift,
-                      composite_apply, g_params, switched_joint_state,
-                      switched_state_family, traverse_sequence)
+                      composite_apply, g_params, switched_state_family,
+                      traverse_sequence)
 from .fisher import (GeneratorMoments, JointState, Qfim2, QcrbReport,
                      SwitchMode, probe_alone_qfi_at_origin,
                      probe_alone_qfim_at_origin, qcrb_global,

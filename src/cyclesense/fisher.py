@@ -50,17 +50,14 @@ class JointState:
     states (each normalized, with any dynamic phase folded into the
     amplitudes).  weights are the ancilla populations; coherence is the
     off-diagonal ancilla weight a0 * conj(a1) (1/2 for the balanced control
-    qubit, 0 for the classical mixture).  ancilla_labeled records whether
-    the ancilla label survives to the measurement: with the label the mixed
-    branches stay orthogonal, without it (probe alone) they generally
-    overlap.
+    qubit, 0 for the classical mixture).  The ancilla label survives to the
+    measurement, so the branches of a mixture stay orthogonal.
     """
 
     branch_plus: WaveFunction
     branch_minus: Optional[WaveFunction]
     weights: tuple[float, float]
     coherence: complex
-    ancilla_labeled: bool = True
 
     def __post_init__(self):
         w0, w1 = self.weights
@@ -162,6 +159,12 @@ class GeneratorMoments:
         if not ok:
             raise DomainError(f"Var X / ((N+1) zbar)^2 or Var P / k^2 leaves the float "
                               f"range at k = {self.wave_number:g} 1/m, zbar = {self.z_bar:g} m")
+        # so must the squares of the quantum-switch brackets <P>/2k - g u/2k
+        bracket = (abs(self.mean_p) + max(abs(self.g1), abs(self.g2)) / self.span) / (
+            2.0 * self.wave_number)
+        if not 4.0 * bracket * bracket < math.inf:
+            raise DomainError(f"<P>/2k or g/(2k (N+1) zbar) leaves the float range at "
+                              f"<P> = {self.mean_p:g} 1/m, k = {self.wave_number:g} 1/m")
 
     @property
     def span(self) -> float:
@@ -380,16 +383,16 @@ def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
     labeled mixture of zero coherence each branch keeps its own projection,
     which gives the weight-average of the branch matrices (the weights do
     not depend on the parameters, the label keeps the branches orthogonal).
-    Other mixed centres raise EstimabilityError.  The centre is built once,
-    so a matrix costs 9 builds.  richardson=False skips the second
-    evaluation and the convergence check (plain second-order differences,
-    useful for step-scaling studies).
+    Partially coherent centres raise EstimabilityError.  The centre is
+    built once, so a matrix costs 9 builds.  richardson=False skips the
+    second evaluation and the convergence check (plain second-order
+    differences, useful for step-scaling studies).
     """
     center = builder(*at)
-    if not (center.is_pure or center.ancilla_labeled and center.coherence == 0):
+    if not (center.is_pure or center.coherence == 0):
         raise EstimabilityError(
             "finite differences need a pure state or a labeled mixture with zero "
-            "coherence; an unlabeled mixture has a closed form at the origin")
+            f"coherence; got coherence {center.coherence} at weights {center.weights}")
     if step is not None:
         steps = (float(step), float(step))
     else:

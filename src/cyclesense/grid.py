@@ -106,8 +106,10 @@ class Grid:
         n = self.num_points
         if n < 2 or (n & (n - 1)) != 0:
             raise GridError(f"num_points must be a power of two >= 2, got {n}")
-        if not self.half_extent > 0:
-            raise GridError(f"half_extent must be positive, got {self.half_extent}")
+        # dx is checked first, because dp divides by it
+        if not (0 < self.dx < math.inf and 0 < self.dp < math.inf):
+            raise GridError(f"half_extent {self.half_extent} over {n} points gives no "
+                            f"positive finite spacings dx and dp")
 
     @property
     def dx(self) -> float:

@@ -6,9 +6,12 @@ Because kick and propagation do not commute, a full traversal collapses (by
 repeated use of the displacement algebra) to a propagation over the total
 length, one momentum-generated shift, one position-generated kick and a
 scalar dynamic phase.  The distance-weighted kick sums g1 (forward order)
-and g2 (reverse order) parameterize that reduced form; the composite
-builders here apply it as plain grid phases, while traverse_sequence applies
-the raw operator product and serves as the brute-force oracle for it.
+and g2 (reverse order) parameterize that reduced form.  composite_apply
+applies it as plain grid phases and ends in momentum space, where the
+reduced evolution ends; switched_state_family builds the fixed-order,
+quantum-switch and labeled classical-switch states from it.
+traverse_sequence applies the raw operator product and serves as the
+brute-force oracle for both.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import GridOverflowError
+from .errors import DomainError, GridOverflowError
 from .fisher import JointState, SwitchMode
 from .grid import (MOMENTUM, POSITION, Moments, WaveFunction, moments,
                    symmetric_phase)
@@ -49,13 +52,13 @@ class NetworkGeometry:
     def __post_init__(self):
         object.__setattr__(self, "distances", tuple(float(z) for z in self.distances))
         if len(self.distances) < 2:
-            raise ValueError("need at least two legs (one sensor)")
+            raise DomainError("need at least two legs (one sensor)")
         if any(z < 0 for z in self.distances):
-            raise ValueError("leg distances must be non-negative")
+            raise DomainError("leg distances must be non-negative")
         if self.lead_in < 0 or self.lead_out < 0:
-            raise ValueError("lead distances must be non-negative")
+            raise DomainError("lead distances must be non-negative")
         if not self.wave_number > 0:
-            raise ValueError("wave_number must be positive")
+            raise DomainError("wave_number must be positive")
 
     @property
     def n_sensors(self) -> int:
@@ -86,7 +89,7 @@ class KickVector:
     def __post_init__(self):
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
         if len(self.thetas) < 1:
-            raise ValueError("need at least one kick")
+            raise DomainError("need at least one kick")
 
     def __len__(self) -> int:
         return len(self.thetas)
@@ -125,7 +128,7 @@ def g_params(geom: NetworkGeometry, kicks: KickVector) -> CompositeEvolution:
     """
     n = geom.n_sensors
     if len(kicks) != n:
-        raise ValueError(f"{len(kicks)} kicks for a network with {n} sensors")
+        raise DomainError(f"{len(kicks)} kicks for a network with {n} sensors")
     z = geom.distances
     th = kicks.thetas
     tail = np.cumsum(th[::-1])[::-1]          # tail[j] = sum_{l>=j} theta_l
@@ -189,7 +192,7 @@ def apply_propagation(psi: WaveFunction, z: float, wave_number: float) -> WaveFu
     """
     psi.require_normalized()
     if z < 0:
-        raise ValueError(f"propagation distance must be non-negative, got {z}")
+        raise DomainError(f"propagation distance must be non-negative, got {z}")
     m = psi.guard_moments                     # z == 0 leaves them unchanged
     if z > 0:
         m = _guard_moments(psi)
@@ -232,36 +235,33 @@ def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVecto
     """Operator-by-operator network traversal (the brute-force oracle).
 
     forward applies U_zN U_thetaN ... U_theta1 U_z0, reverse applies
-    U_z0 U_theta1 U_z1 ... U_thetaN U_zN.  With parity_conjugated the whole
-    traversal is sandwiched between spatial inversions, which is how the
-    reverse branch is realized on the optical table.  Leads, when included,
-    stay outside the parity sandwich.  The grid moments are measured once,
-    at the first step on a state that carries none; every later overflow
-    guard reads the moments carried forward by the steps before it.
+    U_z0 U_theta1 U_z1 ... U_thetaN U_zN: the same loop over the legs and
+    kicks read backwards.  With parity_conjugated the whole traversal is
+    sandwiched between spatial inversions, which is how the reverse branch
+    is realized on the optical table.  Leads, when included, stay outside
+    the parity sandwich.  The grid moments are measured once, at the first
+    step on a state that carries none; every later overflow guard reads the
+    moments carried forward by the steps before it.
     """
     n = geom.n_sensors
     if len(kicks) != n:
-        raise ValueError(f"{len(kicks)} kicks for a network with {n} sensors")
+        raise DomainError(f"{len(kicks)} kicks for a network with {n} sensors")
     if direction not in ("forward", "reverse"):
-        raise ValueError(f"unknown direction {direction!r}")
+        raise DomainError(f"unknown direction {direction!r}")
     k = geom.wave_number
     z = geom.distances
     th = kicks.thetas
+    if direction == "reverse":
+        z, th = z[::-1], th[::-1]
 
     if include_leads and geom.lead_in > 0:
         psi = apply_propagation(psi, geom.lead_in, k)
     if parity_conjugated:
         psi = apply_parity(psi)
-    if direction == "forward":
-        psi = apply_propagation(psi, z[0], k)
-        for j in range(n):
-            psi = apply_kick(psi, th[j])
-            psi = apply_propagation(psi, z[j + 1], k)
-    else:
-        psi = apply_propagation(psi, z[n], k)
-        for j in range(n - 1, -1, -1):
-            psi = apply_kick(psi, th[j])
-            psi = apply_propagation(psi, z[j], k)
+    psi = apply_propagation(psi, z[0], k)
+    for j in range(n):
+        psi = apply_kick(psi, th[j])
+        psi = apply_propagation(psi, z[j + 1], k)
     if parity_conjugated:
         psi = apply_parity(psi)
     if include_leads and geom.lead_out > 0:
@@ -270,40 +270,27 @@ def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVecto
 
 
 def composite_apply(psi: WaveFunction, geom: NetworkGeometry, comp: CompositeEvolution,
-                    direction: str = "forward", phase: str = "exact",
-                    include_leads: bool = False) -> WaveFunction:
+                    direction: str = "forward", phase: str = "exact") -> WaveFunction:
     """Apply the reduced traversal as three grid phases plus a scalar phase.
 
     phase selects the scalar factor: "exact" uses exp(-i xi/2k) and makes the
     result equal the raw operator product including its global phase and
     "switch" uses the branch phases exp(-/+ i (g1^2-g2^2)/(4k(N+1)zbar)) of
     the order-switched joint evolution (same state up to a global phase).
-    The result is in position space.
+    The result is in momentum space, where the reduced evolution ends.
     """
-    return _composite_momentum(psi, geom, comp, direction, phase,
-                               include_leads).to_position()
-
-
-def _composite_momentum(psi: WaveFunction, geom: NetworkGeometry,
-                        comp: CompositeEvolution, direction: str, phase: str,
-                        include_leads: bool) -> WaveFunction:
-    """composite_apply without its final transform: the state in momentum space."""
     if direction not in ("forward", "reverse"):
-        raise ValueError(f"unknown direction {direction!r}")
+        raise DomainError(f"unknown direction {direction!r}")
     if phase not in ("exact", "switch"):
-        raise ValueError(f"unknown phase convention {phase!r}")
+        raise DomainError(f"unknown phase convention {phase!r}")
     k = geom.wave_number
     n_legs = geom.n_sensors + 1
     span = n_legs * geom.z_bar
     g_shift = comp.g1 if direction == "forward" else comp.g2
 
-    if include_leads and geom.lead_in > 0:
-        psi = apply_propagation(psi, geom.lead_in, k)
     psi = apply_kick(psi, (comp.g1 + comp.g2) / span)
     psi = apply_shift(psi, g_shift / k)
     psi = apply_propagation(psi, span, k)
-    if include_leads and geom.lead_out > 0:
-        psi = apply_propagation(psi, geom.lead_out, k)
 
     if phase == "exact":
         xi = comp.xi1 if direction == "forward" else comp.xi2
@@ -312,44 +299,6 @@ def _composite_momentum(psi: WaveFunction, geom: NetworkGeometry,
         alpha = (comp.g1**2 - comp.g2**2) / (4.0 * k * span)
         scalar = np.exp(-1j * alpha) if direction == "forward" else np.exp(1j * alpha)
     return WaveFunction._adopt(psi.grid, scalar * psi.amplitudes, MOMENTUM)
-
-
-def switched_joint_state(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
-                         mode: SwitchMode, ancilla=None) -> JointState:
-    """Final probe-ancilla state after the order-switched network.
-
-    The ancilla argument selects the switch register state: a pair of complex
-    amplitudes (a0, a1) for a pure control qubit (defaults to the balanced
-    superposition) or the string "mixed" for the balanced classical mixture.
-    Branch wavefunctions are exact traversals and therefore carry the
-    relative dynamic phase (g1^2 - g2^2)/(2k(N+1)zbar) between the orders.
-    """
-    if mode == SwitchMode.SEQUENTIAL:
-        if ancilla is not None:
-            raise ValueError("sequential mode does not use an ancilla")
-        branch = traverse_sequence(psi, geom, kicks, "forward")
-        return JointState(branch, None, (1.0, 0.0), 0.0)
-
-    fwd = traverse_sequence(psi, geom, kicks, "forward")
-    rev = traverse_sequence(psi, geom, kicks, "reverse")
-
-    if mode == SwitchMode.QUANTUM_SWITCH:
-        if ancilla is None:
-            ancilla = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-        if ancilla == "mixed":
-            raise ValueError("quantum switch needs a pure ancilla, got a mixture")
-        a0, a1 = complex(ancilla[0]), complex(ancilla[1])
-        if abs(abs(a0) ** 2 + abs(a1) ** 2 - 1.0) > 1e-12:
-            raise ValueError("ancilla amplitudes must be normalized")
-        return JointState(fwd, rev, (abs(a0) ** 2, abs(a1) ** 2), a0 * a1.conjugate())
-
-    if mode in (SwitchMode.CLASSICAL_SWITCH, SwitchMode.PROBE_ALONE):
-        if ancilla not in (None, "mixed"):
-            raise ValueError(f"{mode.value} needs the balanced mixture ancilla")
-        labeled = mode == SwitchMode.CLASSICAL_SWITCH
-        return JointState(fwd, rev, BALANCED_WEIGHTS, 0.0, ancilla_labeled=labeled)
-
-    raise ValueError(f"unhandled mode {mode}")
 
 
 def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: SwitchMode):
@@ -365,14 +314,14 @@ def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: Switch
 
     def build(g1: float, g2: float) -> JointState:
         comp = CompositeEvolution(g1, g2, 0.0, 0.0)
-        fwd = _composite_momentum(psi, geom, comp, "forward", "switch", False)
+        fwd = composite_apply(psi, geom, comp, "forward", "switch")
         if mode == SwitchMode.SEQUENTIAL:
             return JointState(fwd, None, (1.0, 0.0), 0.0)
-        rev = _composite_momentum(psi, geom, comp, "reverse", "switch", False)
+        rev = composite_apply(psi, geom, comp, "reverse", "switch")
         if mode == SwitchMode.QUANTUM_SWITCH:
             return JointState(fwd, rev, BALANCED_WEIGHTS, 0.5)
         if mode == SwitchMode.CLASSICAL_SWITCH:
             return JointState(fwd, rev, BALANCED_WEIGHTS, 0.0)
-        raise ValueError(f"no state family for mode {mode}")
+        raise DomainError(f"no state family for mode {mode}")
 
     return build

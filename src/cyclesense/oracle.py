@@ -95,7 +95,8 @@ def check_composite_phase(seeds: int = 20, num_points: int = 1 << 14,
             comp = g_params(geom, kicks)
             for direction in ("forward", "reverse"):
                 brute = traverse_sequence(psi, geom, kicks, direction)
-                reduced = composite_apply(psi, geom, comp, direction, phase="exact")
+                reduced = composite_apply(psi, geom, comp, direction,
+                                          phase="exact").to_position()
                 worst = max(worst, float(np.max(np.abs(
                     brute.amplitudes - reduced.amplitudes))))
         return _result(name, 0.0, worst, worst, tolerance,

@@ -85,11 +85,10 @@ class ScalingFit:
 
 @dataclass(frozen=True)
 class SnrLineFit:
-    """Zero-intercept (by default) line through SNR versus drive voltage."""
+    """Zero-intercept line through SNR versus drive voltage."""
 
     n_sensors: int
     slope: float
-    intercept: float
     min_voltage: float
 
 
@@ -131,13 +130,11 @@ def calibrate_noise_floor(geom_for_n, waist_radius: float, ps: PostSelection,
 
 
 def fit_snr_vs_voltage(n_sensors: int, voltages: Sequence[float],
-                       snr: Sequence[float],
-                       force_zero_intercept: bool = True) -> SnrLineFit:
+                       snr: Sequence[float]) -> SnrLineFit:
     """Least-squares SNR-versus-voltage line and its SNR = 1 crossing.
 
     voltages and snr are the paired readings of one sensor count.  The
-    intercept is pinned to zero by default (no drive, no signal); the
-    free-intercept variant is available for robustness comparisons.
+    intercept is pinned to zero (no drive, no signal).
     """
     v = np.asarray(voltages, dtype=float)
     y = np.asarray(snr, dtype=float)
@@ -154,16 +151,10 @@ def fit_snr_vs_voltage(n_sensors: int, voltages: Sequence[float],
         raise FitError("need at least two distinct drive voltages")
     if np.all(y == 0):
         raise FitError("all SNR values are zero")
-    if force_zero_intercept:
-        slope = float(np.dot(v, y) / np.dot(v, v))
-        intercept = 0.0
-    else:
-        slope_f, intercept = np.polyfit(v, y, 1)
-        slope = float(slope_f)
+    slope = float(np.dot(v, y) / np.dot(v, v))
     if not 0 < slope < np.inf:
         raise FitError(f"fitted slope {slope} is not positive and finite")
-    return SnrLineFit(n_sensors, slope, float(intercept),
-                      (1.0 - intercept) / slope)
+    return SnrLineFit(n_sensors, slope, 1.0 / slope)
 
 
 def fit_scaling_law(points: Sequence[tuple[float, float]]) -> ScalingFit:

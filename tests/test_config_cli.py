@@ -241,12 +241,14 @@ class TestCli:
         (QCRB, "probe: {wavelength: 1.0e+300}", "DomainError"),
         (QCRB, "geometry: {z_bar: 1.0e-300}", "DomainError"),
         (QCRB, "geometry: {z_bar: 1.0e+300}", "DomainError"),
+        (QCRB, "probe: {center_p: 1.0e+300}", "DomainError"),
         (SYNTHETIC, "probe: {waist_radius: 1.0e-300}", "DomainError"),
         (SYNTHETIC, "probe: {waist_radius: 1.0e+160}", "DomainError"),
         (SYNTHETIC, "probe: {wavelength: 1.0e-300}", "DomainError"),
         (SYNTHETIC, "probe: {wavelength: 1.0e+300}", "DomainError"),
         (SYNTHETIC, "geometry: {z_bar: 1.0e-300}", "FitError"),
         (SYNTHETIC, "geometry: {z_bar: 1.0e+300}", "DomainError"),
+        (SYNTHETIC, "probe: {center_p: 1.0e+300}", "DomainError"),
         (SYNTHETIC, "drive: {pzt_displacement_per_volt: 1.0e+300}", "FitError"),
         (SYNTHETIC, "sweep: {voltages: [1.0e+300, 2.0e+300]}", "FitError"),
     ], ids=lambda v: v if isinstance(v, str) else v[0])

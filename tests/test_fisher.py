@@ -153,18 +153,6 @@ class TestNumericalOracle:
         with pytest.raises(ConvergenceError):
             qfim_numerical(family, (g1, g2), step=3.0)
 
-    def test_unlabeled_mixture_rejected(self):
-        geom, psi, g1, g2 = grid_instance(51)
-        family = switched_state_family(psi, geom, SwitchMode.CLASSICAL_SWITCH)
-
-        def unlabeled(a, b):
-            s = family(a, b)
-            return JointState(s.branch_plus, s.branch_minus, s.weights, 0.0,
-                              ancilla_labeled=False)
-
-        with pytest.raises(EstimabilityError):
-            qfim_numerical(unlabeled, (g1, g2), step=1e-4)
-
     def test_partially_coherent_state_rejected(self):
         # neither pure nor a mixture: the weight-average rule does not hold
         geom, psi, g1, g2 = grid_instance(51)

@@ -33,9 +33,11 @@ class TestGrid:
         with pytest.raises(GridError):
             Grid(n, 1.0)
 
-    def test_rejects_non_positive_extent(self):
+    @pytest.mark.parametrize("extent", [0.0, -1.0, math.nan, math.inf, 1e308, 1e-320])
+    def test_rejects_extent_without_finite_spacing(self, extent):
+        # 1e308 and inf give dx = inf, dp = 0; 1e-320 gives dx = 0
         with pytest.raises(GridError):
-            Grid(1 << 8, 0.0)
+            Grid(1 << 14, extent)
 
     def test_for_probe_covers_diffraction(self):
         spec = ProbeSpec(1.0, 1.0)

@@ -7,7 +7,7 @@ from cyclesense import (CompositeEvolution, Grid, GridOverflowError, JointState,
                         KickVector, NetworkGeometry, ProbeSpec, SwitchMode,
                         apply_kick, apply_parity, apply_propagation, apply_shift,
                         composite_apply, fidelity, g_params, make_gaussian,
-                        moments, overlap, switched_joint_state, traverse_sequence)
+                        moments, overlap, switched_state_family, traverse_sequence)
 
 
 def random_instance(seed, max_sensors=6):
@@ -171,12 +171,15 @@ class TestTraversal:
         brute = traverse_sequence(psi, geom, kicks, direction)
         reduced = composite_apply(psi, geom, comp, direction, phase="exact")
         assert fidelity(brute, reduced) >= 1.0 - 1e-12
-        assert np.max(np.abs(brute.amplitudes - reduced.amplitudes)) < 1e-12
+        assert np.max(np.abs(brute.amplitudes
+                             - reduced.to_position().amplitudes)) < 1e-12
 
     def test_unitarity(self):
-        geom, kicks, psi = random_instance(3)
-        out = traverse_sequence(psi, geom, kicks, "forward")
-        assert abs(out.norm() - 1.0) < 1e-10
+        for seed in (3, 5):
+            geom, kicks, psi = random_instance(seed)
+            for direction in ("forward", "reverse"):
+                out = traverse_sequence(psi, geom, kicks, direction)
+                assert abs(out.norm() - 1.0) < 1e-10
 
     def test_kick_propagation_commutator(self, unit_probe):
         # ordered difference: propagate-then-kick vs kick-then-propagate
@@ -200,34 +203,16 @@ class TestTraversal:
         assert np.max(np.abs(via_flag.amplitudes - manual.amplitudes)) < 1e-12
 
 
-class TestSwitchedJointState:
+class TestSwitchedBranches:
     def test_zero_kicks_branches_identical(self, unit_probe):
         geom = NetworkGeometry((1.0, 1.0), wave_number=1.0)
-        st = switched_joint_state(unit_probe, geom, KickVector((0.0,)),
-                                  SwitchMode.QUANTUM_SWITCH)
+        kicks = KickVector((0.0,))
+        fwd = traverse_sequence(unit_probe, geom, kicks, "forward")
+        rev = traverse_sequence(unit_probe, geom, kicks, "reverse")
+        assert fidelity(fwd, rev) == pytest.approx(1.0, abs=1e-12)
+        st = switched_state_family(unit_probe, geom, SwitchMode.QUANTUM_SWITCH)(0.0, 0.0)
         assert fidelity(st.branch_plus, st.branch_minus) == pytest.approx(1.0, abs=1e-12)
         assert st.coherence == pytest.approx(0.5)
-
-    def test_branch_norms_and_classical_weights(self):
-        geom, kicks, psi = random_instance(5)
-        st = switched_joint_state(psi, geom, kicks, SwitchMode.CLASSICAL_SWITCH)
-        assert abs(st.branch_plus.norm() - 1.0) < 1e-10
-        assert abs(st.branch_minus.norm() - 1.0) < 1e-10
-        assert st.weights == (0.5, 0.5)
-        assert st.coherence == 0.0
-        assert st.ancilla_labeled
-
-    def test_probe_alone_drops_label(self):
-        # tracing out the switch register keeps the very same branch pair,
-        # only the which-order label is gone
-        geom, kicks, psi = random_instance(6)
-        alone = switched_joint_state(psi, geom, kicks, SwitchMode.PROBE_ALONE)
-        csw = switched_joint_state(psi, geom, kicks, SwitchMode.CLASSICAL_SWITCH)
-        assert not alone.ancilla_labeled
-        assert np.array_equal(alone.branch_plus.amplitudes,
-                              csw.branch_plus.amplitudes)
-        assert np.array_equal(alone.branch_minus.amplitudes,
-                              csw.branch_minus.amplitudes)
 
     def test_invalid_direction_rejected(self, unit_probe):
         geom = NetworkGeometry((1.0, 1.0), wave_number=1.0)
@@ -241,35 +226,13 @@ class TestSwitchedJointState:
     def test_relative_dynamic_phase(self, seed):
         # oracle: phase of <reverse branch | forward branch> on the grid
         geom, kicks, psi = random_instance(seed)
-        st = switched_joint_state(psi, geom, kicks, SwitchMode.QUANTUM_SWITCH)
+        fwd = traverse_sequence(psi, geom, kicks, "forward")
+        rev = traverse_sequence(psi, geom, kicks, "reverse")
         comp = g_params(geom, kicks)
         span = (geom.n_sensors + 1) * geom.z_bar
         predicted = (comp.g1**2 - comp.g2**2) / (2.0 * geom.wave_number * span)
-        ov = overlap(st.branch_minus, st.branch_plus)
+        ov = overlap(rev, fwd)
         assert math.atan2(ov.imag, ov.real) == pytest.approx(predicted, abs=1e-10)
-
-    def test_ancilla_mode_mismatch(self, unit_probe):
-        geom = NetworkGeometry((1.0, 1.0), wave_number=1.0)
-        kicks = KickVector((0.01,))
-        with pytest.raises(ValueError):
-            switched_joint_state(unit_probe, geom, kicks,
-                                 SwitchMode.QUANTUM_SWITCH, ancilla="mixed")
-        with pytest.raises(ValueError):
-            switched_joint_state(unit_probe, geom, kicks,
-                                 SwitchMode.CLASSICAL_SWITCH, ancilla=(1.0, 0.0))
-        with pytest.raises(ValueError):
-            switched_joint_state(unit_probe, geom, kicks,
-                                 SwitchMode.SEQUENTIAL, ancilla="mixed")
-
-    def test_degenerate_ancilla_is_single_branch(self, unit_probe):
-        geom = NetworkGeometry((1.0, 1.0), wave_number=1.0)
-        kicks = KickVector((0.05,))
-        st = switched_joint_state(unit_probe, geom, kicks,
-                                  SwitchMode.QUANTUM_SWITCH, ancilla=(1.0, 0.0))
-        assert st.weights == (1.0, 0.0)
-        assert st.coherence == 0.0
-        seq = traverse_sequence(unit_probe, geom, kicks, "forward")
-        assert np.max(np.abs(st.branch_plus.amplitudes - seq.amplitudes)) < 1e-14
 
 
 class TestJointStateValidation:

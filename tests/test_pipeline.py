@@ -89,15 +89,6 @@ class TestSnrLineFit:
         assert fit.n_sensors == 3
         assert fit.slope == pytest.approx(slope, rel=1e-10)
         assert fit.min_voltage == pytest.approx(1.0 / slope, rel=1e-10)
-        assert fit.intercept == 0.0
-
-    def test_free_intercept_variant(self):
-        volts = [1e-3, 5e-3, 1e-2]
-        fit = fit_snr_vs_voltage(3, volts, [100.0 * v + 0.5 for v in volts],
-                                 force_zero_intercept=False)
-        assert fit.slope == pytest.approx(100.0, rel=1e-9)
-        assert fit.intercept == pytest.approx(0.5, rel=1e-9)
-        assert fit.min_voltage == pytest.approx(0.5 / 100.0, rel=1e-9)
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(FitError, match="no samples"):
