@@ -33,6 +33,11 @@ MAX_GRID_BYTES = 1 << 26
 MAX_SENSORS = 100_000
 MAX_SYNTHETIC_SAMPLES = 4_000_000
 
+#: libyaml's parser and emitter where pyyaml was built with them, else the
+#: pure-Python pair; both give the same dicts and the same echo bytes.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 def _is_kind(value, kinds: tuple[type, ...]) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
@@ -206,16 +211,16 @@ class RunConfig:
     def from_yaml(cls, path: str | Path) -> "RunConfig":
         try:
             with open(path) as fh:
-                data = yaml.safe_load(fh)
+                data = yaml.load(fh, Loader=_LOADER)
         except FileNotFoundError:
             raise ConfigError(f"config file {path} not found") from None
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
         return cls.from_dict(data or {})
 
     def echo_yaml(self, path: str | Path) -> None:
         with open(path, "w", newline="\n") as fh:
-            yaml.safe_dump(self.to_dict(), fh, sort_keys=True)
+            yaml.dump(self.to_dict(), fh, Dumper=_DUMPER, sort_keys=True)
 
     # -- assembled components -----------------------------------------------------
 

@@ -62,11 +62,11 @@ class JointState:
     def __post_init__(self):
         w0, w1 = self.weights
         if w0 < 0 or w1 < 0 or abs(w0 + w1 - 1.0) > 1e-9:
-            raise ValueError(f"branch weights must be a distribution, got {self.weights}")
+            raise DomainError(f"branch weights must be a distribution, got {self.weights}")
         if abs(self.coherence) > np.sqrt(w0 * w1) + 1e-9:
-            raise ValueError("ancilla coherence violates positivity")
+            raise DomainError("ancilla coherence violates positivity")
         if self.branch_minus is None and w1 != 0.0:
-            raise ValueError("missing reverse branch with nonzero weight")
+            raise DomainError("missing reverse branch with nonzero weight")
 
     @property
     def is_pure(self) -> bool:
@@ -98,7 +98,7 @@ class Qfim2:
     def from_array(cls, q: np.ndarray) -> "Qfim2":
         """Matrix from a 2x2 array symmetric to 1e-9 of its largest entry."""
         if q.shape != (2, 2) or abs(q[0, 1] - q[1, 0]) > 1e-9 * (np.max(np.abs(q)) + 1e-300):
-            raise ValueError("expected a symmetric 2x2 array")
+            raise DomainError("expected a symmetric 2x2 array")
         return cls(float(q[0, 0]), 0.5 * float(q[0, 1] + q[1, 0]), float(q[1, 1]))
 
 
@@ -116,7 +116,7 @@ class QcrbReport:
             raise DomainError(f"bound {self.bound_on_theta_bar:g} at N = "
                               f"{self.n_sensors} is not positive and finite")
         if self.trials < 1:
-            raise ValueError("trials must be a positive integer")
+            raise DomainError("trials must be a positive integer")
 
     @property
     def scaled_bound(self) -> float:
@@ -276,32 +276,46 @@ def probe_alone_qfi_at_origin(gm: GeneratorMoments, trials: int = 1,
                       n, bound, trials)
 
 
+def _global_bounds(q: np.ndarray, n: np.ndarray, z_bar: float) -> np.ndarray:
+    """G Q^-1 G^T for a stack of (M, 2, 2) matrices and their (M,) sensor counts.
+
+    The Jacobian is G = [w, w] with w = 1/(N(N+1)zbar).  Each matrix is
+    inverted on its range only: eigenvalues at or below RANK_TOL times the
+    largest are dropped, and a dropped term enters the sum as exactly 0.  A
+    row with nothing kept, or whose Jacobian has a component along the null
+    space, is not estimable and raises EstimabilityError.  The projections
+    are plain elementwise products and sums rather than a BLAS product, so
+    their bits do not depend on the BLAS kernel.
+    """
+    n = np.asarray(n, dtype=float)        # exact products while N(N+1) < 2^53
+    w = 1.0 / (n * (n + 1.0) * z_bar)
+    evals, evecs = np.linalg.eigh(q)
+    cut = RANK_TOL * np.maximum(np.abs(evals).max(axis=1), 1e-300)
+    keep = evals > cut[:, None]
+    if not np.all(keep.any(axis=1)):
+        raise EstimabilityError("information matrix is zero; nothing is estimable")
+    proj = w[:, None] * evecs[:, 0, :] + w[:, None] * evecs[:, 1, :]
+    # |G| = sqrt(2) w, and at most one direction is dropped in a kept row
+    if np.any(np.where(keep, 0.0, np.abs(proj)) > 1e-9 * math.sqrt(2.0) * w[:, None]):
+        raise EstimabilityError(
+            "average kick is not estimable: Jacobian leaves the row space "
+            "of the singular information matrix")
+    terms = np.divide(proj**2, evals, out=np.zeros_like(proj), where=keep)
+    return terms[:, 0] + terms[:, 1]
+
+
 def qcrb_global(q: Qfim2, n_sensors: int, z_bar: float, trials: int = 1,
                 strategy=None) -> QcrbReport:
     """Project the (g1, g2) information matrix onto the average kick tbar.
 
-    Computes G Q^-1 G^T with the Jacobian G = [1, 1]/(N(N+1)zbar).  A
+    Computes G Q^-1 G^T with the Jacobian G = [1, 1]/(N(N+1)zbar): the
+    one-row case of the batched projection behind the bound tables.  A
     singular matrix is inverted on its range only; if the Jacobian has a
     component along the null space the scalar is not estimable and the call
     raises EstimabilityError.
     """
-    w = 1.0 / (n_sensors * (n_sensors + 1) * z_bar)
-    jac = np.array([w, w])
-    arr = q.as_array()
-    evals, evecs = np.linalg.eigh(arr)
-    cut = RANK_TOL * max(abs(evals).max(), 1e-300)
-    keep = evals > cut
-    if not np.any(keep):
-        raise EstimabilityError("information matrix is zero; nothing is estimable")
-    if not np.all(keep):
-        null_part = jac @ evecs[:, ~keep]
-        if np.linalg.norm(null_part) > 1e-9 * np.linalg.norm(jac):
-            raise EstimabilityError(
-                "average kick is not estimable: Jacobian leaves the row space "
-                "of the singular information matrix")
-    proj = jac @ evecs[:, keep]
-    bound = float(np.sum(proj**2 / evals[keep]))
-    return QcrbReport(strategy, n_sensors, bound, trials)
+    bound = _global_bounds(q.as_array()[None], np.array([n_sensors]), z_bar)[0]
+    return QcrbReport(strategy, n_sensors, float(bound), trials)
 
 
 # -- finite-difference oracle ----------------------------------------------------

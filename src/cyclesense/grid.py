@@ -213,9 +213,9 @@ class ProbeSpec:
 
     def __post_init__(self):
         if not self.waist_radius > 0:
-            raise ValueError(f"waist_radius must be positive, got {self.waist_radius}")
+            raise DomainError(f"waist_radius must be positive, got {self.waist_radius}")
         if not self.wave_number > 0:
-            raise ValueError(f"wave_number must be positive, got {self.wave_number}")
+            raise DomainError(f"wave_number must be positive, got {self.wave_number}")
 
     @property
     def delta_x(self) -> float:
@@ -238,7 +238,7 @@ class Moments:
 
     def __post_init__(self):
         if not (self.var_x > 0 and self.var_p > 0):
-            raise ValueError("variances must be positive")
+            raise DomainError("variances must be positive")
 
     @property
     def uncertainty_product(self) -> float:
@@ -264,7 +264,7 @@ class WaveFunction:
 
     def __post_init__(self):
         if self.representation not in (POSITION, MOMENTUM):
-            raise ValueError(f"unknown representation {self.representation!r}")
+            raise DomainError(f"unknown representation {self.representation!r}")
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (self.grid.num_points,):
             raise GridError(
@@ -331,12 +331,23 @@ def make_gaussian(spec: ProbeSpec, grid: Grid) -> WaveFunction:
     """Normalized Gaussian psi(x) ~ exp(-(x-x0)^2/w0^2) * exp(i p0 x).
 
     Raises GridError when the grid window is smaller than four waist radii,
-    which is the point where clipped tails start to bias the moments.
+    which is the point where clipped tails start to bias the moments, and
+    when the centre lies off the grid by the rules of the kick and
+    propagation guards: |center_p| + 2/w0 beyond half of the momentum
+    window pi/dx, or |center_x| + w0 beyond half of half_extent.
     """
-    if grid.half_extent < 4.0 * spec.waist_radius:
+    w0 = spec.waist_radius
+    if grid.half_extent < 4.0 * w0:
         raise GridError(
             f"grid half_extent {grid.half_extent} is too small for waist radius "
-            f"{spec.waist_radius}; need at least {4.0 * spec.waist_radius}")
+            f"{w0}; need at least {4.0 * w0}")
+    p_max = math.pi / grid.dx
+    if not abs(spec.center_p) + 2.0 / w0 <= 0.5 * p_max:
+        raise GridError(f"center_p {spec.center_p:g} 1/m plus two momentum spreads "
+                        f"lies beyond half of the momentum window {p_max:.3g} 1/m")
+    if not abs(spec.center_x) + w0 <= 0.5 * grid.half_extent:
+        raise GridError(f"center_x {spec.center_x:g} m plus one waist radius lies "
+                        f"beyond half of the grid half_extent {grid.half_extent:.3g} m")
     x = grid.positions
     amps = np.exp(-((x - spec.center_x) ** 2) / spec.waist_radius**2)
     amps = amps.astype(np.complex128) * np.exp(1j * spec.center_p * x)

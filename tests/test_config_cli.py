@@ -5,16 +5,18 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from cyclesense import (ConfigError, DomainError, NoiseModel, RunConfig,
                         SensorDriveModel, TABLETOP_PRECISION_TABLE,
                         end_to_end_sweep, voltage_to_beam_tilt)
-from cyclesense import cli
+from cyclesense import cli, config
 from cyclesense.cli import _write_csv, _write_json, main
 from cyclesense.config import MAX_GRID_BYTES, MAX_SENSORS, MAX_SYNTHETIC_SAMPLES
 
 QCRB = ["qcrb-sweep"]
 SYNTHETIC = ["reproduce-experiment", "--source", "synthetic"]
+WVA_SIM = ["wva-sim", "--n", "3"]
 
 
 class TestRunConfig:
@@ -65,6 +67,38 @@ class TestRunConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             RunConfig.from_yaml("/nonexistent/config.yaml")
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml without libyaml")
+    @pytest.mark.parametrize("overrides", [{}, {"n_values": list(range(1, 2001))}],
+                             ids=["default", "n_values-2000"])
+    def test_libyaml_and_python_yaml_agree(self, tmp_path, monkeypatch, overrides):
+        assert (config._LOADER, config._DUMPER) == (yaml.CSafeLoader, yaml.CSafeDumper)
+        cfg = RunConfig(**overrides)
+        echoes, loaded, parsed = [], [], []
+        for pair in ((yaml.CSafeLoader, yaml.CSafeDumper),
+                     (yaml.SafeLoader, yaml.SafeDumper)):
+            monkeypatch.setattr(config, "_LOADER", pair[0])
+            monkeypatch.setattr(config, "_DUMPER", pair[1])
+            path = tmp_path / f"{pair[0].__name__}.yaml"
+            cfg.echo_yaml(path)
+            echoes.append(path.read_bytes())
+            loaded.append(RunConfig.from_yaml(path))
+            parsed.append(yaml.load(echoes[0], Loader=pair[0]))
+        assert echoes[0] == echoes[1]
+        assert parsed[0] == parsed[1] == cfg.to_dict()
+        assert loaded[0] == loaded[1] == cfg
+
+    @pytest.mark.parametrize("text", [b"probe: {waist_radius: [1, 2\nsweep: x\n",
+                                      b"probe: \xff\xfe\n"],
+                             ids=["unclosed-flow", "not-utf-8"])
+    def test_invalid_yaml_names_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "broken.yaml"
+        path.write_bytes(text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "x"),
+                     "qcrb-sweep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {path} is not valid YAML: ")
+        assert "Traceback" not in err
 
     def test_wave_number(self):
         assert RunConfig().wave_number == pytest.approx(2 * math.pi / 780e-9)
@@ -251,6 +285,8 @@ class TestCli:
         (SYNTHETIC, "probe: {center_p: 1.0e+300}", "DomainError"),
         (SYNTHETIC, "drive: {pzt_displacement_per_volt: 1.0e+300}", "FitError"),
         (SYNTHETIC, "sweep: {voltages: [1.0e+300, 2.0e+300]}", "FitError"),
+        (WVA_SIM, "probe: {center_p: 1.0e+10}", "GridError"),
+        (WVA_SIM, "probe: {center_x: 1.0e+300}", "GridError"),
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_extreme_finite_values_exit_3_by_name(self, tmp_path, capsys, command,
                                                   yaml_text, error):

@@ -11,6 +11,7 @@ from cyclesense import (ConvergenceError, EstimabilityError, GeneratorMoments,
                         qfim_classical_switch, qfim_numerical,
                         qfim_quantum_switch, qfim_sequential,
                         switched_state_family)
+from cyclesense.fisher import _global_bounds
 
 GM_UNIT = GeneratorMoments(var_x=1.0, var_p=0.25, cov_xp=0.0, mean_p=0.0,
                            wave_number=1.0, z_bar=1.0, n_sensors=1)
@@ -214,6 +215,19 @@ class TestQcrb:
         # rank-1 matrix whose range excludes the (1,1) Jacobian direction
         with pytest.raises(EstimabilityError):
             qcrb_global(Qfim2(1.0, 0.0, 0.0), 2, 1.0)
+
+    def test_batched_bounds_mix_regular_singular_and_non_estimable_rows(self):
+        v = 1.7
+        regular, singular = qfim_sequential(GM_UNIT), Qfim2(v, v, v)
+        stack = np.array([regular.as_array(), singular.as_array()])
+        bounds = _global_bounds(stack, np.array([3, 5]), 0.4)
+        assert bounds.tolist() == [qcrb_global(regular, 3, 0.4).bound_on_theta_bar,
+                                   qcrb_global(singular, 5, 0.4).bound_on_theta_bar]
+        bad = np.concatenate([stack, Qfim2(1.0, 0.0, 0.0).as_array()[None]])
+        with pytest.raises(EstimabilityError, match="not estimable"):
+            _global_bounds(bad, np.array([3, 5, 2]), 0.4)
+        with pytest.raises(EstimabilityError, match="zero"):
+            _global_bounds(np.zeros((1, 2, 2)), np.array([2]), 0.4)
 
 
 class TestProbeAlone:

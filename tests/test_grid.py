@@ -1,8 +1,4 @@
 import math
-import os
-from pathlib import Path
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -119,6 +115,19 @@ class TestMakeGaussian:
     def test_grid_too_small_raises(self):
         with pytest.raises(GridError):
             make_gaussian(ProbeSpec(1.0, 1.0), Grid(1 << 10, 3.9))
+
+    @pytest.mark.parametrize("field,inside,outside", [
+        # Grid(1 << 10, 8.0): pi/dx = 64 pi, so |p0| + 2/w0 <= 32 pi
+        ("center_p", 32 * math.pi - 2.0, 32 * math.pi - 1.99),
+        # |x0| + w0 <= half_extent / 2 = 4
+        ("center_x", 3.0, 3.01),
+    ], ids=["center_p", "center_x"])
+    def test_off_grid_centre_named(self, field, inside, outside):
+        grid = Grid(1 << 10, 8.0)
+        make_gaussian(ProbeSpec(1.0, 1.0, **{field: -inside}), grid)
+        for value in (outside, -outside, 1e300, math.nan):
+            with pytest.raises(GridError, match=f"^{field} "):
+                make_gaussian(ProbeSpec(1.0, 1.0, **{field: value}), grid)
 
     def test_uncertainty_product_at_minimum(self, unit_probe):
         m = moments(unit_probe)
@@ -277,15 +286,7 @@ print(repr(overlap(psi, phi)), repr(moments(phi).cov_xp),
 """
 
 
-def test_outputs_do_not_depend_on_blas_threads():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    seen = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        seen.append(proc.stdout)
+def test_outputs_do_not_depend_on_blas_threads(run_probe):
+    seen = [run_probe(THREAD_PROBE, OPENBLAS_NUM_THREADS=threads,
+                      OMP_NUM_THREADS=threads) for threads in ("1", "2")]
     assert seen[0] == seen[1]

@@ -1,16 +1,30 @@
 import dataclasses
 import math
+import platform
 
 import numpy as np
 import pytest
 
-from cyclesense import (FitError, NetworkGeometry, NoiseModel, PostSelection,
-                        ProbeSpec, ReadoutModel, SensorDriveModel,
+from cyclesense import (FitError, GeneratorMoments, NetworkGeometry, NoiseModel,
+                        PostSelection, ProbeSpec, ReadoutModel, SensorDriveModel,
                         SwitchMode, TABLETOP_PRECISION_TABLE,
                         calibrate_noise_floor, end_to_end_sweep, fit_scaling_law,
-                        fit_snr_vs_voltage, qcrb_comparison, snr_model,
+                        fit_snr_vs_voltage, probe_alone_qfi_at_origin,
+                        qcrb_comparison, qcrb_global, snr_model,
                         voltage_to_beam_tilt)
+from cyclesense.fisher import QFIM_CLOSED_FORMS
+
 LAB_WAVE_NUMBER = 2.0 * math.pi / 780e-9
+
+#: the sequential bounds at N = 1..2000, whose eigenvector projections an
+#: OpenBLAS gemv would round differently per CPU kernel
+KERNEL_PROBE = """
+import math
+from cyclesense import ProbeSpec, SwitchMode, qcrb_comparison
+rows = qcrb_comparison(range(1, 2001), ProbeSpec(2e-3, 2 * math.pi / 780e-9), 0.2,
+                       [SwitchMode.SEQUENTIAL])
+print(repr([r.bound for r in rows]))
+"""
 
 DRIVE = SensorDriveModel()
 PS = PostSelection.from_weak_value_magnitude(7.0)
@@ -264,6 +278,27 @@ class TestQcrbComparison:
         rows = qcrb_comparison(range(1, 51), PROBE, 0.2)
         assert len(rows) == 50 * 4
         assert {r.mode for r in rows} == set(SwitchMode)
+
+    def test_rows_equal_per_row_bounds(self):
+        # the batched projection is the one behind qcrb_global, row for row
+        rows = qcrb_comparison(range(1, 2001), PROBE, 0.2)
+        assert [(r.n_sensors, r.mode) for r in rows] == [
+            (n, m) for n in range(1, 2001) for m in SwitchMode]
+        for r in rows:
+            gm = GeneratorMoments.from_probe_spec(PROBE, 0.2, r.n_sensors)
+            if r.mode == SwitchMode.PROBE_ALONE:
+                rep = probe_alone_qfi_at_origin(gm)
+            else:
+                rep = qcrb_global(QFIM_CLOSED_FORMS[r.mode](gm), r.n_sensors, 0.2)
+            assert (r.bound, r.scaled_bound, r.per_shot_precision) == (
+                rep.bound_on_theta_bar, rep.scaled_bound, rep.per_shot_precision)
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 kernels")
+    def test_bounds_do_not_depend_on_the_blas_kernel(self, run_probe):
+        seen = [run_probe(KERNEL_PROBE, OPENBLAS_CORETYPE=coretype)
+                for coretype in (None, "Prescott")]
+        assert seen[0] == seen[1]
 
     def test_probe_alone_equals_classical_rows(self):
         rows = qcrb_comparison([1, 5, 20], PROBE, 0.2)
