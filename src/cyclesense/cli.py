@@ -8,10 +8,10 @@ sorted, and the inner products behind the outputs are numpy sums, so their
 bits do not depend on the BLAS thread count.  Amplitudes are stored in FFT
 order (sample 0 at x = 0), so the grid transforms are plain numpy FFTs.
 Each CSV table runs over the product of its key axes and is written one
-block of rows at a time (one (N, voltage) cell of the SNR sweep), with the
-keys formatted once per block, so the 300k-row replay builds no per-row
-lists.  A non-finite config value is a configuration error, and no NaN or
-infinity is written to JSON or CSV.  Exit codes: 0 success, 1 at least one
+block of rows at a time (one (N, voltage) cell of the SNR sweep), each
+block one %-template with its keys baked in, filled by a single %.  A
+non-finite config value is a configuration error, and no NaN or infinity
+is written to JSON or CSV.  Exit codes: 0 success, 1 at least one
 verification check failed, 2 configuration error, 3 any other toolkit error
 (an input outside a numerical regime, such as a kick that overflows the
 grid), printed as "error: <ClassName>: <message>".
@@ -42,7 +42,7 @@ from .wva import (first_order_momentum_shift, min_detectable_tilt,
                   momentum_readout, qpd_signal, weak_value, wva_final_probe)
 
 #: every float in a CSV file: 12 digits after the point, exponent form
-_FLOAT = "{:.12e}"
+_FLOAT = "%.12e"
 
 
 def _non_finite(path: Path, column: str) -> DomainError:
@@ -50,10 +50,11 @@ def _non_finite(path: Path, column: str) -> DomainError:
 
 
 def _key_fields(path: Path, column: str, axis: Sequence) -> list[str]:
-    """CSV fields of one key axis: floats as _FLOAT, anything else by str."""
+    """%-template text of one key axis: floats as _FLOAT, anything else by str."""
     if not all(math.isfinite(k) for k in axis if isinstance(k, float)):
         raise _non_finite(path, column)
-    return [_FLOAT.format(k) if isinstance(k, float) else str(k) for k in axis]
+    return [_FLOAT % k if isinstance(k, float) else str(k).replace("%", "%%")
+            for k in axis]
 
 
 def _write_csv(path: Path, header: Sequence[str], keys: Sequence[Sequence],
@@ -62,12 +63,11 @@ def _write_csv(path: Path, header: Sequence[str], keys: Sequence[Sequence],
 
     The first key axis varies slowest.  Each row holds its keys, then one
     entry of each float column in values, whose entries follow the row
-    order.  The rows that share all but the last key form one block: its
-    leading fields are formatted once, the last key's fields once per file,
-    so only the values are formatted per row, and the block goes to the
-    file as one chunk.  Every field is a number or an identifier, so none
-    is quoted.  A non-finite float raises DomainError naming the file and
-    column before the file is opened.
+    order.  The rows that share all but the last key form one block: one
+    %-template with the key fields baked in and _FLOAT per value, filled by
+    one % with the block's values interleaved row by row.  Every field is a
+    number or an identifier, so none is quoted.  A non-finite float raises
+    DomainError naming the file and column before the file is opened.
     """
     *outer, inner = [_key_fields(path, column, axis)
                      for column, axis in zip(header, keys)]
@@ -75,15 +75,14 @@ def _write_csv(path: Path, header: Sequence[str], keys: Sequence[Sequence],
     for column, col in zip(header[len(keys):], columns):
         if not np.all(np.isfinite(col)):
             raise _non_finite(path, column)
-    prefixes = ["".join(f + "," for f in p) for p in itertools.product(*outer)]
-    tails = [f + "," for f in inner]
-    blocks = [col.reshape(len(prefixes), len(tails)) for col in columns]
-    row = ("{}{}" + ",".join([_FLOAT] * len(columns)) + "\n").format
+    tails = ["%s,%s\n" % (f, ",".join([_FLOAT] * len(columns))) for f in inner]
+    blocks = [col.reshape(-1, len(tails)) for col in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i, prefix in enumerate(prefixes):
-            fh.write("".join(map(row, itertools.repeat(prefix), tails,
-                                 *(b[i].tolist() for b in blocks))))
+        for fields, *cells in zip(itertools.product(*outer), *blocks):
+            prefix = "".join(f + "," for f in fields)
+            fh.write((prefix + prefix.join(tails))
+                     % tuple(np.ravel(cells, order="F").tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:

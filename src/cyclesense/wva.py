@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import PostSelectionError, RegimeError
+from .errors import DomainError, PostSelectionError, RegimeError
 from .grid import MOMENTUM, POSITION, WaveFunction, moments
 from .network import (KickVector, NetworkGeometry, apply_propagation, g_params,
                       traverse_sequence)
@@ -41,7 +41,7 @@ class PolarizationState:
     def __post_init__(self):
         n = abs(self.amp_h) ** 2 + abs(self.amp_v) ** 2
         if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"Jones vector norm^2 = {n}, expected 1")
+            raise DomainError(f"Jones vector norm^2 = {n}, expected 1")
 
     @classmethod
     def diagonal(cls) -> "PolarizationState":
@@ -74,14 +74,14 @@ class PostSelection:
                 f"epsilon must lie strictly between 0 and pi/2 in magnitude, "
                 f"got {self.epsilon}")
         if self.variant not in ("imaginary", "real"):
-            raise ValueError(f"unknown post-selection variant {self.variant!r}")
+            raise DomainError(f"unknown post-selection variant {self.variant!r}")
 
     @classmethod
     def from_weak_value_magnitude(cls, magnitude: float,
                                   variant: str = "imaginary") -> "PostSelection":
         """Choose epsilon = arccot(magnitude), e.g. magnitude 7 for the rig."""
         if not magnitude > 0:
-            raise ValueError("weak-value magnitude must be positive")
+            raise DomainError("weak-value magnitude must be positive")
         return cls(math.atan(1.0 / magnitude), variant)
 
     @property
@@ -111,7 +111,7 @@ class ReadoutModel:
 
     def __post_init__(self):
         if not (self.focal_length > 0 and self.qpd_gain > 0 and self.total_power > 0):
-            raise ValueError("focal_length, qpd_gain and total_power must be positive")
+            raise DomainError("focal_length, qpd_gain and total_power must be positive")
 
 
 def weak_value(ps: PostSelection) -> complex:
@@ -142,7 +142,7 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
     accumulated kick N tbar DeltaX < 0.05 and each |theta_j| w0 < 0.5.
     """
     if method not in ("exact_grid", "first_order"):
-        raise ValueError(f"unknown method {method!r}")
+        raise DomainError(f"unknown method {method!r}")
     psi.require_normalized()
     k = geom.wave_number
 
@@ -241,7 +241,7 @@ def min_detectable_tilt(geom: NetworkGeometry, delta_p: float,
     returns (delta_theta_min, delta_phi_min) with phi = theta/k.
     """
     if not delta_p > 0:
-        raise ValueError("delta_p must be positive")
+        raise DomainError("delta_p must be positive")
     k = geom.wave_number
     n = geom.n_sensors
     denom = n**2 + (1.0 + 2.0 * geom.lead_in / geom.z_bar) * n

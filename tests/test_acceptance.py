@@ -98,7 +98,7 @@ def test_criterion_2_sequential_heisenberg_scaling():
 
 
 def test_criterion_3_evolution_oracle_equivalence():
-    """Composite evolution vs raw operator product: fidelity >= 1 - 1e-10."""
+    """Composite evolution vs raw operator product: |1 - F| <= 1e-10."""
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(9000 + seed)
@@ -107,10 +107,10 @@ def test_criterion_3_evolution_oracle_equivalence():
         for direction in ("forward", "reverse"):
             brute = traverse_sequence(psi, geom, kicks, direction)
             reduced = composite_apply(psi, geom, comp, direction)
-            worst = max(worst, 1.0 - fidelity(brute, reduced))
+            worst = max(worst, abs(1.0 - fidelity(brute, reduced)))
     assert report(worst <= 1e-10,
                   f"criterion 3: traversal vs composite over 20 random instances "
-                  f"(worst fidelity deficit {worst:.2e})")
+                  f"(worst |1 - F| {worst:.2e})")
 
 
 def test_criterion_4_fisher_oracle_equivalence():

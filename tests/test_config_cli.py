@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import yaml
 from cyclesense import (ConfigError, DomainError, NoiseModel, RunConfig,
                         SensorDriveModel, TABLETOP_PRECISION_TABLE,
                         end_to_end_sweep, voltage_to_beam_tilt)
-from cyclesense import cli, config
+from cyclesense import cli, config, oracle, pipeline
 from cyclesense.cli import _write_csv, _write_json, main
 from cyclesense.config import MAX_GRID_BYTES, MAX_SENSORS, MAX_SYNTHETIC_SAMPLES
 
@@ -255,6 +256,16 @@ class TestCli:
         rows = (out / "snr_sweep.csv").read_text().splitlines()[1:]
         assert {r.split(",")[0] for r in rows} == {"1", "2", "3"}
 
+    def test_synthetic_replay_builds_no_bound_table(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the replay built a bound table")
+        monkeypatch.setattr(cli, "qcrb_comparison", refuse)
+        monkeypatch.setattr(pipeline, "qcrb_comparison", refuse)
+        cfg = write_config(tmp_path, n_values=[1, 2, 3], replicates=2)
+        out = tmp_path / "x"
+        assert main(["--config", str(cfg), "--out", str(out), *SYNTHETIC]) == 0
+        assert (out / "scaling_fit.json").exists()
+
     def test_regime_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, theta_bar=1e5, num_points=1 << 10)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),
@@ -415,6 +426,27 @@ class TestCsvBytes:
             [[r.n_sensors, r.mode.value, r.bound, r.scaled_bound,
               r.per_shot_precision] for r in rows])
 
+    EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                   2.2250738585072014e-308, 1e-300, -1e300, 1e300,
+                   sys.float_info.max, -sys.float_info.max, 0.1, 1.0]
+    LABELS = ["100%", "%s", "%(x)d", "%%", "plain"]
+
+    @pytest.mark.parametrize("labels_last", [False, True],
+                             ids=["labels-first", "labels-last"])
+    def test_edge_floats_and_percent_keys_match_csv_module(self, tmp_path,
+                                                           labels_last):
+        keys = [self.LABELS, self.EDGE_FLOATS]
+        if labels_last:
+            keys.reverse()
+        rows = [[a, b] for a in keys[0] for b in keys[1]]
+        first = [x for x in self.EDGE_FLOATS for _ in self.LABELS]
+        values = (first, first[::-1])
+        header = ["key0", "key1", "v0", "v1"]
+        path = tmp_path / "edge.csv"
+        _write_csv(path, header, keys, values)
+        assert path.read_bytes() == reference_csv(
+            header, [r + [v0, v1] for r, v0, v1 in zip(rows, *values)])
+
     def test_precision_points_match_csv_module(self, tmp_path):
         out = tmp_path / "tab"
         assert main(["--out", str(out), "reproduce-experiment", "--source",
@@ -472,6 +504,14 @@ class TestOracleVerifyCommand:
         names = {c["name"] for c in report["checks"]}
         assert "bch_traversal_fidelity" in names
         assert "qfim_quantum_switch_vs_finite_difference" in names
+
+    @pytest.mark.parametrize("deficit", [1e-11, -1e-11], ids=["below-1", "above-1"])
+    def test_bch_check_reports_deficits_of_either_sign(self, monkeypatch, deficit):
+        # rounding can put the fidelity on either side of 1
+        monkeypatch.setattr(oracle, "fidelity", lambda a, b: 1.0 - deficit)
+        result = oracle.check_bch_fidelity(seeds=1, num_points=1 << 10)
+        assert result.passed
+        assert result.oracle == pytest.approx(1e-11, rel=1e-3, abs=0)
 
     def test_coarse_grid_fails_gracefully(self, tmp_path):
         cfg = write_config(tmp_path, oracle_seeds=2, oracle_instances=1,

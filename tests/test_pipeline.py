@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,13 @@ class TestSnrLineFit:
         with pytest.raises(FitError, match="paired"):
             fit_snr_vs_voltage(1, [1e-3, 2e-3], [1.0, 2.0, 3.0])
 
+    def test_out_of_range_fails_by_name_without_warnings(self):
+        # v . v overflows: the fit fails before numpy can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="float range"):
+                fit_snr_vs_voltage(1, [1e300, 2e300], [1.0, 2.0])
+
     def test_calibrated_floor_reproduces_reference_row(self):
         # with the floor anchored at the first table row, the fitted
         # threshold voltage and tilt land back on that row
@@ -166,6 +174,13 @@ class TestScalingLaw:
             fit_scaling_law([(1, 1.0), (2, 0.5)])
         with pytest.raises(FitError):
             fit_scaling_law([(1, 1.0), (2, 0.5), (3, -0.1)])
+
+    def test_out_of_range_fails_by_name_without_warnings(self):
+        # an exact law at 1e300 rad: the squared spread of the tilts overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="float range"):
+                fit_scaling_law([(n, 1e300 / (n**2 + 3.0 * n)) for n in range(1, 5)])
 
     def test_tilts_without_spread_rejected(self):
         # equal tilts cannot give a positive N^2 coefficient

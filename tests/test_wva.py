@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cyclesense import (Grid, KickVector, NetworkGeometry, PolarizationState,
-                        PostSelection, PostSelectionError, ProbeSpec,
-                        ReadoutModel, RegimeError, euler_plate_angles,
+from cyclesense import (DomainError, Grid, KickVector, NetworkGeometry,
+                        PolarizationState, PostSelection, PostSelectionError,
+                        ProbeSpec, ReadoutModel, RegimeError, euler_plate_angles,
                         first_order_momentum_shift, half_wave_plate,
                         make_gaussian, max_difference_up_to_phase,
                         min_detectable_tilt, moments, momentum_readout,
@@ -52,6 +52,23 @@ class TestWeakValue:
     def test_polarization_norm_enforced(self):
         with pytest.raises(ValueError):
             PolarizationState(1.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PolarizationState(1.0, 1.0),
+    lambda: PostSelection(0.1, variant="complex"),
+    lambda: PostSelection.from_weak_value_magnitude(0.0),
+    lambda: ReadoutModel(0.25, 0.0, 0.2e-3),
+    # the method is checked before any of the other arguments is read
+    lambda: wva_final_probe(None, None, None, None, method="second_order"),
+    lambda: min_detectable_tilt(NetworkGeometry.uniform(1, 1.0, wave_number=1.0),
+                                0.0, PostSelection(0.1)),
+], ids=["jones-norm", "variant", "weak-value-magnitude", "readout-constants",
+        "final-probe-method", "min-tilt-delta-p"])
+def test_inputs_out_of_domain(call):
+    # DomainError is what the CLI reports with exit code 3
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestFinalProbe:
