@@ -159,14 +159,9 @@ def cmd_reproduce_experiment(cfg: RunConfig, out: str, source: str) -> int:
         result = end_to_end_sweep(cfg.n_values, cfg.voltages, cfg.replicates,
                                   probe, ps, readout, drive, noise, cfg.z_bar,
                                   cfg.lead_in, cfg.lead_out, cfg.seed)
-        # rows run over N, then voltage, then replicate: the key axes are
-        # slices of the result's own columns, which keep their dtypes
-        cell = cfg.replicates
-        per_n = cell * len(cfg.voltages)
         _write_csv(out_dir / "snr_sweep.csv",
                    ["n_sensors", "drive_voltage_pp", "replicate", "snr"],
-                   (result.n_sensors[::per_n], result.drive_voltage_pp[:per_n:cell],
-                    result.replicate[:cell]),
+                   (result.n_values, result.voltages, range(cfg.replicates)),
                    (result.snr,))
         points = list(result.precision_points)
         fit = result.scaling

@@ -259,17 +259,20 @@ def check_wva_mean_momentum(num_points: int = 1 << 14,
 
 
 def check_threshold_consistency(num_points: int = 1 << 14,
-                                tolerance: float = 1e-2) -> CheckResult:
+                                tolerance: float = 1e-6) -> CheckResult:
     """Detection-threshold identity in linear response on the grid.
 
     The grid slope of the post-selected momentum signal, extrapolated to the
-    closed-form threshold tilt, must equal the momentum spread: the signal
-    equals the noise exactly at the threshold.
+    closed-form threshold tilt, must equal the momentum spread times
+    eps cot eps: the threshold keeps the paper's small-eps gain 1/eps, the
+    exact first-order gain is cot eps, and with that factor divided out the
+    signal equals the noise exactly at the threshold.
     """
     name = "detection_threshold_identity"
     try:
         spec = ProbeSpec(2e-3, 2.0 * math.pi / 780e-9)
         ps = PostSelection.from_weak_value_magnitude(7.0)
+        gain = ps.epsilon / math.tan(ps.epsilon)
         worst = 0.0
         for n in (1, 3, 5):
             geom = NetworkGeometry.uniform(n, 0.2, lead_in=0.325,
@@ -280,14 +283,15 @@ def check_threshold_consistency(num_points: int = 1 << 14,
             # deep in linear response: at theta_min itself the readout is
             # saturated (the kick term N tbar DeltaX / eps is order ten for
             # this beam), so the identity is probed via the response slope
-            probe_tilt = theta_min / 1000.0
+            probe_tilt = theta_min / 1e5
             chi, _ = wva_final_probe(psi, geom, KickVector.uniform(n, probe_tilt),
                                      ps, method="exact_grid")
             m = moments(chi)
             ratio = (m.mean_p / probe_tilt) * theta_min / math.sqrt(m.var_p)
-            worst = max(worst, abs(ratio - 1.0))
+            worst = max(worst, abs(ratio / gain - 1.0))
         return _result(name, 1.0, 1.0 + worst, worst, tolerance,
-                       "slope * theta_min / spread, N in {1, 3, 5}")
+                       "slope * theta_min / (spread * eps cot eps) at "
+                       "theta_min / 1e5, N in {1, 3, 5}")
     except Exception as exc:  # degrade to a failed report entry
         return _failed(name, tolerance, exc)
 

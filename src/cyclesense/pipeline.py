@@ -238,16 +238,16 @@ def qcrb_comparison(n_values: Iterable[int], probe: ProbeSpec, z_bar: float,
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Synthetic sweep outputs: per-sample columns, thresholds, scaling law.
+    """Synthetic sweep outputs: the SNR cube, thresholds, scaling law.
 
-    n_sensors, drive_voltage_pp, replicate and snr are equal-length 1-D
-    arrays with one entry per SNR reading, ordered by sensor count, then
-    voltage, then replicate.
+    snr holds each reading once, float64 in C order with shape (len(n_values),
+    len(voltages), replicates): snr[i, j, r] is replicate r at sensor count
+    n_values[i] and drive voltage voltages[j].  n_values and voltages are
+    the sweep's axes as arrays, in the order given.
     """
 
-    n_sensors: np.ndarray
-    drive_voltage_pp: np.ndarray
-    replicate: np.ndarray
+    n_values: np.ndarray
+    voltages: np.ndarray
     snr: np.ndarray
     precision_points: tuple[tuple[int, float], ...]
     scaling: ScalingFit
@@ -285,17 +285,16 @@ def end_to_end_sweep(n_values: Sequence[int], voltages: Sequence[float],
                 snr[ni, vi] *= np.exp(noise.jitter
                                       * rng.standard_normal(replicates))
 
-    n_col = np.repeat(np.asarray(n_values), len(voltages) * replicates)
-    v_col = np.tile(np.repeat(np.asarray(voltages), replicates), len(n_values))
-    r_col = np.tile(np.arange(replicates), len(n_values) * len(voltages))
-    snr = snr.ravel()
-
+    n_axis, v_axis = np.asarray(n_values), np.asarray(voltages)
     points = []
     for n in n_values:
-        cell = n_col == n
-        fit = fit_snr_vs_voltage(n, v_col[cell], snr[cell])
+        # every block of a sensor count listed twice, in sweep order
+        cell = n_axis == n
+        fit = fit_snr_vs_voltage(n, np.tile(np.repeat(v_axis, replicates),
+                                            np.count_nonzero(cell)),
+                                 snr[cell].ravel())
         points.append((n, voltage_to_beam_tilt(fit.min_voltage, drive)))
     scaling = fit_scaling_law(points)
     for n in n_values:      # a probe outside the bounds' float range fails by name
         GeneratorMoments.from_probe_spec(probe, z_bar, n)
-    return SweepResult(n_col, v_col, r_col, snr, tuple(points), scaling)
+    return SweepResult(n_axis, v_axis, snr, tuple(points), scaling)

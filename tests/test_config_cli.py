@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -383,17 +384,22 @@ class TestCsvBytes:
         dict(n_values=[1, 2, 3], voltages=[1, 2, 3], replicates=2, jitter=0.05),
         dict(n_values=[1, 2, 257, 300], voltages=[1e-3, 2e-3], replicates=260,
              jitter=0.05),
-    ], ids=["float-voltages", "integer-voltages", "counts-above-256"])
+        dict(n_values=[1, 2, 2, 3], voltages=[1e-3, 2e-3, 4e-3], replicates=3,
+             jitter=0.05),
+    ], ids=["float-voltages", "integer-voltages", "counts-above-256",
+            "repeated-count"])
     def test_synthetic_replay_matches_csv_module(self, tmp_path, monkeypatch, sweep):
         sweeps = capture(monkeypatch, "end_to_end_sweep")
         cfg = write_config(tmp_path, **sweep)
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), *SYNTHETIC]) == 0
         (result,) = sweeps
+        keys = itertools.product(sweep["n_values"], sweep["voltages"],
+                                 range(sweep["replicates"]))
         assert (out / "snr_sweep.csv").read_bytes() == reference_csv(
             ["n_sensors", "drive_voltage_pp", "replicate", "snr"],
-            zip(result.n_sensors.tolist(), result.drive_voltage_pp.tolist(),
-                result.replicate.tolist(), result.snr.tolist()))
+            [[*k, s] for k, s in zip(keys, result.snr.ravel().tolist(),
+                                     strict=True)])
         n_max = max(sweep["n_values"])
         dense = [1.0 + 0.1 * i for i in range(10 * (n_max - 1) + 1)]
         fit = result.scaling
@@ -512,6 +518,17 @@ class TestOracleVerifyCommand:
         result = oracle.check_bch_fidelity(seeds=1, num_points=1 << 10)
         assert result.passed
         assert result.oracle == pytest.approx(1e-11, rel=1e-3, abs=0)
+
+    def test_threshold_check_resolves_a_relative_shift_of_1e4(self, monkeypatch):
+        # the check measures numerics (4.7e-8 at any grid size): a threshold
+        # formula off by one part in 10^4 fails it
+        exact = oracle.min_detectable_tilt
+        assert oracle.check_threshold_consistency(1 << 10).passed
+        monkeypatch.setattr(oracle, "min_detectable_tilt", lambda *args: tuple(
+            x * (1.0 + 1e-4) for x in exact(*args)))
+        result = oracle.check_threshold_consistency(1 << 10)
+        assert not result.passed
+        assert result.rel_error == pytest.approx(1e-4, rel=1e-2)
 
     def test_coarse_grid_fails_gracefully(self, tmp_path):
         cfg = write_config(tmp_path, oracle_seeds=2, oracle_instances=1,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import platform
 import warnings
@@ -13,6 +14,7 @@ from cyclesense import (FitError, GeneratorMoments, NetworkGeometry, NoiseModel,
                         fit_snr_vs_voltage, probe_alone_qfi_at_origin,
                         qcrb_comparison, qcrb_global, snr_model,
                         voltage_to_beam_tilt)
+from cyclesense import pipeline
 from cyclesense.fisher import QFIM_CLOSED_FORMS
 
 LAB_WAVE_NUMBER = 2.0 * math.pi / 780e-9
@@ -40,8 +42,9 @@ def lab_geom(n):
 
 def samples(result):
     """(n_sensors, drive_voltage_pp, replicate, snr) of every sweep reading."""
-    return list(zip(result.n_sensors.tolist(), result.drive_voltage_pp.tolist(),
-                    result.replicate.tolist(), result.snr.tolist()))
+    keys = itertools.product(result.n_values.tolist(), result.voltages.tolist(),
+                             range(result.snr.shape[2]))
+    return [(*k, s) for k, s in zip(keys, result.snr.ravel().tolist(), strict=True)]
 
 
 def sweeps_equal(a, b) -> bool:
@@ -272,6 +275,28 @@ class TestEndToEndSweep:
         for n, v, r, s in samples(base):
             assert s == model[(n, v)], (n, v, r)
 
+    def test_repeated_count_fits_all_of_its_blocks(self, monkeypatch):
+        # a sensor count listed twice is fitted once per listing, each time
+        # over every one of its blocks in sweep order
+        fits = []
+        fit = pipeline.fit_snr_vs_voltage
+
+        def recording(*args):
+            fits.append(args)
+            return fit(*args)
+        monkeypatch.setattr(pipeline, "fit_snr_vs_voltage", recording)
+        n_values = [1, 2, 2, 3]
+        result = end_to_end_sweep(n_values, self.VOLTAGES, 3,
+                                  noise=NoiseModel(self.floor(), 0.05), **self.KW)
+        assert result.snr.shape == (4, 5, 3)
+        assert [args[0] for args in fits] == n_values
+        for (n, volts, snrs), (n_point, phi) in zip(fits, result.precision_points):
+            cells = [(v, s) for m, v, _, s in samples(result) if m == n]
+            assert n_point == n
+            assert list(zip(volts.tolist(), snrs.tolist())) == cells
+            assert phi == voltage_to_beam_tilt(
+                fit_snr_vs_voltage(n, *zip(*cells)).min_voltage, DRIVE)
+
 
 class TestFullScaleSweep:
     def test_default_sweep_mirrors_the_rig(self):
@@ -283,7 +308,7 @@ class TestFullScaleSweep:
                                   PROBE, PS, READOUT, DRIVE,
                                   NoiseModel(floor, 0.05), 0.2, lead_in=0.325,
                                   seed=0)
-        assert len(result.snr) == 9000
+        assert result.snr.shape == (9, 10, 100)
         assert result.scaling.b == pytest.approx(4.25, rel=0.1)
         assert result.scaling.r_squared > 0.99
 

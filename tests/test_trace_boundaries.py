@@ -1,30 +1,38 @@
-"""Every function the per-layer benchmark trace wraps still exists.
+"""Every function the per-layer benchmark trace wraps still exists and fires.
 
 perfbench/tracing.py rebinds the package's public functions by name; a
-removed or renamed one makes Tracer.install raise.  Installing and
-uninstalling the tracer here, without running anything, turns that into a
-Tier-1 failure instead of one that only the traced benchmark run shows.
+removed or renamed one makes Tracer.install raise, and one that a workload
+no longer reaches leaves a span of its expected_spans silent, which fails
+the traced benchmark run.  Both are checked here, on the workloads' smoke
+sizes, so they are Tier-1 failures instead of ones only the traced
+benchmark run shows.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import cyclesense.cli
 import cyclesense.pipeline
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name, monkeypatch):
+    """perfbench/<name>.py as a module, registered while the test runs."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # the workload dataclasses resolve their module through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
-def test_trace_boundaries_install_and_restore():
-    tracing = load_tracing()
+def test_trace_boundaries_install_and_restore(monkeypatch):
+    tracing = load("tracing", monkeypatch)
     originals = (cyclesense.pipeline.end_to_end_sweep,
                  cyclesense.pipeline.fit_snr_vs_voltage, np.fft.fft)
     tracer = tracing.Tracer()
@@ -35,3 +43,21 @@ def test_trace_boundaries_install_and_restore():
         tracer.uninstall()
     assert (cyclesense.pipeline.end_to_end_sweep,
             cyclesense.pipeline.fit_snr_vs_voltage, np.fft.fft) == originals
+
+
+def test_every_workload_fires_its_expected_spans(tmp_path, monkeypatch):
+    tracing = load("tracing", monkeypatch)
+    workloads = load("workloads", monkeypatch)
+    for name in workloads.WORKLOADS:
+        wl = workloads.build(name, 0, True, tmp_path / name)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            rcs = [cyclesense.cli.main(list(cmd.argv)) for cmd in wl.commands]
+        finally:
+            tracer.uninstall()
+        fired = {label for label, *_ in tracer.spans}
+        assert not wl.expected_spans - fired, (name, wl.expected_spans - fired)
+        for cmd, rc in zip(wl.commands, rcs):
+            outcome = cmd.check(cmd, rc)
+            assert outcome.ok, (name, cmd.label, outcome.detail)
