@@ -25,9 +25,8 @@ from .wva import (PolarizationState, PostSelection, ReadoutModel,
                   min_detectable_tilt, momentum_readout, qpd_signal,
                   quarter_wave_plate, rotation_y, rotation_z, sandwich_jones,
                   waveplate_compensation, weak_value, wva_final_probe)
-from .pipeline import (NoiseModel, QcrbRow, ScalingFit, SensorDriveModel,
-                       SnrLineFit, SweepResult,
-                       TABLETOP_PRECISION_TABLE, calibrate_noise_floor,
+from .pipeline import (NoiseModel, ScalingFit, SensorDriveModel, SnrLineFit,
+                       SweepResult, TABLETOP_PRECISION_TABLE, calibrate_noise_floor,
                        end_to_end_sweep, fit_scaling_law, fit_snr_vs_voltage,
                        qcrb_comparison, snr_model, voltage_to_beam_tilt)
 from .config import RunConfig

@@ -106,13 +106,13 @@ def _prepare_out(cfg: RunConfig, out: str) -> Path:
 def cmd_qcrb_sweep(cfg: RunConfig, out: str) -> int:
     out_dir = _prepare_out(cfg, out)
     modes = cfg.switch_modes()
-    rows = qcrb_comparison(cfg.n_values, cfg.probe_spec(), cfg.z_bar, modes,
-                           cfg.trials)
+    reports = qcrb_comparison(cfg.n_values, cfg.probe_spec(), cfg.z_bar, modes)
     _write_csv(out_dir / "qcrb_sweep.csv",
                ["n_sensors", "mode", "qcrb", "qcrb_times_N4", "per_shot_precision"],
                (cfg.n_values, [m.value for m in modes]),
-               ([r.bound for r in rows], [r.scaled_bound for r in rows],
-                [r.per_shot_precision for r in rows]))
+               ([r.bound_on_theta_bar for r in reports],
+                [r.scaled_bound for r in reports],
+                [r.per_shot_precision for r in reports]))
     return 0
 
 

@@ -87,7 +87,6 @@ class RunConfig:
     noise_floor: float = 0.0          # 0 means: calibrate from the reference row
     jitter: float = 0.05
     # bookkeeping
-    trials: int = 1
     seed: int = 0
     oracle_seeds: int = 20
     oracle_instances: int = 10
@@ -101,7 +100,7 @@ class RunConfig:
         "grid": ("num_points", "padding"),
         "sweep": ("n_values", "voltages", "replicates", "theta_bar", "modes"),
         "noise": ("noise_floor", "jitter"),
-        "run": ("trials", "seed", "oracle_seeds", "oracle_instances"),
+        "run": ("seed", "oracle_seeds", "oracle_instances"),
     }
 
     # -- validation -----------------------------------------------------------
@@ -146,8 +145,6 @@ class RunConfig:
                               f"per state, above the ceiling of {MAX_GRID_BYTES}")
         if self.replicates < 1:
             raise ConfigError("sweep.replicates: must be at least 1")
-        if self.trials < 1:
-            raise ConfigError("run.trials: must be at least 1")
         if self.seed < 0:
             raise ConfigError("run.seed: must be non-negative")
         if not self.modes:
@@ -236,15 +233,12 @@ class RunConfig:
         return NetworkGeometry.uniform(n_sensors, self.z_bar, self.lead_in,
                                        self.lead_out, self.wave_number)
 
-    def grid(self, n_sensors: int | None = None) -> Grid:
-        n = n_sensors if n_sensors is not None else max(self.n_values)
-        total = self.geometry(n).z_total
-        return Grid.for_probe(self.probe_spec(), total,
+    def grid(self, n_sensors: int) -> Grid:
+        return Grid.for_probe(self.probe_spec(), self.geometry(n_sensors).z_total,
                               self.num_points, self.padding)
 
-    def post_selection(self, variant: str = "imaginary") -> PostSelection:
-        return PostSelection.from_weak_value_magnitude(
-            self.weak_value_magnitude, variant)
+    def post_selection(self) -> PostSelection:
+        return PostSelection.from_weak_value_magnitude(self.weak_value_magnitude)
 
     def readout_model(self) -> ReadoutModel:
         return ReadoutModel(self.focal_length, self.qpd_gain,

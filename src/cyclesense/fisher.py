@@ -102,21 +102,21 @@ class Qfim2:
         return cls(float(q[0, 0]), 0.5 * float(q[0, 1] + q[1, 0]), float(q[1, 1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QcrbReport:
-    """Variance bound on the network-average kick tbar for one strategy."""
+    """Variance bound on the network-average kick tbar at one sensor count.
 
-    strategy: object
+    Slotted, because a bound table holds one report per (N, mode): 8,000
+    for N = 1..2000.
+    """
+
     n_sensors: int
     bound_on_theta_bar: float
-    trials: int = 1
 
     def __post_init__(self):
         if not (self.bound_on_theta_bar > 0 and math.isfinite(self.scaled_bound)):
             raise DomainError(f"bound {self.bound_on_theta_bar:g} at N = "
                               f"{self.n_sensors} is not positive and finite")
-        if self.trials < 1:
-            raise DomainError("trials must be a positive integer")
 
     @property
     def scaled_bound(self) -> float:
@@ -126,10 +126,6 @@ class QcrbReport:
     @property
     def per_shot_precision(self) -> float:
         return float(np.sqrt(self.bound_on_theta_bar))
-
-    @property
-    def precision(self) -> float:
-        return float(np.sqrt(self.trials * self.bound_on_theta_bar))
 
 
 @dataclass(frozen=True)
@@ -263,8 +259,7 @@ def _var_h0(gm: GeneratorMoments) -> float:
     return b + 4.0 * a + 4.0 * c
 
 
-def probe_alone_qfi_at_origin(gm: GeneratorMoments, trials: int = 1,
-                              strategy=None) -> QcrbReport:
+def probe_alone_qfi_at_origin(gm: GeneratorMoments) -> QcrbReport:
     """Bound on tbar from the mixed probe alone, in the small-signal regime.
 
     1 / (N^2 (N+1)^2 zbar^2 Var(H0)); coincides exactly with the
@@ -272,8 +267,7 @@ def probe_alone_qfi_at_origin(gm: GeneratorMoments, trials: int = 1,
     """
     n = gm.n_sensors
     bound = 1.0 / (n**2 * gm.span**2 * _var_h0(gm))
-    return QcrbReport(strategy if strategy is not None else "probe_alone",
-                      n, bound, trials)
+    return QcrbReport(n, bound)
 
 
 def _global_bounds(q: np.ndarray, n: np.ndarray, z_bar: float) -> np.ndarray:
@@ -304,8 +298,7 @@ def _global_bounds(q: np.ndarray, n: np.ndarray, z_bar: float) -> np.ndarray:
     return terms[:, 0] + terms[:, 1]
 
 
-def qcrb_global(q: Qfim2, n_sensors: int, z_bar: float, trials: int = 1,
-                strategy=None) -> QcrbReport:
+def qcrb_global(q: Qfim2, n_sensors: int, z_bar: float) -> QcrbReport:
     """Project the (g1, g2) information matrix onto the average kick tbar.
 
     Computes G Q^-1 G^T with the Jacobian G = [1, 1]/(N(N+1)zbar): the
@@ -315,7 +308,7 @@ def qcrb_global(q: Qfim2, n_sensors: int, z_bar: float, trials: int = 1,
     raises EstimabilityError.
     """
     bound = _global_bounds(q.as_array()[None], np.array([n_sensors]), z_bar)[0]
-    return QcrbReport(strategy, n_sensors, float(bound), trials)
+    return QcrbReport(n_sensors, float(bound))
 
 
 # -- finite-difference oracle ----------------------------------------------------

@@ -31,8 +31,6 @@ import numpy as np
 
 from .errors import DomainError, GridError, NormalizationError
 
-#: L2-norm drift allowed after an explicit normalization.
-NORM_TOL = 1e-10
 #: norm deviation tolerated by operations that require a normalized input.
 NORM_PRECONDITION_TOL = 1e-6
 

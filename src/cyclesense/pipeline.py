@@ -192,48 +192,27 @@ def fit_scaling_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     return ScalingFit(a, b, r_squared)
 
 
-@dataclass(frozen=True, slots=True)
-class QcrbRow:
-    """One bound evaluation of the sweep comparison table.
-
-    Slotted, because a table holds one row per (N, mode): 8,000 rows for
-    N = 1..2000.
-    """
-
-    n_sensors: int
-    mode: SwitchMode
-    bound: float
-    scaled_bound: float
-    per_shot_precision: float
-
-
 def qcrb_comparison(n_values: Iterable[int], probe: ProbeSpec, z_bar: float,
-                    modes: Sequence[SwitchMode] = tuple(SwitchMode),
-                    trials: int = 1) -> list[QcrbRow]:
-    """Closed-form bounds on the average kick for every strategy and N.
+                    modes: Sequence[SwitchMode] = tuple(SwitchMode)
+                    ) -> list[QcrbReport]:
+    """Closed-form bounds on the average kick for every N and strategy.
 
-    The information matrices of every (N, mode) row are projected onto the
-    average kick in one batched call; PROBE_ALONE rows take their bound
-    from probe_alone_qfi_at_origin.
+    One report per (N, mode), in itertools.product(n_values, modes) order.
+    The information matrices of every row are projected onto the average
+    kick in one batched call; PROBE_ALONE rows take their bound from
+    probe_alone_qfi_at_origin.
     """
     gms = [GeneratorMoments.from_probe_spec(probe, z_bar, n) for n in n_values]
     closed = [mode for mode in modes if mode != SwitchMode.PROBE_ALONE]
-    # the entry list is a temporary, freed before the rows are built
+    # the entry list is a temporary, freed before the reports are built
     q = np.array([(m.q11, m.q12, m.q12, m.q22) for m in
                   (QFIM_CLOSED_FORMS[mode](gm) for gm in gms for mode in closed)],
                  dtype=float).reshape(-1, 2, 2)
     n = np.repeat([gm.n_sensors for gm in gms], len(closed))
     bounds = iter(_global_bounds(q, n, z_bar).tolist())
-    rows = []
-    for gm in gms:
-        for mode in modes:
-            if mode == SwitchMode.PROBE_ALONE:
-                rep = probe_alone_qfi_at_origin(gm, trials, mode)
-            else:
-                rep = QcrbReport(mode, gm.n_sensors, next(bounds), trials)
-            rows.append(QcrbRow(gm.n_sensors, mode, rep.bound_on_theta_bar,
-                                rep.scaled_bound, rep.per_shot_precision))
-    return rows
+    return [probe_alone_qfi_at_origin(gm) if mode == SwitchMode.PROBE_ALONE
+            else QcrbReport(gm.n_sensors, next(bounds))
+            for gm in gms for mode in modes]
 
 
 @dataclass(frozen=True)

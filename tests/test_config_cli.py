@@ -60,11 +60,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.") + ": "):
             cfg.validate()
 
-    def test_unknown_section_and_field_rejected(self):
+    def test_unknown_section_and_field_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config section"):
             RunConfig.from_dict({"lasers": {}})
         with pytest.raises(ConfigError, match="probe.w0"):
             RunConfig.from_dict({"probe": {"w0": 1.0}})
+        # the former run.trials field is rejected like any unknown one
+        with pytest.raises(ConfigError, match=r"run\.trials: unknown field"):
+            RunConfig.from_dict({"run": {"trials": 4}})
+        path = tmp_path / "trials.yaml"
+        path.write_text("run: {trials: 4}\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "x"), *QCRB]) == 2
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -424,13 +430,14 @@ class TestCsvBytes:
         cfg = write_config(tmp_path, n_values=[1, 2, 300])
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), *QCRB]) == 0
-        (rows,) = tables
-        assert {r.mode.value for r in rows} == {
-            "sequential", "quantum_switch", "classical_switch", "probe_alone"}
+        (reports,) = tables
+        keys = list(itertools.product([1, 2, 300], [
+            "sequential", "quantum_switch", "classical_switch", "probe_alone"]))
+        assert [r.n_sensors for r in reports] == [n for n, _ in keys]
         assert (out / "qcrb_sweep.csv").read_bytes() == reference_csv(
             ["n_sensors", "mode", "qcrb", "qcrb_times_N4", "per_shot_precision"],
-            [[r.n_sensors, r.mode.value, r.bound, r.scaled_bound,
-              r.per_shot_precision] for r in rows])
+            [[n, mode, r.bound_on_theta_bar, r.scaled_bound, r.per_shot_precision]
+             for (n, mode), r in zip(keys, reports, strict=True)])
 
     EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
                    2.2250738585072014e-308, 1e-300, -1e300, 1e300,

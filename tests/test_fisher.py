@@ -192,10 +192,9 @@ class TestQcrb:
             assert rep.bound_on_theta_bar == pytest.approx(expected, rel=1e-12)
 
     def test_report_fields(self):
-        rep = QcrbReport(SwitchMode.SEQUENTIAL, 3, 0.04, trials=4)
+        rep = QcrbReport(3, 0.04)
         assert rep.scaled_bound == pytest.approx(0.04 * 81)
         assert rep.per_shot_precision == pytest.approx(0.2)
-        assert rep.precision == pytest.approx(0.4)
 
     def test_singular_probe_alone_projection(self):
         q = probe_alone_qfim_at_origin(GM_UNIT)

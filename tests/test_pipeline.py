@@ -26,7 +26,7 @@ import math
 from cyclesense import ProbeSpec, SwitchMode, qcrb_comparison
 rows = qcrb_comparison(range(1, 2001), ProbeSpec(2e-3, 2 * math.pi / 780e-9), 0.2,
                        [SwitchMode.SEQUENTIAL])
-print(repr([r.bound for r in rows]))
+print(repr([r.bound_on_theta_bar for r in rows]))
 """
 
 DRIVE = SensorDriveModel()
@@ -317,21 +317,26 @@ class TestQcrbComparison:
     def test_row_count_and_modes(self):
         rows = qcrb_comparison(range(1, 51), PROBE, 0.2)
         assert len(rows) == 50 * 4
-        assert {r.mode for r in rows} == set(SwitchMode)
+        assert [r.n_sensors for r in rows] == [
+            n for n, _ in itertools.product(range(1, 51), SwitchMode)]
 
-    def test_rows_equal_per_row_bounds(self):
-        # the batched projection is the one behind qcrb_global, row for row
-        rows = qcrb_comparison(range(1, 2001), PROBE, 0.2)
-        assert [(r.n_sensors, r.mode) for r in rows] == [
-            (n, m) for n in range(1, 2001) for m in SwitchMode]
-        for r in rows:
-            gm = GeneratorMoments.from_probe_spec(PROBE, 0.2, r.n_sensors)
-            if r.mode == SwitchMode.PROBE_ALONE:
+    @pytest.mark.parametrize("modes", [tuple(SwitchMode), (
+        SwitchMode.PROBE_ALONE, SwitchMode.CLASSICAL_SWITCH, SwitchMode.SEQUENTIAL)],
+        ids=["default", "probe-alone-first"])
+    def test_rows_equal_per_row_bounds(self, modes):
+        # the batched projection is the one behind qcrb_global, row for row,
+        # in itertools.product(n_values, modes) order
+        rows = qcrb_comparison(range(1, 2001), PROBE, 0.2, modes)
+        for r, (n, mode) in zip(rows, itertools.product(range(1, 2001), modes),
+                                strict=True):
+            gm = GeneratorMoments.from_probe_spec(PROBE, 0.2, n)
+            if mode == SwitchMode.PROBE_ALONE:
                 rep = probe_alone_qfi_at_origin(gm)
             else:
-                rep = qcrb_global(QFIM_CLOSED_FORMS[r.mode](gm), r.n_sensors, 0.2)
-            assert (r.bound, r.scaled_bound, r.per_shot_precision) == (
-                rep.bound_on_theta_bar, rep.scaled_bound, rep.per_shot_precision)
+                rep = qcrb_global(QFIM_CLOSED_FORMS[mode](gm), n, 0.2)
+            assert r == rep
+            assert (r.scaled_bound, r.per_shot_precision) == (
+                rep.scaled_bound, rep.per_shot_precision)
 
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                         reason="OPENBLAS_CORETYPE names x86-64 kernels")
@@ -342,7 +347,8 @@ class TestQcrbComparison:
 
     def test_probe_alone_equals_classical_rows(self):
         rows = qcrb_comparison([1, 5, 20], PROBE, 0.2)
-        by = {(r.n_sensors, r.mode): r.bound for r in rows}
+        by = {key: r.bound_on_theta_bar for key, r in
+              zip(itertools.product([1, 5, 20], SwitchMode), rows, strict=True)}
         for n in (1, 5, 20):
             csw = by[(n, SwitchMode.CLASSICAL_SWITCH)]
             assert by[(n, SwitchMode.PROBE_ALONE)] == pytest.approx(csw, rel=1e-12)
