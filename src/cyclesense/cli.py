@@ -126,8 +126,9 @@ def cmd_oracle_verify(cfg: RunConfig, out: str) -> int:
     }
     _write_json(out_dir / "oracle_report.json", payload)
     for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"{status} {c.name}: rel_error={c.rel_error:.3e} tol={c.tolerance:g}")
+        detail = (c.note if c.rel_error is None
+                  else f"rel_error={c.rel_error:.3e} tol={c.tolerance:g}")
+        print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {detail}")
     return 0 if payload["all_passed"] else 1
 
 

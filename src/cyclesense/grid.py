@@ -321,7 +321,7 @@ class WaveFunction:
         # one dot product; norm() keeps its own sum, whose bits reach outputs
         a = self.amplitudes
         n = math.sqrt(np.vdot(a, a).real * self._weight)
-        if abs(n - 1.0) > tol:
+        if not abs(n - 1.0) <= tol:             # a NaN norm fails too
             raise NormalizationError(f"wavefunction norm {n} deviates from 1 by more than {tol}")
 
 

@@ -115,15 +115,14 @@ def snr_model(phi_bar: float, geom: NetworkGeometry, waist_radius: float,
 
 
 def calibrate_noise_floor(geom_for_n, waist_radius: float, ps: PostSelection,
-                          readout: ReadoutModel, drive: SensorDriveModel,
-                          reference: tuple[int, float] = (1, 382.6e-6)) -> float:
-    """Noise floor that puts SNR = 1 at a reference (n_sensors, voltage) point.
+                          readout: ReadoutModel, drive: SensorDriveModel) -> float:
+    """Noise floor that puts SNR = 1 at the first TABLETOP_PRECISION_TABLE row.
 
     The absolute volts-per-tilt factor of a real detector chain is device
     specific; anchoring the floor to one measured threshold row reproduces
     the rest of the chain in absolute units.
     """
-    n_ref, v_ref = reference
+    n_ref, v_ref, _ = TABLETOP_PRECISION_TABLE[0]
     phi = voltage_to_beam_tilt(v_ref, drive)
     _, v_delta = qpd_signal(phi, geom_for_n(n_ref), waist_radius, ps, readout)
     return v_delta

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from cyclesense import (ConfigError, DomainError, NoiseModel, RunConfig,
-                        SensorDriveModel, TABLETOP_PRECISION_TABLE,
+                        SensorDriveModel, TABLETOP_PRECISION_TABLE, WaveFunction,
                         end_to_end_sweep, voltage_to_beam_tilt)
 from cyclesense import cli, config, oracle, pipeline
 from cyclesense.cli import _write_csv, _write_json, main
@@ -537,12 +537,40 @@ class TestOracleVerifyCommand:
         assert not result.passed
         assert result.rel_error == pytest.approx(1e-4, rel=1e-2)
 
-    def test_coarse_grid_fails_gracefully(self, tmp_path):
+    @pytest.mark.parametrize("num_points,raises", [(1 << 8, False), (1 << 4, True)],
+                             ids=["fails-by-value", "fails-by-raising"])
+    def test_coarse_grid_fails_gracefully(self, tmp_path, capsys, num_points, raises):
         cfg = write_config(tmp_path, oracle_seeds=2, oracle_instances=1,
-                           num_points=1 << 8)
+                           num_points=num_points)
         out = tmp_path / "coarse"
         code = main(["--config", str(cfg), "--out", str(out), "oracle-verify"])
         assert code == 1
         report = json.loads((out / "oracle_report.json").read_text())
         assert not report["all_passed"]
-        assert any(not c["passed"] for c in report["checks"])
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert failed
+        # a failure is either a value over its tolerance or a null entry
+        # whose note names the cause
+        for c in failed:
+            values = [c["analytic"], c["oracle"], c["rel_error"]]
+            if values == [None] * 3:
+                assert c["note"]
+            else:
+                assert all(math.isfinite(v) for v in values)
+                assert c["rel_error"] > c["tolerance"]
+        assert any(c["rel_error"] is None for c in failed) == raises
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_nan_error_fails_its_check(self, monkeypatch):
+        # a NaN error must not vanish in the worst-error reduction
+        exact = oracle.composite_apply
+
+        def nan_composite(*args, **kwargs):
+            chi = exact(*args, **kwargs)
+            return WaveFunction(chi.grid, np.full_like(chi.amplitudes, np.nan),
+                                chi.representation)
+        monkeypatch.setattr(oracle, "composite_apply", nan_composite)
+        for result in (oracle.check_composite_phase(1, 1 << 10),
+                       oracle.check_bch_fidelity(1, 1 << 10)):
+            assert not result.passed
+            assert result.rel_error is None and result.note

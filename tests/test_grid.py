@@ -250,7 +250,7 @@ class TestWaveFunction:
         with pytest.raises(ValueError):
             WaveFunction(unit_grid, np.zeros(unit_grid.num_points), "fock")
 
-    @pytest.mark.parametrize("deviation", [2e-6, -2e-6])
+    @pytest.mark.parametrize("deviation", [2e-6, -2e-6, math.nan])
     def test_norm_precondition_rejects(self, unit_probe, deviation):
         off = WaveFunction(unit_probe.grid, (1.0 + deviation) * unit_probe.amplitudes)
         with pytest.raises(NormalizationError):
