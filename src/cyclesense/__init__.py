@@ -15,8 +15,7 @@ from .network import (CompositeEvolution, KickVector, NetworkGeometry,
                       composite_apply, g_params, switched_state_family,
                       traverse_sequence)
 from .fisher import (GeneratorMoments, JointState, Qfim2, QcrbReport,
-                     SwitchMode, probe_alone_qfi_at_origin,
-                     probe_alone_qfim_at_origin, qcrb_global,
+                     SwitchMode, probe_alone_qfi_at_origin, qcrb_global,
                      qfim_classical_switch, qfim_numerical,
                      qfim_quantum_switch, qfim_sequential)
 from .wva import (PolarizationState, PostSelection, ReadoutModel,

@@ -10,7 +10,8 @@ class GridError(CycleSenseError):
 
 
 class GridOverflowError(GridError):
-    """A propagation step would push the beam outside the safe grid window."""
+    """A kick or a propagation would push the beam outside half of the
+    position window or of the momentum window of the grid."""
 
 
 class NormalizationError(CycleSenseError):

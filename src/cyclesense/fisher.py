@@ -87,13 +87,6 @@ class Qfim2:
     def as_array(self) -> np.ndarray:
         return np.array([[self.q11, self.q12], [self.q12, self.q22]])
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.as_array())
-
-    def is_psd(self, tol: float = RANK_TOL) -> bool:
-        tr = abs(self.q11) + abs(self.q22)
-        return bool(np.all(self.eigenvalues() >= -tol * max(tr, 1e-300)))
-
     @classmethod
     def from_array(cls, q: np.ndarray) -> "Qfim2":
         """Matrix from a 2x2 array symmetric to 1e-9 of its largest entry."""
@@ -244,17 +237,8 @@ QFIM_CLOSED_FORMS: dict[SwitchMode, Callable[[GeneratorMoments], Qfim2]] = {
 }
 
 
-def probe_alone_qfim_at_origin(gm: GeneratorMoments) -> Qfim2:
-    """Singular information matrix of the traced-out mixture at g = 0.
-
-    Var(H0) * [[1, 1], [1, 1]] with H0 = P/k + 2X/((N+1)zbar): only the sum
-    g1 + g2 is estimable from the probe alone.
-    """
-    v = _var_h0(gm)
-    return Qfim2(v, v, v)
-
-
 def _var_h0(gm: GeneratorMoments) -> float:
+    """Var(H0), H0 = P/k + 2X/((N+1)zbar): the probe-alone generator at g = 0."""
     a, b, c = _terms(gm)
     return b + 4.0 * a + 4.0 * c
 
@@ -379,7 +363,7 @@ def _qfim_fd(builder: StateBuilder, at: tuple[float, float],
 
 
 def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
-                   step: Optional[float] = None, richardson: bool = True) -> Qfim2:
+                   step: Optional[float] = None) -> Qfim2:
     """Finite-difference information matrix of a state family.
 
     Central differences at step h and h/2 with one Richardson extrapolation
@@ -391,9 +375,7 @@ def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
     which gives the weight-average of the branch matrices (the weights do
     not depend on the parameters, the label keeps the branches orthogonal).
     Partially coherent centres raise EstimabilityError.  The centre is
-    built once, so a matrix costs 9 builds.  richardson=False skips the
-    second evaluation and the convergence check (plain second-order
-    differences, useful for step-scaling studies).
+    built once, so a matrix costs 9 builds.
     """
     center = builder(*at)
     if not (center.is_pure or center.coherence == 0):
@@ -405,8 +387,6 @@ def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
     else:
         steps = (REL_STEP * max(abs(at[0]), 1.0), REL_STEP * max(abs(at[1]), 1.0))
     q_h = _qfim_fd(builder, at, steps, center)
-    if not richardson:
-        return Qfim2.from_array(q_h)
     q_h2 = _qfim_fd(builder, at, (0.5 * steps[0], 0.5 * steps[1]), center)
     scale = np.linalg.norm(q_h2)
     if scale == 0.0:

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, GridError, NormalizationError
+from .errors import DomainError, GridError, GridOverflowError, NormalizationError
 
 #: norm deviation tolerated by operations that require a normalized input.
 NORM_PRECONDITION_TOL = 1e-6
@@ -226,7 +226,8 @@ class ProbeSpec:
 
 @dataclass(frozen=True)
 class Moments:
-    """First and second phase-space moments of a pure state."""
+    """First and second phase-space moments of a pure state, with their exact
+    Heisenberg updates under the grid's kick, propagation, shift and parity."""
 
     mean_x: float
     mean_p: float
@@ -238,9 +239,44 @@ class Moments:
         if not (self.var_x > 0 and self.var_p > 0):
             raise DomainError("variances must be positive")
 
-    @property
-    def uncertainty_product(self) -> float:
-        return self.var_x * self.var_p - self.cov_xp**2
+    def kicked(self, theta: float) -> "Moments":
+        """P -> P - theta; the second moments stay."""
+        return Moments(self.mean_x, self.mean_p - theta, self.var_x, self.var_p,
+                       self.cov_xp)
+
+    def propagated(self, t: float) -> "Moments":
+        """X -> X + t P with t = z/k; the momentum moments stay."""
+        return Moments(self.mean_x + t * self.mean_p, self.mean_p,
+                       self.var_x + 2.0 * t * self.cov_xp + t**2 * self.var_p,
+                       self.var_p, self.cov_xp + t * self.var_p)
+
+    def shifted(self, d: float) -> "Moments":
+        """X -> X + d; the second moments stay."""
+        return Moments(self.mean_x + d, self.mean_p, self.var_x, self.var_p,
+                       self.cov_xp)
+
+    def flipped(self) -> "Moments":
+        """X -> -X and P -> -P: both means change sign, the second moments stay."""
+        return Moments(-self.mean_x, -self.mean_p, self.var_x, self.var_p,
+                       self.cov_xp)
+
+
+def guard_windows(m: Moments, grid: Grid, step: str) -> None:
+    """Raise GridOverflowError when m leaves half of either grid window:
+    |<X>| + 2 Delta X against half_extent, or |<P>| + 2 Delta P against the
+    Nyquist momentum pi/dx.  step leads the message; a NaN moment fails."""
+    x_pred = abs(m.mean_x)
+    radius = 2.0 * math.sqrt(m.var_x)         # w = 2 Delta X for a Gaussian
+    if not x_pred + radius <= 0.5 * grid.half_extent:
+        raise GridOverflowError(
+            f"{step} would grow the beam to radius {radius:.3g} at offset "
+            f"{x_pred:.3g}, beyond half of the grid window {grid.half_extent:.3g}")
+    p_edge = abs(m.mean_p) + 2.0 * math.sqrt(m.var_p)
+    p_max = math.pi / grid.dx
+    if not p_edge <= 0.5 * p_max:
+        raise GridOverflowError(
+            f"{step} would spread the momentum distribution to {p_edge:.3g}, "
+            f"beyond half of the momentum window {p_max:.3g}")
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,15 @@ brute-force oracle for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .errors import DomainError, GridOverflowError
+from .errors import DomainError
 from .fisher import JointState, SwitchMode
-from .grid import (MOMENTUM, POSITION, Moments, WaveFunction, moments,
-                   symmetric_phase)
+from .grid import (MOMENTUM, POSITION, Moments, WaveFunction, guard_windows,
+                   moments, symmetric_phase)
 
 #: default wavelength of the tabletop rig (m) and its wave number (1/m).
 DEFAULT_WAVELENGTH = 780e-9
@@ -98,10 +98,6 @@ class KickVector:
     def theta_bar(self) -> float:
         return sum(self.thetas) / len(self.thetas)
 
-    def tilt_angles(self, wave_number: float) -> tuple[float, ...]:
-        """Equivalent beam-tilt angles phi_j = theta_j / k."""
-        return tuple(t / wave_number for t in self.thetas)
-
     @classmethod
     def uniform(cls, n_sensors: int, theta_bar: float) -> "KickVector":
         return cls((theta_bar,) * n_sensors)
@@ -151,62 +147,48 @@ def _guard_moments(psi: WaveFunction) -> Moments:
 def apply_kick(psi: WaveFunction, theta: float) -> WaveFunction:
     """Sensor unitary exp(-i theta X): phase mask in position space.
 
-    Guards the momentum window: if the kicked mean momentum plus two spreads
-    exceeds half of the Nyquist momentum pi/dx the step raises
-    GridOverflowError instead of aliasing silently.  The kick sends
-    <P> -> <P> - theta and leaves the second moments unchanged.
+    Raises GridOverflowError, instead of aliasing silently, when the kicked
+    moments leave half of either grid window (guard_windows); the momentum
+    window is the one a kick moves, by <P> -> <P> - theta.
     """
     psi.require_normalized()
-    m = _guard_moments(psi)
-    m = replace(m, mean_p=m.mean_p - theta)
-    p_edge = abs(m.mean_p) + 2.0 * math.sqrt(m.var_p)
-    p_max = math.pi / psi.grid.dx
-    if p_edge > 0.5 * p_max:
-        raise GridOverflowError(
-            f"kicking by {theta} would spread the momentum distribution to "
-            f"{p_edge:.3g}, beyond half of the momentum window {p_max:.3g}")
+    m = _guard_moments(psi).kicked(theta)
+    guard_windows(m, psi.grid, f"kicking by {theta}")
     pos = psi.to_position()
     amps = pos.amplitudes * psi.grid.kick_mask(theta)
     return WaveFunction._adopt(psi.grid, amps, POSITION, m)
 
 
 def apply_shift(psi: WaveFunction, displacement: float) -> WaveFunction:
-    """Translation exp(-i d P): moves the state by +d in position."""
+    """Translation exp(-i d P): moves the state by +d in position.
+
+    Carries the moments unguarded; composite_apply's propagation guards them.
+    """
     mom = psi.to_momentum()
     amps = mom.amplitudes * symmetric_phase(psi.grid.momenta,
                                             lambda p: -displacement * p, odd=True)
     m = psi.guard_moments
-    moved = None if m is None else replace(m, mean_x=m.mean_x + displacement)
+    moved = None if m is None else m.shifted(displacement)
     return WaveFunction._adopt(psi.grid, amps, MOMENTUM, moved)
 
 
 def apply_propagation(psi: WaveFunction, z: float, wave_number: float) -> WaveFunction:
     """Free propagation exp(-i z P^2 / 2k) as a momentum-space phase.
 
-    Guards against the diffracted beam outgrowing the grid: if the radius
-    predicted from the current moments exceeds half of the grid window the
-    step raises GridOverflowError instead of aliasing silently.  The guard
+    Raises GridOverflowError, instead of aliasing silently, when the
+    propagated moments leave half of either grid window (guard_windows); the
+    position window is the one the diffracting beam grows into.  The guard
     reads the input's guard_moments and measures the grid only when it
     carries none; the output carries them propagated exactly by
     X -> X + (z/k) P.  moments() of the result still measures the grid.
     """
     psi.require_normalized()
-    if z < 0:
+    if not z >= 0:                            # a NaN distance fails too
         raise DomainError(f"propagation distance must be non-negative, got {z}")
     m = psi.guard_moments                     # z == 0 leaves them unchanged
     if z > 0:
-        m = _guard_moments(psi)
-        t = z / wave_number
-        m = Moments(m.mean_x + t * m.mean_p, m.mean_p,
-                    m.var_x + 2.0 * t * m.cov_xp + t**2 * m.var_p,
-                    m.var_p, m.cov_xp + t * m.var_p)
-        x_pred = abs(m.mean_x)
-        radius = 2.0 * math.sqrt(m.var_x)     # w = 2 Delta X for a Gaussian
-        if x_pred + radius > 0.5 * psi.grid.half_extent:
-            raise GridOverflowError(
-                f"propagating {z} would grow the beam to radius {radius:.3g} at "
-                f"offset {x_pred:.3g}, beyond half of the grid window "
-                f"{psi.grid.half_extent:.3g}")
+        m = _guard_moments(psi).propagated(z / wave_number)
+        guard_windows(m, psi.grid, f"propagating {z}")
     mom = psi.to_momentum()
     amps = mom.amplitudes * psi.grid.propagation_mask(z, wave_number)
     return WaveFunction._adopt(psi.grid, amps, MOMENTUM, m)
@@ -215,14 +197,14 @@ def apply_propagation(psi: WaveFunction, z: float, wave_number: float) -> WaveFu
 def apply_parity(psi: WaveFunction) -> WaveFunction:
     """Spatial inversion psi(x) -> psi(-x); exact involution on the grid.
 
-    X -> -X and P -> -P: both means change sign, the second moments stay.
+    Carries the moments unguarded; it maps the symmetric windows onto themselves.
     """
     amps = psi.amplitudes
     out = np.empty_like(amps)
     out[0] = amps[0]                          # x = 0 (p = 0) maps to itself
     out[1:] = amps[:0:-1]                     # sample j to sample -j mod n
     m = psi.guard_moments
-    flipped = None if m is None else replace(m, mean_x=-m.mean_x, mean_p=-m.mean_p)
+    flipped = None if m is None else m.flipped()
     return WaveFunction._adopt(psi.grid, out, psi.representation, flipped)
 
 

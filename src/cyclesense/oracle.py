@@ -79,8 +79,8 @@ def _random_instance(rng: np.random.Generator, num_points: int):
     geom = NetworkGeometry(tuple(z), wave_number=1.0)
     kicks = KickVector(tuple(th))
     spec = ProbeSpec(w0, 1.0)
-    return geom, kicks, spec, make_gaussian(spec, Grid.for_probe(spec, geom.z_total,
-                                                                 num_points))
+    return geom, kicks, make_gaussian(spec, Grid.for_probe(spec, geom.z_total,
+                                                           num_points))
 
 
 def _traversal_pairs(seed_base: int, seeds: int, num_points: int):
@@ -88,8 +88,8 @@ def _traversal_pairs(seed_base: int, seeds: int, num_points: int):
     the composite that must reproduce it: a call taking composite_apply's
     keyword arguments."""
     for seed in range(seeds):
-        geom, kicks, _, psi = _random_instance(np.random.default_rng(seed_base + seed),
-                                               num_points)
+        geom, kicks, psi = _random_instance(np.random.default_rng(seed_base + seed),
+                                            num_points)
         comp = g_params(geom, kicks)
         for direction in ("forward", "reverse"):
             yield (traverse_sequence(psi, geom, kicks, direction),
@@ -138,7 +138,7 @@ def check_switch_phase(num_points: int = 1 << 14,
     def errors():
         rng = np.random.default_rng(47)
         for _ in range(5):
-            geom, kicks, _, psi = _random_instance(rng, num_points)
+            geom, kicks, psi = _random_instance(rng, num_points)
             comp = g_params(geom, kicks)
             span = (geom.n_sensors + 1) * geom.z_bar
             fwd = traverse_sequence(psi, geom, kicks, "forward")

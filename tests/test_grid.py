@@ -131,7 +131,7 @@ class TestMakeGaussian:
 
     def test_uncertainty_product_at_minimum(self, unit_probe):
         m = moments(unit_probe)
-        assert m.uncertainty_product == pytest.approx(0.25, rel=1e-6)
+        assert m.var_x * m.var_p - m.cov_xp**2 == pytest.approx(0.25, rel=1e-6)
 
     def test_moments_accurate_at_minimal_grid(self):
         # the analytic values hold to 1e-8 already at the smallest allowed

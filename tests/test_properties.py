@@ -5,6 +5,7 @@ test_fisher.py and test_network.py and the oracle-verify checks stay as
 they are.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from cyclesense import (GeneratorMoments, KickVector, NetworkGeometry,
                         g_params, probe_alone_qfi_at_origin, qcrb_global,
                         qfim_classical_switch, qfim_quantum_switch,
                         qfim_sequential)
+from cyclesense.fisher import RANK_TOL
 
 deterministic = settings(derandomize=True, deadline=None, database=None)
 
@@ -45,7 +47,10 @@ def networks(draw):
 @given(physical_moments())
 def test_closed_forms_are_psd(gm):
     for closed in (qfim_sequential, qfim_quantum_switch, qfim_classical_switch):
-        assert closed(gm).is_psd(), closed.__name__
+        q = closed(gm)
+        tr = abs(q.q11) + abs(q.q22)
+        least = np.linalg.eigvalsh(q.as_array()).min()
+        assert least >= -RANK_TOL * max(tr, 1e-300), closed.__name__
 
 
 @deterministic

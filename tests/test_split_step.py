@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from cyclesense import (Grid, GridOverflowError, JointState, KickVector, Moments,
-                        NetworkGeometry, ProbeSpec, SwitchMode, WaveFunction,
-                        apply_kick, apply_parity, apply_propagation, apply_shift,
-                        make_gaussian, moments, qfim_numerical,
-                        switched_state_family, traverse_sequence)
+from cyclesense import (DomainError, Grid, GridOverflowError, JointState,
+                        KickVector, Moments, NetworkGeometry, ProbeSpec,
+                        SwitchMode, WaveFunction, apply_kick, apply_parity,
+                        apply_propagation, apply_shift, make_gaussian, moments,
+                        qfim_numerical, switched_state_family, traverse_sequence)
 from cyclesense import network
-from cyclesense.grid import MOMENTUM
+from cyclesense.grid import MOMENTUM, POSITION
 
 from conftest import LAB_WAVE_NUMBER
 
@@ -112,6 +112,26 @@ class TestGuards:
         apply_kick(psi, 2.0)          # |<P> - theta| + 2 DeltaP = 4 < pi/(2 dx)
         with pytest.raises(GridOverflowError, match="momentum window"):
             apply_kick(psi, 10.0)
+
+    def test_nan_steps_fail_by_name(self, unit_probe):
+        with pytest.raises(GridOverflowError, match="^kicking by nan "):
+            apply_kick(unit_probe, math.nan)
+        with pytest.raises(DomainError, match="non-negative, got nan"):
+            apply_propagation(unit_probe, math.nan, 1.0)
+
+    def test_every_step_guards_both_windows(self, unit_probe):
+        # carried moments outside the window a step does not move stop it too
+        m = moments(unit_probe)
+
+        def carrying(mean_x, mean_p):
+            return WaveFunction(unit_probe.grid, unit_probe.amplitudes, POSITION,
+                                Moments(mean_x, mean_p, m.var_x, m.var_p, 0.0))
+
+        with pytest.raises(GridOverflowError, match="^kicking by 0.0 .*grid window"):
+            apply_kick(carrying(1e3, 0.0), 0.0)
+        with pytest.raises(GridOverflowError,
+                           match="^propagating 1e-06 .*momentum window"):
+            apply_propagation(carrying(0.0, 1e3), 1e-6, 1.0)
 
     def test_guard_decisions_match_measured_moments(self, monkeypatch):
         """Tracked guards decide like guards measuring every intermediate state."""
