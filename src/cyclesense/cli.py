@@ -20,6 +20,7 @@ grid), printed as "error: <ClassName>: <message>".
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import itertools
 import json
@@ -235,6 +236,23 @@ def cmd_wva_sim(cfg: RunConfig, out: str, n_sensors: int) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
+def _keep_freed_memory() -> None:
+    """Keep the FFT scratch memory that glibc would return to the kernel.
+
+    Every numpy FFT of 2^14 points mallocs ~384 KB of scratch and frees it.
+    By default glibc serves that from mmap or trims it off the heap top, and
+    the next transform faults those pages back in.  Both thresholds are
+    needed: a high mmap threshold alone still trims, a high trim threshold
+    alone still maps.  Only the CLI process sets them.  Where the C library
+    has no mallopt, this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD, at glibc's 64-bit ceiling
+    mallopt(-1, 128 << 20)      # M_TRIM_THRESHOLD
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -260,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_yaml(args.config) if args.config else RunConfig()

@@ -185,6 +185,8 @@ def apply_propagation(psi: WaveFunction, z: float, wave_number: float) -> WaveFu
     psi.require_normalized()
     if not z >= 0:                            # a NaN distance fails too
         raise DomainError(f"propagation distance must be non-negative, got {z}")
+    if not 0 < wave_number < math.inf:        # and so does a NaN wave number
+        raise DomainError(f"wave_number must be positive and finite, got {wave_number}")
     m = psi.guard_moments                     # z == 0 leaves them unchanged
     if z > 0:
         m = _guard_moments(psi).propagated(z / wave_number)

@@ -1,8 +1,10 @@
 import csv
+import ctypes
 import io
 import itertools
 import json
 import math
+import platform
 import sys
 
 import numpy as np
@@ -574,3 +576,41 @@ class TestOracleVerifyCommand:
                        oracle.check_bch_fidelity(1, 1 << 10)):
             assert not result.passed
             assert result.rel_error is None and result.note
+
+
+def _glibc_mallopt() -> bool:
+    return (sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+            and hasattr(ctypes.CDLL(None), "mallopt"))
+
+
+FAULTS_OVER_SECOND_RUN = """
+import resource, sys, tempfile
+from cyclesense import cli
+with tempfile.TemporaryDirectory() as tmp:
+    argv = ["--out", tmp, "wva-sim", "--n", "9"]
+    assert cli.main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(argv) == 0
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+class TestAllocator:
+    @pytest.mark.skipif(not _glibc_mallopt(),
+                        reason="the fault count is a glibc property: needs Linux "
+                               "with a glibc that has mallopt")
+    def test_second_run_does_not_fault_its_fft_scratch_back_in(self, run_probe):
+        # ~5,600 minor faults with glibc's default thresholds, ~10 with main's
+        faults = int(run_probe(FAULTS_OVER_SECOND_RUN))
+        assert faults < 500
+
+    @pytest.mark.parametrize("libc", [lambda name: object(), _no_libc],
+                             ids=["no-mallopt", "no-libc"])
+    def test_main_runs_without_mallopt(self, monkeypatch, tmp_path, libc):
+        monkeypatch.setattr(cli.ctypes, "CDLL", libc)
+        assert main(["--out", str(tmp_path), *WVA_SIM]) == 0
+        assert (tmp_path / "wva_sim.json").exists()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cyclesense import (CompositeEvolution, Grid, GridOverflowError, JointState,
-                        KickVector, NetworkGeometry, ProbeSpec, SwitchMode,
+                        KickVector, NetworkGeometry, ProbeSpec, RunConfig, SwitchMode,
                         apply_kick, apply_parity, apply_propagation, apply_shift,
                         composite_apply, fidelity, g_params, make_gaussian,
                         moments, overlap, switched_state_family, traverse_sequence)
+from cyclesense.oracle import _random_instance
 
 
 def random_instance(seed, max_sensors=6):
@@ -116,6 +117,37 @@ class TestParity:
         assert m1.mean_p == pytest.approx(-m0.mean_p, rel=1e-9)
         assert m1.var_x == pytest.approx(m0.var_x, rel=1e-12)
         assert m1.cov_xp == pytest.approx(m0.cov_xp, rel=1e-9)
+
+
+def parity_identity_error(psi, geom, kicks, direction, include_leads=False):
+    """Worst relative amplitude gap between P T(theta) P psi and T(-theta) psi."""
+    sandwiched = traverse_sequence(psi, geom, kicks, direction,
+                                   parity_conjugated=True, include_leads=include_leads)
+    negated = traverse_sequence(psi, geom, KickVector(tuple(-t for t in kicks.thetas)),
+                                direction, include_leads=include_leads)
+    return (np.max(np.abs(sandwiched.amplitudes - negated.amplitudes))
+            / np.max(np.abs(negated.amplitudes)))
+
+
+class TestParityIdentity:
+    """Parity maps X to -X, so it negates every kick and commutes with propagation."""
+
+    def test_random_instances_both_directions(self):
+        rng = np.random.default_rng(4100)
+        worst = 0.0
+        for _ in range(20):
+            geom, kicks, psi = _random_instance(rng, 1 << 14)
+            for direction in ("forward", "reverse"):
+                worst = max(worst, parity_identity_error(psi, geom, kicks, direction))
+        assert worst < 1e-12
+
+    def test_lab_geometry_at_200_sensors(self):
+        cfg = RunConfig()
+        psi = make_gaussian(cfg.probe_spec(), cfg.grid(200))
+        kicks = KickVector.uniform(200, cfg.theta_bar)
+        error = parity_identity_error(psi, cfg.geometry(200), kicks, "reverse",
+                                      include_leads=True)
+        assert error < 1e-12
 
 
 class TestGParams:

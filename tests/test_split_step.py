@@ -119,6 +119,11 @@ class TestGuards:
         with pytest.raises(DomainError, match="non-negative, got nan"):
             apply_propagation(unit_probe, math.nan, 1.0)
 
+    @pytest.mark.parametrize("wave_number", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_wave_number_fails_by_name(self, unit_probe, wave_number):
+        with pytest.raises(DomainError, match="^wave_number must be positive and finite"):
+            apply_propagation(unit_probe, 1.0, wave_number)
+
     def test_every_step_guards_both_windows(self, unit_probe):
         # carried moments outside the window a step does not move stop it too
         m = moments(unit_probe)
