@@ -37,7 +37,7 @@ from .fisher import GeneratorMoments
 from .grid import make_gaussian, moments
 from .network import KickVector
 from . import oracle
-from .pipeline import (TABLETOP_PRECISION_TABLE, calibrate_noise_floor,
+from .pipeline import (TABLETOP_PRECISION_TABLE, _times_n4, calibrate_noise_floor,
                        end_to_end_sweep, fit_scaling_law, qcrb_comparison)
 from .wva import (first_order_momentum_shift, min_detectable_tilt,
                   momentum_readout, qpd_signal, weak_value, wva_final_probe)
@@ -107,13 +107,11 @@ def _prepare_out(cfg: RunConfig, out: str) -> Path:
 def cmd_qcrb_sweep(cfg: RunConfig, out: str) -> int:
     out_dir = _prepare_out(cfg, out)
     modes = cfg.switch_modes()
-    reports = qcrb_comparison(cfg.n_values, cfg.probe_spec(), cfg.z_bar, modes)
+    bounds = qcrb_comparison(cfg.n_values, cfg.probe_spec(), cfg.z_bar, modes)
     _write_csv(out_dir / "qcrb_sweep.csv",
                ["n_sensors", "mode", "qcrb", "qcrb_times_N4", "per_shot_precision"],
                (cfg.n_values, [m.value for m in modes]),
-               ([r.bound_on_theta_bar for r in reports],
-                [r.scaled_bound for r in reports],
-                [r.per_shot_precision for r in reports]))
+               (bounds, _times_n4(bounds, cfg.n_values), np.sqrt(bounds)))
     return 0
 
 

@@ -3,9 +3,10 @@
 The traversal imprints the two shift weights (g1, g2) on the probe, and the
 network average tilt is the scalar function tbar = (g1+g2)/(N(N+1)zbar) of
 them.  This module evaluates the 2x2 information matrix of (g1, g2) for all
-query strategies from closed forms in the initial-probe moments, projects it
-onto tbar for the bound, and provides an independent finite-difference
-evaluation on grid states as the numerical oracle for every closed form.
+query strategies from closed forms in the initial-probe moments, at one
+sensor count or broadcast over an array of them, projects it onto tbar for
+the bound, and provides an independent finite-difference evaluation on grid
+states as the numerical oracle for every closed form.
 
 For a pure family |psi(g)> the matrix entries are
 
@@ -78,14 +79,16 @@ class JointState:
 
 @dataclass(frozen=True)
 class Qfim2:
-    """Symmetric 2x2 information matrix over the shift weights (g1, g2)."""
+    """Symmetric 2x2 information matrix over the shift weights (g1, g2), or a
+    stack of them when the entries are arrays of one shape."""
 
-    q11: float
-    q12: float
-    q22: float
+    q11: float | np.ndarray
+    q12: float | np.ndarray
+    q22: float | np.ndarray
 
     def as_array(self) -> np.ndarray:
-        return np.array([[self.q11, self.q12], [self.q12, self.q22]])
+        q11, q12, q22 = np.broadcast_arrays(self.q11, self.q12, self.q22)
+        return np.stack([q11, q12, q12, q22], axis=-1).reshape(q11.shape + (2, 2))
 
     @classmethod
     def from_array(cls, q: np.ndarray) -> "Qfim2":
@@ -95,35 +98,15 @@ class Qfim2:
         return cls(float(q[0, 0]), 0.5 * float(q[0, 1] + q[1, 0]), float(q[1, 1]))
 
 
-@dataclass(frozen=True, slots=True)
-class QcrbReport:
-    """Variance bound on the network-average kick tbar at one sensor count.
-
-    Slotted, because a bound table holds one report per (N, mode): 8,000
-    for N = 1..2000.
-    """
-
-    n_sensors: int
-    bound_on_theta_bar: float
-
-    def __post_init__(self):
-        if not (self.bound_on_theta_bar > 0 and math.isfinite(self.scaled_bound)):
-            raise DomainError(f"bound {self.bound_on_theta_bar:g} at N = "
-                              f"{self.n_sensors} is not positive and finite")
-
-    @property
-    def scaled_bound(self) -> float:
-        """bound * N^4; converges for the switched strategies."""
-        return self.bound_on_theta_bar * self.n_sensors**4
-
-    @property
-    def per_shot_precision(self) -> float:
-        return float(np.sqrt(self.bound_on_theta_bar))
-
-
 @dataclass(frozen=True)
 class GeneratorMoments:
-    """Initial-probe moments plus the evolution scalars the closed forms need."""
+    """Initial-probe moments plus the evolution scalars the closed forms need.
+
+    n_sensors is one sensor count or a 1-D integer array of them, over which
+    the closed forms broadcast.  They write every N-dependent square as a
+    product: a float's ** goes through libm pow, an array's through
+    multiply, and the two can differ in the last bit.
+    """
 
     var_x: float
     var_p: float
@@ -131,45 +114,49 @@ class GeneratorMoments:
     mean_p: float
     wave_number: float
     z_bar: float
-    n_sensors: int
+    n_sensors: int | np.ndarray
     g1: float = 0.0
     g2: float = 0.0
 
+    @np.errstate(all="ignore")     # an array of N warns where a scalar N does not
     def __post_init__(self):
         if not (self.var_x > 0 and self.var_p > 0):
             raise DomainError("variances must be positive")
-        if not (self.wave_number > 0 and self.z_bar > 0 and self.n_sensors >= 1):
+        if not (self.wave_number > 0 and self.z_bar > 0 and np.all(self.n_sensors >= 1)):
             raise DomainError("need positive wave number, spacing and sensor count")
-        try:                  # the closed-form terms and span^2 must stay in range
+        try:            # every N's closed-form terms and span^2 must stay in range
             a, b, c = _terms(self)
-            ok = 0 < a < math.inf and 0 < b < math.inf and math.isfinite(c + self.span**2)
+            span = self.span
+            ok = np.all((0 < a) & (a < math.inf) & (0 < b) & (b < math.inf)
+                        & np.isfinite(c + span * span))
         except (OverflowError, ZeroDivisionError):     # float ** out of range
             ok = False
         if not ok:
             raise DomainError(f"Var X / ((N+1) zbar)^2 or Var P / k^2 leaves the float "
                               f"range at k = {self.wave_number:g} 1/m, zbar = {self.z_bar:g} m")
         # so must the squares of the quantum-switch brackets <P>/2k - g u/2k
-        bracket = (abs(self.mean_p) + max(abs(self.g1), abs(self.g2)) / self.span) / (
+        bracket = (abs(self.mean_p) + max(abs(self.g1), abs(self.g2)) / span) / (
             2.0 * self.wave_number)
-        if not 4.0 * bracket * bracket < math.inf:
+        if not np.all(4.0 * bracket * bracket < math.inf):
             raise DomainError(f"<P>/2k or g/(2k (N+1) zbar) leaves the float range at "
                               f"<P> = {self.mean_p:g} 1/m, k = {self.wave_number:g} 1/m")
 
     @property
-    def span(self) -> float:
+    def span(self) -> float | np.ndarray:
         """(N+1) * zbar, the in-network path length."""
         return (self.n_sensors + 1) * self.z_bar
 
     @classmethod
     def from_moments(cls, m: Moments, wave_number: float, z_bar: float,
-                     n_sensors: int, g1: float = 0.0, g2: float = 0.0
-                     ) -> "GeneratorMoments":
+                     n_sensors: int | np.ndarray, g1: float = 0.0,
+                     g2: float = 0.0) -> "GeneratorMoments":
         return cls(m.var_x, m.var_p, m.cov_xp, m.mean_p,
                    wave_number, z_bar, n_sensors, g1, g2)
 
     @classmethod
-    def from_probe_spec(cls, spec: ProbeSpec, z_bar: float, n_sensors: int,
-                        g1: float = 0.0, g2: float = 0.0) -> "GeneratorMoments":
+    def from_probe_spec(cls, spec: ProbeSpec, z_bar: float,
+                        n_sensors: int | np.ndarray, g1: float = 0.0,
+                        g2: float = 0.0) -> "GeneratorMoments":
         """Analytic Gaussian moments: Var X = w0^2/4, Var P = 1/w0^2, Cov = 0."""
         try:
             var_x, var_p = spec.delta_x**2, spec.delta_p**2
@@ -179,11 +166,11 @@ class GeneratorMoments:
                    n_sensors, g1, g2)
 
 
-def _terms(gm: GeneratorMoments) -> tuple[float, float, float]:
+def _terms(gm: GeneratorMoments):
     """a = Var X u^2, b = Var P / k^2 and c = Cov u / k, u = 1/((N+1) zbar)."""
     u = 1.0 / gm.span
     k = gm.wave_number
-    return gm.var_x * u**2, gm.var_p / k**2, gm.cov_xp * u / k
+    return gm.var_x * (u * u), gm.var_p / k**2, gm.cov_xp * u / k
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -205,12 +192,12 @@ def qfim_quantum_switch(gm: GeneratorMoments) -> Qfim2:
     """
     u = 1.0 / gm.span
     k = gm.wave_number
-    base = gm.var_x * u**2 + gm.cov_xp * u / k
+    base = gm.var_x * (u * u) + gm.cov_xp * u / k
     half_p = gm.var_p / (2.0 * k**2)
     bracket1 = gm.mean_p / (2.0 * k) - gm.g2 * u / (2.0 * k)
     bracket2 = gm.mean_p / (2.0 * k) - gm.g1 * u / (2.0 * k)
-    var1 = base + half_p + bracket1**2
-    var2 = base + half_p + bracket2**2
+    var1 = base + half_p + bracket1 * bracket1
+    var2 = base + half_p + bracket2 * bracket2
     cov12 = base - bracket1 * bracket2
     return Qfim2(4.0 * var1, 4.0 * cov12, 4.0 * var2)
 
@@ -237,21 +224,20 @@ QFIM_CLOSED_FORMS: dict[SwitchMode, Callable[[GeneratorMoments], Qfim2]] = {
 }
 
 
-def _var_h0(gm: GeneratorMoments) -> float:
+def _var_h0(gm: GeneratorMoments) -> float | np.ndarray:
     """Var(H0), H0 = P/k + 2X/((N+1)zbar): the probe-alone generator at g = 0."""
     a, b, c = _terms(gm)
     return b + 4.0 * a + 4.0 * c
 
 
-def probe_alone_qfi_at_origin(gm: GeneratorMoments) -> QcrbReport:
+def probe_alone_qfi_at_origin(gm: GeneratorMoments) -> float | np.ndarray:
     """Bound on tbar from the mixed probe alone, in the small-signal regime.
 
-    1 / (N^2 (N+1)^2 zbar^2 Var(H0)); coincides exactly with the
-    classical-switch bound.
+    1 / (N^2 (N+1)^2 zbar^2 Var(H0)), one per sensor count of gm; coincides
+    exactly with the classical-switch bound.
     """
-    n = gm.n_sensors
-    bound = 1.0 / (n**2 * gm.span**2 * _var_h0(gm))
-    return QcrbReport(n, bound)
+    n, span = gm.n_sensors, gm.span
+    return 1.0 / (n * n * (span * span) * _var_h0(gm))
 
 
 def _global_bounds(q: np.ndarray, n: np.ndarray, z_bar: float) -> np.ndarray:
@@ -282,17 +268,14 @@ def _global_bounds(q: np.ndarray, n: np.ndarray, z_bar: float) -> np.ndarray:
     return terms[:, 0] + terms[:, 1]
 
 
-def qcrb_global(q: Qfim2, n_sensors: int, z_bar: float) -> QcrbReport:
+def qcrb_global(q: Qfim2, n_sensors: int, z_bar: float) -> float:
     """Project the (g1, g2) information matrix onto the average kick tbar.
 
-    Computes G Q^-1 G^T with the Jacobian G = [1, 1]/(N(N+1)zbar): the
-    one-row case of the batched projection behind the bound tables.  A
-    singular matrix is inverted on its range only; if the Jacobian has a
-    component along the null space the scalar is not estimable and the call
-    raises EstimabilityError.
+    The one-row case of _global_bounds, the projection behind the bound
+    table: G Q^-1 G^T with the Jacobian G = [1, 1]/(N(N+1)zbar), on the
+    range of a singular matrix, or EstimabilityError.
     """
-    bound = _global_bounds(q.as_array()[None], np.array([n_sensors]), z_bar)[0]
-    return QcrbReport(n_sensors, float(bound))
+    return float(_global_bounds(q.as_array()[None], np.array([n_sensors]), z_bar)[0])
 
 
 # -- finite-difference oracle ----------------------------------------------------

@@ -210,10 +210,10 @@ class ProbeSpec:
     center_p: float = 0.0
 
     def __post_init__(self):
-        if not self.waist_radius > 0:
-            raise DomainError(f"waist_radius must be positive, got {self.waist_radius}")
-        if not self.wave_number > 0:
-            raise DomainError(f"wave_number must be positive, got {self.wave_number}")
+        for name in ("waist_radius", "wave_number"):      # NaN fails too
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
 
     @property
     def delta_x(self) -> float:

@@ -53,12 +53,15 @@ class NetworkGeometry:
         object.__setattr__(self, "distances", tuple(float(z) for z in self.distances))
         if len(self.distances) < 2:
             raise DomainError("need at least two legs (one sensor)")
-        if any(z < 0 for z in self.distances):
-            raise DomainError("leg distances must be non-negative")
-        if self.lead_in < 0 or self.lead_out < 0:
-            raise DomainError("lead distances must be non-negative")
-        if not self.wave_number > 0:
-            raise DomainError("wave_number must be positive")
+        if not all(0 <= z < math.inf for z in self.distances):    # NaN fails too
+            raise DomainError("leg distances must be finite and non-negative")
+        for name in ("lead_in", "lead_out"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and non-negative, "
+                                  f"got {getattr(self, name)}")
+        if not 0 < self.wave_number < math.inf:
+            raise DomainError(f"wave_number must be positive and finite, "
+                              f"got {self.wave_number}")
 
     @property
     def n_sensors(self) -> int:

@@ -4,7 +4,8 @@ Mirrors the analysis applied to the tabletop run: sinusoidal drive voltages
 tilt the sensing mirrors, the quadrant detector's 10 kHz component is read
 against a drive-independent noise floor, a zero-intercept line through SNR
 versus voltage locates the SNR = 1 threshold per sensor count, and the
-resulting minimum detectable tilts are fitted to a / (N^2 + b N).
+resulting minimum detectable tilts are fitted to a / (N^2 + b N).  The
+closed-form bound table is one float array over (N, strategy).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, FitError
-from .fisher import QFIM_CLOSED_FORMS, GeneratorMoments, QcrbReport, SwitchMode, \
-    _global_bounds, probe_alone_qfi_at_origin
+from .fisher import QFIM_CLOSED_FORMS, GeneratorMoments, SwitchMode, _global_bounds, \
+    probe_alone_qfi_at_origin
 from .grid import ProbeSpec
 from .network import NetworkGeometry
 from .wva import PostSelection, ReadoutModel, qpd_signal
@@ -191,27 +192,37 @@ def fit_scaling_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     return ScalingFit(a, b, r_squared)
 
 
+def _times_n4(bounds: np.ndarray, n_values: Sequence[int]) -> np.ndarray:
+    """bounds[i, j] * n_values[i]^4, N^4 as two exact float squares rounded once:
+    the bits of bound * n**4 on Python ints (an int64 n**4 wraps above 55,108)."""
+    nf = np.asarray(n_values, dtype=float)[:, None]
+    return bounds * ((nf * nf) * (nf * nf))
+
+
 def qcrb_comparison(n_values: Iterable[int], probe: ProbeSpec, z_bar: float,
-                    modes: Sequence[SwitchMode] = tuple(SwitchMode)
-                    ) -> list[QcrbReport]:
+                    modes: Sequence[SwitchMode] = tuple(SwitchMode)) -> np.ndarray:
     """Closed-form bounds on the average kick for every N and strategy.
 
-    One report per (N, mode), in itertools.product(n_values, modes) order.
-    The information matrices of every row are projected onto the average
-    kick in one batched call; PROBE_ALONE rows take their bound from
-    probe_alone_qfi_at_origin.
+    bounds[i, j] is the bound at n_values[i] for modes[j]; raveled, the table
+    runs in itertools.product(n_values, modes) order.  Each mode is evaluated
+    once over the N array, its information matrices projected onto the
+    average kick in one batched call (PROBE_ALONE: probe_alone_qfi_at_origin).
+    A bound not positive, or whose bound * N^4 is not finite, raises
+    DomainError naming the first such N.
     """
-    gms = [GeneratorMoments.from_probe_spec(probe, z_bar, n) for n in n_values]
-    closed = [mode for mode in modes if mode != SwitchMode.PROBE_ALONE]
-    # the entry list is a temporary, freed before the reports are built
-    q = np.array([(m.q11, m.q12, m.q12, m.q22) for m in
-                  (QFIM_CLOSED_FORMS[mode](gm) for gm in gms for mode in closed)],
-                 dtype=float).reshape(-1, 2, 2)
-    n = np.repeat([gm.n_sensors for gm in gms], len(closed))
-    bounds = iter(_global_bounds(q, n, z_bar).tolist())
-    return [probe_alone_qfi_at_origin(gm) if mode == SwitchMode.PROBE_ALONE
-            else QcrbReport(gm.n_sensors, next(bounds))
-            for gm in gms for mode in modes]
+    n = np.fromiter(n_values, dtype=np.int64)
+    gm = GeneratorMoments.from_probe_spec(probe, z_bar, n)
+    with np.errstate(all="ignore"):     # what over- or underflows fails below
+        bounds = np.column_stack([
+            probe_alone_qfi_at_origin(gm) if mode == SwitchMode.PROBE_ALONE
+            else _global_bounds(QFIM_CLOSED_FORMS[mode](gm).as_array(), n, z_bar)
+            for mode in modes])
+        bad = ~((bounds > 0) & np.isfinite(_times_n4(bounds, n)))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise DomainError(f"bound {bounds[i, j]:g} at N = {n[i]} is not positive "
+                          f"and finite")
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -273,6 +284,6 @@ def end_to_end_sweep(n_values: Sequence[int], voltages: Sequence[float],
                                  snr[cell].ravel())
         points.append((n, voltage_to_beam_tilt(fit.min_voltage, drive)))
     scaling = fit_scaling_law(points)
-    for n in n_values:      # a probe outside the bounds' float range fails by name
-        GeneratorMoments.from_probe_spec(probe, z_bar, n)
+    # a probe outside the bounds' float range fails by name
+    GeneratorMoments.from_probe_spec(probe, z_bar, n_axis)
     return SweepResult(n_axis, v_axis, snr, tuple(points), scaling)

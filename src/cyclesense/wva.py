@@ -233,6 +233,13 @@ def momentum_readout(psi_f: WaveFunction, readout: ReadoutModel,
     return scale * m.mean_p, scale * math.sqrt(m.var_p)
 
 
+def _lead_gain(geom: NetworkGeometry) -> float:
+    """N^2 + (1 + 2 z_in/zbar) N, the factor by which the network scales the
+    readout signal of an average tilt."""
+    n = geom.n_sensors
+    return n**2 + (1.0 + 2.0 * geom.lead_in / geom.z_bar) * n
+
+
 def min_detectable_tilt(geom: NetworkGeometry, delta_p: float,
                         ps: PostSelection) -> tuple[float, float]:
     """Single-shot detection threshold where signal equals spread.
@@ -243,9 +250,7 @@ def min_detectable_tilt(geom: NetworkGeometry, delta_p: float,
     if not delta_p > 0:
         raise DomainError("delta_p must be positive")
     k = geom.wave_number
-    n = geom.n_sensors
-    denom = n**2 + (1.0 + 2.0 * geom.lead_in / geom.z_bar) * n
-    d_theta = (k * abs(ps.epsilon) / (geom.z_bar * delta_p)) / denom
+    d_theta = (k * abs(ps.epsilon) / (geom.z_bar * delta_p)) / _lead_gain(geom)
     return d_theta, d_theta / k
 
 
@@ -259,11 +264,9 @@ def qpd_signal(phi_bar: float, geom: NetworkGeometry, waist_radius: float,
     I_delta.  Valid in the same small-signal regime as the linearized
     evolution.
     """
-    n = geom.n_sensors
-    bracket = n**2 + (1.0 + 2.0 * geom.lead_in / geom.z_bar) * n
     i_delta = (geom.z_bar * readout.total_power
                / (2.0 * readout.position_slope * ps.epsilon * waist_radius)) \
-        * bracket * phi_bar
+        * _lead_gain(geom) * phi_bar
     return i_delta, readout.qpd_gain * i_delta
 
 

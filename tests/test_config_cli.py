@@ -428,18 +428,20 @@ class TestCsvBytes:
         assert rows[2].startswith("1,2,0,") and rows[-1].startswith("3,3,1,")
 
     def test_qcrb_sweep_matches_csv_module(self, tmp_path, monkeypatch):
+        # N = 100000 (the ceiling) puts N^4 past the int64 range: the
+        # reference takes it on Python ints
         tables = capture(monkeypatch, "qcrb_comparison")
-        cfg = write_config(tmp_path, n_values=[1, 2, 300])
+        cfg = write_config(tmp_path, n_values=[1, 2, 300, 100000])
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), *QCRB]) == 0
-        (reports,) = tables
-        keys = list(itertools.product([1, 2, 300], [
+        (bounds,) = tables
+        keys = list(itertools.product([1, 2, 300, 100000], [
             "sequential", "quantum_switch", "classical_switch", "probe_alone"]))
-        assert [r.n_sensors for r in reports] == [n for n, _ in keys]
+        assert bounds.shape == (4, 4)
         assert (out / "qcrb_sweep.csv").read_bytes() == reference_csv(
             ["n_sensors", "mode", "qcrb", "qcrb_times_N4", "per_shot_precision"],
-            [[n, mode, r.bound_on_theta_bar, r.scaled_bound, r.per_shot_precision]
-             for (n, mode), r in zip(keys, reports, strict=True)])
+            [[n, mode, b, b * n**4, float(np.sqrt(b))]
+             for (n, mode), b in zip(keys, bounds.ravel().tolist(), strict=True)])
 
     EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
                    2.2250738585072014e-308, 1e-300, -1e300, 1e300,

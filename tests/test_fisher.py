@@ -5,7 +5,7 @@ import pytest
 
 from cyclesense import (ConvergenceError, EstimabilityError, GeneratorMoments,
                         Grid, JointState, NetworkGeometry, ProbeSpec, Qfim2,
-                        QcrbReport, SwitchMode, apply_propagation, make_gaussian,
+                        SwitchMode, apply_propagation, make_gaussian,
                         moments, probe_alone_qfi_at_origin, qcrb_global,
                         qfim_classical_switch, qfim_numerical,
                         qfim_quantum_switch, qfim_sequential,
@@ -172,35 +172,29 @@ class TestQcrb:
     def test_sequential_bound_examples(self):
         # 1/(4 N^2 VarX) for zero covariance; w0 = 2, N = 2 gives 1/16
         gm = GeneratorMoments(1.0, 0.25, 0.0, 0.0, 1.0, 1.0, 2)
-        rep = qcrb_global(qfim_sequential(gm), 2, 1.0)
-        assert rep.bound_on_theta_bar == pytest.approx(1.0 / 16.0, rel=1e-12)
+        bound = qcrb_global(qfim_sequential(gm), 2, 1.0)
+        assert bound == pytest.approx(1.0 / 16.0, rel=1e-12)
 
     def test_sequential_bound_with_covariance(self):
         # closed form 1/(4 N^2 (VarX - Cov^2/VarP))
         gm = GeneratorMoments(1.0, 0.5, 0.3, 0.2, 1.0, 1.4, 3)
-        rep = qcrb_global(qfim_sequential(gm), 3, 1.4)
+        bound = qcrb_global(qfim_sequential(gm), 3, 1.4)
         expected = 1.0 / (4 * 9 * (1.0 - 0.09 / 0.5))
-        assert rep.bound_on_theta_bar == pytest.approx(expected, rel=1e-12)
+        assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_classical_switch_unit_bound(self):
         # 1/(N^2 (N+1)^2 / 4 + 4 N^2) at w0 = 2, k = zbar = 1; N = 1 gives 1/5
-        rep = qcrb_global(qfim_classical_switch(GM_UNIT), 1, 1.0)
-        assert rep.bound_on_theta_bar == pytest.approx(0.2, rel=1e-12)
+        bound = qcrb_global(qfim_classical_switch(GM_UNIT), 1, 1.0)
+        assert bound == pytest.approx(0.2, rel=1e-12)
         for n in (2, 5, 9):
             gm = GeneratorMoments(1.0, 0.25, 0.0, 0.0, 1.0, 1.0, n)
-            rep = qcrb_global(qfim_classical_switch(gm), n, 1.0)
+            bound = qcrb_global(qfim_classical_switch(gm), n, 1.0)
             expected = 1.0 / (n**2 * (n + 1) ** 2 / 4 + 4 * n**2)
-            assert rep.bound_on_theta_bar == pytest.approx(expected, rel=1e-12)
-
-    def test_report_fields(self):
-        rep = QcrbReport(3, 0.04)
-        assert rep.scaled_bound == pytest.approx(0.04 * 81)
-        assert rep.per_shot_precision == pytest.approx(0.2)
+            assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_singular_probe_alone_projection(self):
         q = Qfim2.from_array(fisher._var_h0(GM_UNIT) * np.ones((2, 2)))
-        rep = qcrb_global(q, 1, 1.0)
-        assert rep.bound_on_theta_bar == pytest.approx(0.2, rel=1e-12)
+        assert qcrb_global(q, 1, 1.0) == pytest.approx(0.2, rel=1e-12)
 
     def test_from_array_tolerance_scales_with_largest_entry(self):
         # a zero off-diagonal next to a rounding-sized partner is symmetric
@@ -221,8 +215,8 @@ class TestQcrb:
         regular, singular = qfim_sequential(GM_UNIT), Qfim2(v, v, v)
         stack = np.array([regular.as_array(), singular.as_array()])
         bounds = _global_bounds(stack, np.array([3, 5]), 0.4)
-        assert bounds.tolist() == [qcrb_global(regular, 3, 0.4).bound_on_theta_bar,
-                                   qcrb_global(singular, 5, 0.4).bound_on_theta_bar]
+        assert bounds.tolist() == [qcrb_global(regular, 3, 0.4),
+                                   qcrb_global(singular, 5, 0.4)]
         bad = np.concatenate([stack, Qfim2(1.0, 0.0, 0.0).as_array()[None]])
         with pytest.raises(EstimabilityError, match="not estimable"):
             _global_bounds(bad, np.array([3, 5, 2]), 0.4)
@@ -234,8 +228,8 @@ class TestProbeAlone:
     def test_matches_classical_switch_exactly(self):
         for n in range(1, 51):
             gm = GeneratorMoments(1e-6, 25e4, 0.0, 0.0, 8.05e6, 0.2, n)
-            alone = probe_alone_qfi_at_origin(gm).bound_on_theta_bar
-            csw = qcrb_global(qfim_classical_switch(gm), n, 0.2).bound_on_theta_bar
+            alone = probe_alone_qfi_at_origin(gm)
+            csw = qcrb_global(qfim_classical_switch(gm), n, 0.2)
             assert abs(alone - csw) / csw < 1e-12
 
     def test_identity_holds_with_covariance(self):
@@ -244,23 +238,22 @@ class TestProbeAlone:
         for cov in (-0.3, 0.2, 0.45):
             for n in (1, 3, 7):
                 gm = GeneratorMoments(1.0, 0.5, cov, 0.0, 1.0, 1.2, n)
-                alone = probe_alone_qfi_at_origin(gm).bound_on_theta_bar
-                csw = qcrb_global(qfim_classical_switch(gm), n,
-                                  1.2).bound_on_theta_bar
+                alone = probe_alone_qfi_at_origin(gm)
+                csw = qcrb_global(qfim_classical_switch(gm), n, 1.2)
                 assert abs(alone - csw) / csw < 1e-12
 
     def test_var_h0_formula(self):
         # Var(H0) = VarP/k^2 + 4 VarX/span^2 for zero covariance
         gm = GeneratorMoments(1.0, 0.25, 0.0, 0.0, 1.0, 1.0, 1)
-        rep = probe_alone_qfi_at_origin(gm)
         var_h0 = 0.25 + 4.0 / 4.0
-        assert rep.bound_on_theta_bar == pytest.approx(1.0 / (1 * 4 * var_h0), rel=1e-12)
+        assert probe_alone_qfi_at_origin(gm) == pytest.approx(1.0 / (1 * 4 * var_h0),
+                                                              rel=1e-12)
 
     def test_scaled_bound_approaches_momentum_limit(self):
         gm = lambda n: GeneratorMoments(1.0, 0.25, 0.0, 0.0, 1.0, 1.0, n)
         limit = 1.0 / (1.0**2 * 0.25) * 1.0  # k^2/(zbar^2 VarP) = 4
-        rep = probe_alone_qfi_at_origin(gm(1500))
-        assert rep.scaled_bound == pytest.approx(4.0, rel=5e-3)
+        assert probe_alone_qfi_at_origin(gm(1500)) * 1500**4 == pytest.approx(
+            4.0, rel=5e-3)
 
 
 class TestStrategyProperties:
@@ -280,9 +273,9 @@ class TestStrategyProperties:
         # at the theta-bar level for zero-covariance Gaussians, N >= 2
         for n in range(2, 51):
             gm = GeneratorMoments(1.0, 0.25, 0.0, 0.0, 1.0, 1.0, n)
-            seq = qcrb_global(qfim_sequential(gm), n, 1.0).bound_on_theta_bar
-            qsw = qcrb_global(qfim_quantum_switch(gm), n, 1.0).bound_on_theta_bar
-            csw = qcrb_global(qfim_classical_switch(gm), n, 1.0).bound_on_theta_bar
+            seq = qcrb_global(qfim_sequential(gm), n, 1.0)
+            qsw = qcrb_global(qfim_quantum_switch(gm), n, 1.0)
+            csw = qcrb_global(qfim_classical_switch(gm), n, 1.0)
             assert qsw <= seq * (1 + 1e-12)
             assert csw <= seq * (1 + 1e-12)
 
@@ -291,9 +284,9 @@ class TestStrategyProperties:
         scaled = []
         for n in range(1, 80):
             gm = GeneratorMoments(1.0, 0.25, 0.0, 0.0, 1.0, 1.0, n)
-            rep = qcrb_global(qfim_classical_switch(gm), n, 1.0)
-            bounds.append(rep.bound_on_theta_bar)
-            scaled.append(rep.scaled_bound)
+            bound = qcrb_global(qfim_classical_switch(gm), n, 1.0)
+            bounds.append(bound)
+            scaled.append(bound * n**4)
         assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
         # the N^4-scaled bound approaches its limit monotonically
         limit = 4.0

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cyclesense import (CompositeEvolution, Grid, GridOverflowError, JointState,
-                        KickVector, NetworkGeometry, ProbeSpec, RunConfig, SwitchMode,
+from cyclesense import (CompositeEvolution, DomainError, Grid, GridOverflowError,
+                        JointState, KickVector, NetworkGeometry, ProbeSpec,
+                        RunConfig, SwitchMode,
                         apply_kick, apply_parity, apply_propagation, apply_shift,
                         composite_apply, fidelity, g_params, make_gaussian,
                         moments, overlap, switched_state_family, traverse_sequence)
@@ -35,6 +36,21 @@ class TestGeometryTypes:
             NetworkGeometry((1.0, -0.1))
         with pytest.raises(ValueError):
             KickVector(())
+
+    @pytest.mark.parametrize("cls,args,kwargs,name", [
+        (NetworkGeometry, ((1.0, math.nan),), {"lead_in": math.nan}, "leg distances"),
+        (NetworkGeometry, ((1.0, math.inf),), {}, "leg distances"),
+        (NetworkGeometry, ((1.0, 1.0),), {"lead_in": math.nan}, "lead_in"),
+        (NetworkGeometry, ((1.0, 1.0),), {"lead_out": math.inf}, "lead_out"),
+        (NetworkGeometry, ((1.0, 1.0),), {"wave_number": math.inf}, "wave_number"),
+        (ProbeSpec, (math.inf, 1.0), {}, "waist_radius"),
+        (ProbeSpec, (math.nan, 1.0), {}, "waist_radius"),
+        (ProbeSpec, (1.0, math.inf), {"center_p": math.nan}, "wave_number"),
+    ], ids=["legs-nan", "legs-inf", "lead-in-nan", "lead-out-inf", "geom-k-inf",
+            "waist-inf", "waist-nan", "probe-k-inf-center-p-nan"])
+    def test_non_finite_inputs_fail_by_name(self, cls, args, kwargs, name):
+        with pytest.raises(DomainError, match=f"^{name} must be "):
+            cls(*args, **kwargs)
 
     def test_kick_vector_tilts(self):
         kicks = KickVector((2.0, 4.0))

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from cyclesense import (FitError, GeneratorMoments, NetworkGeometry, NoiseModel,
+from cyclesense import (DomainError, FitError, GeneratorMoments, NetworkGeometry,
+                        NoiseModel,
                         PostSelection, ProbeSpec, ReadoutModel, SensorDriveModel,
                         SwitchMode, TABLETOP_PRECISION_TABLE,
                         calibrate_noise_floor, end_to_end_sweep, fit_scaling_law,
@@ -26,7 +27,7 @@ import math
 from cyclesense import ProbeSpec, SwitchMode, qcrb_comparison
 rows = qcrb_comparison(range(1, 2001), ProbeSpec(2e-3, 2 * math.pi / 780e-9), 0.2,
                        [SwitchMode.SEQUENTIAL])
-print(repr([r.bound_on_theta_bar for r in rows]))
+print(repr(rows[:, 0].tolist()))
 """
 
 DRIVE = SensorDriveModel()
@@ -315,28 +316,33 @@ class TestFullScaleSweep:
 
 class TestQcrbComparison:
     def test_row_count_and_modes(self):
-        rows = qcrb_comparison(range(1, 51), PROBE, 0.2)
-        assert len(rows) == 50 * 4
-        assert [r.n_sensors for r in rows] == [
-            n for n, _ in itertools.product(range(1, 51), SwitchMode)]
+        # one row per sensor count, one column per mode
+        bounds = qcrb_comparison(range(1, 51), PROBE, 0.2)
+        assert bounds.shape == (50, 4) and bounds.dtype == np.float64
+        assert bounds.size == len(list(itertools.product(range(1, 51), SwitchMode)))
 
     @pytest.mark.parametrize("modes", [tuple(SwitchMode), (
         SwitchMode.PROBE_ALONE, SwitchMode.CLASSICAL_SWITCH, SwitchMode.SEQUENTIAL)],
         ids=["default", "probe-alone-first"])
     def test_rows_equal_per_row_bounds(self, modes):
-        # the batched projection is the one behind qcrb_global, row for row,
-        # in itertools.product(n_values, modes) order
-        rows = qcrb_comparison(range(1, 2001), PROBE, 0.2, modes)
-        for r, (n, mode) in zip(rows, itertools.product(range(1, 2001), modes),
-                                strict=True):
+        # the array route is the scalar one behind qcrb_global and
+        # probe_alone_qfi_at_origin, bit for bit, in
+        # itertools.product(n_values, modes) order; so are the CSV's N^4
+        # column on float squares and its per-shot precision
+        bounds = qcrb_comparison(range(1, 2001), PROBE, 0.2, modes)
+        nf = np.arange(1, 2001, dtype=float)[:, None]
+        scaled = bounds * ((nf * nf) * (nf * nf))
+        rows = zip(bounds.ravel().tolist(), scaled.ravel().tolist(),
+                   np.sqrt(bounds).ravel().tolist())
+        for (bound, n4, shot), (n, mode) in zip(
+                rows, itertools.product(range(1, 2001), modes), strict=True):
             gm = GeneratorMoments.from_probe_spec(PROBE, 0.2, n)
             if mode == SwitchMode.PROBE_ALONE:
-                rep = probe_alone_qfi_at_origin(gm)
+                ref = probe_alone_qfi_at_origin(gm)
             else:
-                rep = qcrb_global(QFIM_CLOSED_FORMS[mode](gm), n, 0.2)
-            assert r == rep
-            assert (r.scaled_bound, r.per_shot_precision) == (
-                rep.scaled_bound, rep.per_shot_precision)
+                ref = qcrb_global(QFIM_CLOSED_FORMS[mode](gm), n, 0.2)
+            assert bound == ref
+            assert (n4, shot) == (ref * n**4, float(np.sqrt(ref)))
 
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                         reason="OPENBLAS_CORETYPE names x86-64 kernels")
@@ -346,9 +352,35 @@ class TestQcrbComparison:
         assert seen[0] == seen[1]
 
     def test_probe_alone_equals_classical_rows(self):
-        rows = qcrb_comparison([1, 5, 20], PROBE, 0.2)
-        by = {key: r.bound_on_theta_bar for key, r in
-              zip(itertools.product([1, 5, 20], SwitchMode), rows, strict=True)}
+        bounds = qcrb_comparison([1, 5, 20], PROBE, 0.2)
+        by = dict(zip(itertools.product([1, 5, 20], SwitchMode),
+                      bounds.ravel().tolist(), strict=True))
         for n in (1, 5, 20):
             csw = by[(n, SwitchMode.CLASSICAL_SWITCH)]
             assert by[(n, SwitchMode.PROBE_ALONE)] == pytest.approx(csw, rel=1e-12)
+
+    def test_table_names_the_first_bound_out_of_range(self):
+        # at zbar = 1e150 the probe-alone bound underflows to 0 from N = 2000
+        # on: (N (N+1) zbar)^2 leaves the float range, ((N+1) zbar)^2 does not
+        modes = (SwitchMode.QUANTUM_SWITCH, SwitchMode.CLASSICAL_SWITCH,
+                 SwitchMode.PROBE_ALONE)
+        assert np.all(qcrb_comparison([1, 2, 3], PROBE, 1e150, modes) > 0)
+        with pytest.raises(DomainError, match=r"^bound 0 at N = 3000 is not "
+                                              r"positive and finite$"):
+            qcrb_comparison([1, 3000, 2, 2000], PROBE, 1e150, modes)
+
+    def test_sensor_count_array_fails_like_its_worst_scalar(self):
+        # Var X u^2 underflows to 0 at N = 100000 only; the array raises the
+        # scalar call's DomainError there, and without a RuntimeWarning
+        # (turned into an error by the suite's warning filter)
+        def gm(n):
+            return GeneratorMoments(1e-318, 1.0, 0.0, 0.0, 1.0, 1.0, n)
+        gm(np.array([1, 2, 3]))
+        with pytest.raises(DomainError) as scalar:
+            gm(100000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as array:
+                gm(np.array([1, 100000, 3]))
+        assert str(array.value) == str(scalar.value)
+        assert "leaves the float range" in str(scalar.value)
