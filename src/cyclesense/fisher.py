@@ -247,12 +247,17 @@ def _global_bounds(q: np.ndarray, n: np.ndarray, z_bar: float) -> np.ndarray:
     inverted on its range only: eigenvalues at or below RANK_TOL times the
     largest are dropped, and a dropped term enters the sum as exactly 0.  A
     row with nothing kept, or whose Jacobian has a component along the null
-    space, is not estimable and raises EstimabilityError.  The projections
+    space, is not estimable and raises EstimabilityError; a matrix entry
+    that overflowed raises DomainError naming the first such N.  The projections
     are plain elementwise products and sums rather than a BLAS product, so
     their bits do not depend on the BLAS kernel.
     """
     n = np.asarray(n, dtype=float)        # exact products while N(N+1) < 2^53
     w = 1.0 / (n * (n + 1.0) * z_bar)
+    finite = np.isfinite(q).all(axis=(1, 2))
+    if not finite.all():
+        raise DomainError(f"information matrix entries overflow the float range "
+                          f"at N = {n[np.argmin(finite)]:.0f}")
     evals, evecs = np.linalg.eigh(q)
     cut = RANK_TOL * np.maximum(np.abs(evals).max(axis=1), 1e-300)
     keep = evals > cut[:, None]

@@ -12,12 +12,14 @@ reordering.  Transforms between the two use the unitary continuum convention
     psi~(p) = (2*pi)^(-1/2) * integral psi(x) exp(-i p x) dx,
 
 discretized with the midpoint rule, which is spectrally accurate for the
-smooth, rapidly decaying states handled here.  All values are immutable and
-every operation returns a new object, so instances can be shared freely
-across threads; a grid only remembers the last phase mask of each kind it
-built, and a wavefunction its moments once measured.  Inner products that
-reach outputs are numpy sums, not BLAS dot products, so results do not
-depend on the BLAS thread count.
+smooth, rapidly decaying states handled here.  A wavefunction holds one
+state, or a stack of states in the rows of one array that the network
+operators advance in lockstep, one numpy call per step for all rows.  All
+values are immutable and every operation returns a new object, so instances
+can be shared freely across threads; a grid only remembers the last phase
+mask of each kind it built, and a single state its moments once measured.
+Inner products that reach outputs are numpy sums, not BLAS dot products, so
+results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -283,8 +285,12 @@ def guard_windows(m: Moments, grid: Grid, step: str) -> None:
 class WaveFunction:
     """Complex amplitudes of the transverse mode in one representation.
 
-    guard_moments, when set, are the moments of this state carried forward
-    exactly by the unitary operators that produced it; the grid guards read
+    amplitudes has shape (n,) for a single state or (b, n) for a stack of b
+    states, one per row; the transforms act on the last axis.  Norms,
+    overlaps and moments() take single states only and raise GridError on a
+    stack; rows() splits it.  guard_moments, when set, are the moments of
+    the state carried forward exactly by the unitary operators that produced
+    it, one Moments per row in a tuple for a stack; the grid guards read
     them instead of measuring the state at every step.  They take no part in
     comparisons, and moments() always measures the amplitudes, once per
     instance.  The state owns its amplitudes: the constructor copies the
@@ -294,13 +300,14 @@ class WaveFunction:
     grid: Grid
     amplitudes: np.ndarray = field(repr=False)
     representation: str = POSITION
-    guard_moments: Optional[Moments] = field(default=None, repr=False, compare=False)
+    guard_moments: Optional[Moments | tuple[Moments, ...]] = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.representation not in (POSITION, MOMENTUM):
             raise DomainError(f"unknown representation {self.representation!r}")
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.grid.num_points,):
+        if amps.ndim not in (1, 2) or amps.shape[-1] != self.grid.num_points:
             raise GridError(
                 f"amplitude array of shape {amps.shape} does not match grid "
                 f"with {self.grid.num_points} points")
@@ -309,13 +316,31 @@ class WaveFunction:
     @classmethod
     def _adopt(cls, grid: Grid, amps: np.ndarray, representation: str,
                guard_moments: Optional[Moments] = None) -> "WaveFunction":
-        """State owning amps, a complex128 array of grid's size that its
-        caller has just made and keeps no other reference to; no copy."""
+        """State owning amps, a complex128 array of one state or a stack on
+        grid that its caller has just made and keeps no other reference to
+        (or a row of such an array); no copy.  A list of guard moments holds
+        one per row."""
+        if isinstance(guard_moments, list):
+            guard_moments = tuple(guard_moments) if amps.ndim == 2 else guard_moments[0]
         psi = object.__new__(cls)
         psi.__dict__.update(grid=grid, amplitudes=_readonly(amps),
                             representation=representation,
                             guard_moments=guard_moments)
         return psi
+
+    def rows(self) -> tuple["WaveFunction", ...]:
+        """The states of a stack in order, as read-only views of its rows
+        carrying their own guard moments; (self,) for a single state."""
+        if self.amplitudes.ndim == 1:
+            return (self,)
+        carried = self.guard_moments or (None,) * len(self.amplitudes)
+        return tuple(WaveFunction._adopt(self.grid, a, self.representation, m)
+                     for a, m in zip(self.amplitudes, carried))
+
+    def _require_single(self, operation: str) -> None:
+        if self.amplitudes.ndim != 1:
+            raise GridError(f"{operation} takes a single state, got a stack of "
+                            f"{len(self.amplitudes)}")
 
     # -- representation handling -------------------------------------------
 
@@ -342,6 +367,7 @@ class WaveFunction:
     # -- norms ---------------------------------------------------------------
 
     def norm_squared(self) -> float:
+        self._require_single("norm_squared")
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self._weight)
 
     def norm(self) -> float:
@@ -354,11 +380,13 @@ class WaveFunction:
         return WaveFunction._adopt(self.grid, self.amplitudes / n, self.representation)
 
     def require_normalized(self, tol: float = NORM_PRECONDITION_TOL) -> None:
-        # one dot product; norm() keeps its own sum, whose bits reach outputs
-        a = self.amplitudes
-        n = math.sqrt(np.vdot(a, a).real * self._weight)
-        if not abs(n - 1.0) <= tol:             # a NaN norm fails too
-            raise NormalizationError(f"wavefunction norm {n} deviates from 1 by more than {tol}")
+        # one dot product a row; norm() keeps its own sum, whose bits reach outputs
+        for r, a in enumerate(self.amplitudes.reshape(-1, self.grid.num_points)):
+            n = math.sqrt(np.vdot(a, a).real * self._weight)
+            if not abs(n - 1.0) <= tol:             # a NaN norm fails too
+                row = f" row {r}" if self.amplitudes.ndim == 2 else ""
+                raise NormalizationError(f"wavefunction{row} norm {n} deviates "
+                                         f"from 1 by more than {tol}")
 
 
 def make_gaussian(spec: ProbeSpec, grid: Grid) -> WaveFunction:
@@ -390,6 +418,8 @@ def make_gaussian(spec: ProbeSpec, grid: Grid) -> WaveFunction:
 
 def overlap(a: WaveFunction, b: WaveFunction) -> complex:
     """Inner product <a|b> by quadrature in a common representation."""
+    for psi in (a, b):
+        psi._require_single("overlap")
     if a.grid != b.grid:
         raise GridError("wavefunctions live on different grids")
     if a.representation != b.representation:
@@ -415,6 +445,7 @@ def moments(psi: WaveFunction) -> Moments:
     measured = psi.__dict__.get("_moments")
     if measured is not None:
         return measured
+    psi._require_single("moments")
     psi.require_normalized()
     pos = psi.to_position()
     mom = psi.to_momentum()

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fisher import JointState, SwitchMode
-from .grid import (MOMENTUM, POSITION, Moments, WaveFunction, guard_windows,
+from .grid import (MOMENTUM, Moments, WaveFunction, guard_windows,
                    moments, symmetric_phase)
 
 #: default wavelength of the tabletop rig (m) and its wave number (1/m).
@@ -140,33 +140,58 @@ def g_params(geom: NetworkGeometry, kicks: KickVector) -> CompositeEvolution:
 
 
 # -- elementary grid operations ----------------------------------------------
+#
+# Each operation acts on a single state or on every row of a stack; a tuple
+# or list of step values gives each row its own, any other value all rows.
 
 
-def _guard_moments(psi: WaveFunction) -> Moments:
-    """The moments psi carries, measured on the grid when it carries none."""
-    return psi.guard_moments if psi.guard_moments is not None else moments(psi)
+def _each(value, count: int, what: str) -> tuple:
+    values = tuple(value) if isinstance(value, (tuple, list)) else (value,) * count
+    if len(values) != count:
+        raise DomainError(f"{len(values)} {what} for {count} rows")
+    return values
 
 
-def apply_kick(psi: WaveFunction, theta: float) -> WaveFunction:
+def _guard_moments(psi: WaveFunction) -> list[Moments]:
+    """The moments of each row of psi, measured on the grid if it carries none."""
+    carried = psi.guard_moments
+    if carried is None:
+        return [moments(row) for row in psi.rows()]
+    return list(carried) if isinstance(carried, tuple) else [carried]
+
+
+def _masked(psi: WaveFunction, masks, guard_moments) -> WaveFunction:
+    """Each row of psi times its mask into one new array: amplitudes first and
+    no temporary, so every row keeps the bits of a single-state product (the
+    complex product is not symmetric in its operands)."""
+    out = np.empty_like(psi.amplitudes)
+    n = psi.grid.num_points
+    for a, mask, o in zip(psi.amplitudes.reshape(-1, n), masks, out.reshape(-1, n)):
+        np.multiply(a, mask, out=o)
+    return WaveFunction._adopt(psi.grid, out, psi.representation, guard_moments)
+
+
+def apply_kick(psi: WaveFunction, theta) -> WaveFunction:
     """Sensor unitary exp(-i theta X): phase mask in position space.
 
     Raises GridOverflowError, instead of aliasing silently, when the kicked
-    moments leave half of either grid window (guard_windows); the momentum
-    window is the one a kick moves, by <P> -> <P> - theta.
+    moments of a row leave half of either grid window (guard_windows); the
+    momentum window is the one a kick moves, by <P> -> <P> - theta.
     """
     psi.require_normalized()
-    m = _guard_moments(psi).kicked(theta)
-    guard_windows(m, psi.grid, f"kicking by {theta}")
-    pos = psi.to_position()
-    amps = pos.amplitudes * psi.grid.kick_mask(theta)
-    return WaveFunction._adopt(psi.grid, amps, POSITION, m)
+    thetas = _each(theta, psi.amplitudes.size // psi.grid.num_points, "kicks")
+    kicked = [m.kicked(t) for m, t in zip(_guard_moments(psi), thetas)]
+    for m, t in zip(kicked, thetas):
+        guard_windows(m, psi.grid, f"kicking by {t}")
+    return _masked(psi.to_position(), [psi.grid.kick_mask(t) for t in thetas], kicked)
 
 
 def apply_shift(psi: WaveFunction, displacement: float) -> WaveFunction:
-    """Translation exp(-i d P): moves the state by +d in position.
+    """Translation exp(-i d P): moves a single state by +d in position.
 
     Carries the moments unguarded; composite_apply's propagation guards them.
     """
+    psi._require_single("apply_shift")
     mom = psi.to_momentum()
     amps = mom.amplitudes * symmetric_phase(psi.grid.momenta,
                                             lambda p: -displacement * p, odd=True)
@@ -175,50 +200,58 @@ def apply_shift(psi: WaveFunction, displacement: float) -> WaveFunction:
     return WaveFunction._adopt(psi.grid, amps, MOMENTUM, moved)
 
 
-def apply_propagation(psi: WaveFunction, z: float, wave_number: float) -> WaveFunction:
+def apply_propagation(psi: WaveFunction, z, wave_number: float) -> WaveFunction:
     """Free propagation exp(-i z P^2 / 2k) as a momentum-space phase.
 
     Raises GridOverflowError, instead of aliasing silently, when the
-    propagated moments leave half of either grid window (guard_windows); the
-    position window is the one the diffracting beam grows into.  The guard
-    reads the input's guard_moments and measures the grid only when it
-    carries none; the output carries them propagated exactly by
-    X -> X + (z/k) P.  moments() of the result still measures the grid.
+    propagated moments of a row leave half of either grid window
+    (guard_windows); the position window is the one the diffracting beam
+    grows into.  The guard reads the input's guard_moments and measures the
+    grid only when it carries none; the output carries them propagated
+    exactly by X -> X + (z/k) P.  moments() of the result still measures
+    the grid.
     """
     psi.require_normalized()
-    if not z >= 0:                            # a NaN distance fails too
+    zs = _each(z, psi.amplitudes.size // psi.grid.num_points, "distances")
+    if not all(zr >= 0 for zr in zs):         # a NaN distance fails too
         raise DomainError(f"propagation distance must be non-negative, got {z}")
     if not 0 < wave_number < math.inf:        # and so does a NaN wave number
         raise DomainError(f"wave_number must be positive and finite, got {wave_number}")
-    m = psi.guard_moments                     # z == 0 leaves them unchanged
-    if z > 0:
-        m = _guard_moments(psi).propagated(z / wave_number)
-        guard_windows(m, psi.grid, f"propagating {z}")
-    mom = psi.to_momentum()
-    amps = mom.amplitudes * psi.grid.propagation_mask(z, wave_number)
-    return WaveFunction._adopt(psi.grid, amps, MOMENTUM, m)
+    carried = psi.guard_moments               # zero lengths leave them unchanged
+    if any(zr > 0 for zr in zs):
+        carried = [m.propagated(zr / wave_number) if zr > 0 else m
+                   for m, zr in zip(_guard_moments(psi), zs)]
+        for m, zr in zip(carried, zs):
+            if zr > 0:
+                guard_windows(m, psi.grid, f"propagating {zr}")
+    return _masked(psi.to_momentum(),
+                   [psi.grid.propagation_mask(zr, wave_number) for zr in zs], carried)
 
 
-def apply_parity(psi: WaveFunction) -> WaveFunction:
+def apply_parity(psi: WaveFunction, flip=True) -> WaveFunction:
     """Spatial inversion psi(x) -> psi(-x); exact involution on the grid.
 
-    Carries the moments unguarded; it maps the symmetric windows onto themselves.
+    A row whose flag is false is copied.  Carries the moments unguarded; it
+    maps the symmetric windows onto themselves.
     """
-    amps = psi.amplitudes
-    out = np.empty_like(amps)
-    out[0] = amps[0]                          # x = 0 (p = 0) maps to itself
-    out[1:] = amps[:0:-1]                     # sample j to sample -j mod n
-    m = psi.guard_moments
-    flipped = None if m is None else m.flipped()
-    return WaveFunction._adopt(psi.grid, out, psi.representation, flipped)
+    n = psi.grid.num_points
+    flips = _each(flip, psi.amplitudes.size // n, "parity flags")
+    out = np.empty_like(psi.amplitudes)
+    for a, f, o in zip(psi.amplitudes.reshape(-1, n), flips, out.reshape(-1, n)):
+        o[0] = a[0]                           # x = 0 (p = 0) maps to itself
+        o[1:] = a[:0:-1] if f else a[1:]      # sample j to sample -j mod n
+    carried = psi.guard_moments               # None stays None
+    if carried is not None:
+        carried = [m.flipped() if f else m for m, f in zip(_guard_moments(psi), flips)]
+    return WaveFunction._adopt(psi.grid, out, psi.representation, carried)
 
 
 # -- traversals ----------------------------------------------------------------
 
 
 def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
-                      direction: str = "forward", parity_conjugated: bool = False,
-                      include_leads: bool = False) -> WaveFunction:
+                      direction="forward", parity_conjugated=False,
+                      include_leads: bool = False):
     """Operator-by-operator network traversal (the brute-force oracle).
 
     forward applies U_zN U_thetaN ... U_theta1 U_z0, reverse applies
@@ -226,34 +259,46 @@ def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVecto
     kicks read backwards.  With parity_conjugated the whole traversal is
     sandwiched between spatial inversions, which is how the reverse branch
     is realized on the optical table.  Leads, when included, stay outside
-    the parity sandwich.  The grid moments are measured once, at the first
-    step on a state that carries none; every later overflow guard reads the
-    moments carried forward by the steps before it.
+    the parity sandwich.
+
+    A tuple of directions (with one parity flag each, or one for all) walks
+    the orders in lockstep as the rows of one stack and returns one state
+    per order; a plain direction is the one-row case.  The input's moments,
+    measured once unless it carries them, seed every row; each guard reads
+    the moments carried forward, and the first failing step of any row raises.
     """
+    psi._require_single("traverse_sequence")
     n = geom.n_sensors
     if len(kicks) != n:
         raise DomainError(f"{len(kicks)} kicks for a network with {n} sensors")
-    if direction not in ("forward", "reverse"):
-        raise DomainError(f"unknown direction {direction!r}")
+    directions = (direction,) if isinstance(direction, str) else tuple(direction)
+    if not directions:
+        raise DomainError("no traversal direction given")
+    flips = _each(parity_conjugated, len(directions), "parity flags")
+    for d in directions:
+        if d not in ("forward", "reverse"):
+            raise DomainError(f"unknown direction {d!r}")
+    steps = [1 if d == "forward" else -1 for d in directions]
     k = geom.wave_number
-    z = geom.distances
-    th = kicks.thetas
-    if direction == "reverse":
-        z, th = z[::-1], th[::-1]
+    legs = list(zip(*(geom.distances[::s] for s in steps)))   # leg j of every row
+    thetas = list(zip(*(kicks.thetas[::s] for s in steps)))
 
     if include_leads and geom.lead_in > 0:
         psi = apply_propagation(psi, geom.lead_in, k)
-    if parity_conjugated:
-        psi = apply_parity(psi)
-    psi = apply_propagation(psi, z[0], k)
-    for j in range(n):
-        psi = apply_kick(psi, th[j])
-        psi = apply_propagation(psi, z[j + 1], k)
-    if parity_conjugated:
-        psi = apply_parity(psi)
+    psi = WaveFunction._adopt(psi.grid, np.repeat(psi.amplitudes[None], len(steps), 0),
+                              psi.representation, _guard_moments(psi) * len(steps))
+    if any(flips):
+        psi = apply_parity(psi, flips)
+    psi = apply_propagation(psi, legs[0], k)
+    for theta, z in zip(thetas, legs[1:]):
+        psi = apply_kick(psi, theta)
+        psi = apply_propagation(psi, z, k)
+    if any(flips):
+        psi = apply_parity(psi, flips)
     if include_leads and geom.lead_out > 0:
         psi = apply_propagation(psi, geom.lead_out, k)
-    return psi.to_position()
+    out = psi.to_position().rows()
+    return out[0] if isinstance(direction, str) else out
 
 
 def composite_apply(psi: WaveFunction, geom: NetworkGeometry, comp: CompositeEvolution,

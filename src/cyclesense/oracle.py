@@ -33,6 +33,8 @@ from .wva import (PostSelection, first_order_momentum_shift, min_detectable_tilt
 LAB_PROBE = ProbeSpec(2e-3, 2.0 * math.pi / 780e-9)
 LAB_Z_BAR = 0.2
 LAB_PS = PostSelection.from_weak_value_magnitude(7.0)
+#: both traversal orders, walked as one stack
+ORDERS = ("forward", "reverse")
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,8 @@ def _traversal_pairs(seed_base: int, seeds: int, num_points: int):
         geom, kicks, psi = _random_instance(np.random.default_rng(seed_base + seed),
                                             num_points)
         comp = g_params(geom, kicks)
-        for direction in ("forward", "reverse"):
-            yield (traverse_sequence(psi, geom, kicks, direction),
-                   functools.partial(composite_apply, psi, geom, comp, direction))
+        for direction, brute in zip(ORDERS, traverse_sequence(psi, geom, kicks, ORDERS)):
+            yield brute, functools.partial(composite_apply, psi, geom, comp, direction)
 
 
 def check_bch_fidelity(seeds: int = 20, num_points: int = 1 << 14,
@@ -141,8 +142,7 @@ def check_switch_phase(num_points: int = 1 << 14,
             geom, kicks, psi = _random_instance(rng, num_points)
             comp = g_params(geom, kicks)
             span = (geom.n_sensors + 1) * geom.z_bar
-            fwd = traverse_sequence(psi, geom, kicks, "forward")
-            rev = traverse_sequence(psi, geom, kicks, "reverse")
+            fwd, rev = traverse_sequence(psi, geom, kicks, ORDERS)
             measured = math.atan2(overlap(rev, fwd).imag, overlap(rev, fwd).real)
             predicted = (comp.g1**2 - comp.g2**2) / (2.0 * geom.wave_number * span)
             yield abs(measured - predicted) / max(abs(predicted), 1e-12)

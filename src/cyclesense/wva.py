@@ -9,8 +9,9 @@ shows up as a momentum shift of the surviving probe, which a Fourier lens
 plus quadrant detector reads out directly.
 
 The polarization is kept as an explicit two-component register tensored
-with the grid state (one grid wavefunction per branch); the branches only
-meet in the final projection, so nothing ever needs a joint grid.
+with the grid state: one grid wavefunction per branch, both walked through
+the network as the two rows of one stack; the branches only meet in the
+final projection, so nothing ever needs a joint grid.
 """
 
 from __future__ import annotations
@@ -147,9 +148,8 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
     k = geom.wave_number
 
     if method == "exact_grid":
-        fwd = traverse_sequence(psi, geom, kicks, "forward", include_leads=True)
-        rev = traverse_sequence(psi, geom, kicks, "reverse",
-                                parity_conjugated=True, include_leads=True)
+        fwd, rev = traverse_sequence(psi, geom, kicks, ("forward", "reverse"),
+                                     (False, True), include_leads=True)
         post = ps.state
         # joint state (fwd (x) H + rev (x) V)/sqrt(2) projected onto <post|
         amps = (post.amp_h.conjugate() * fwd.amplitudes

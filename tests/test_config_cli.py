@@ -13,8 +13,8 @@ import yaml
 
 from cyclesense import (ConfigError, DomainError, NoiseModel, RunConfig,
                         SensorDriveModel, TABLETOP_PRECISION_TABLE, WaveFunction,
-                        end_to_end_sweep, voltage_to_beam_tilt)
-from cyclesense import cli, config, oracle, pipeline
+                        end_to_end_sweep, traverse_sequence, voltage_to_beam_tilt)
+from cyclesense import cli, config, oracle, pipeline, wva
 from cyclesense.cli import _write_csv, _write_json, main
 from cyclesense.config import MAX_GRID_BYTES, MAX_SENSORS, MAX_SYNTHETIC_SAMPLES
 
@@ -280,6 +280,20 @@ class TestCli:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),
                      "wva-sim", "--n", "200"]) == 3
         assert capsys.readouterr().err.startswith("error: GridOverflowError: ")
+
+    def test_stacked_traversal_overflow_exit_code(self, tmp_path, capsys, monkeypatch):
+        walks = []
+
+        def recording(psi, geom, kicks, direction, *args, **kwargs):
+            walks.append(direction)
+            return traverse_sequence(psi, geom, kicks, direction, *args, **kwargs)
+
+        monkeypatch.setattr(wva, "traverse_sequence", recording)
+        cfg = write_config(tmp_path, theta_bar=1e5, num_points=1 << 10)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "wva-sim", "--n", "200"]) == 3
+        assert capsys.readouterr().err.startswith("error: GridOverflowError: ")
+        assert walks == [("forward", "reverse")]
 
     def test_too_few_sensor_counts_for_fit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_values=[2], voltages=[1e-3, 2e-3])

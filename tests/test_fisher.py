@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclesense import (ConvergenceError, EstimabilityError, GeneratorMoments,
+from cyclesense import (ConvergenceError, DomainError, EstimabilityError, GeneratorMoments,
                         Grid, JointState, NetworkGeometry, ProbeSpec, Qfim2,
                         SwitchMode, apply_propagation, make_gaussian,
                         moments, probe_alone_qfi_at_origin, qcrb_global,
@@ -222,6 +222,15 @@ class TestQcrb:
             _global_bounds(bad, np.array([3, 5, 2]), 0.4)
         with pytest.raises(EstimabilityError, match="zero"):
             _global_bounds(np.zeros((1, 2, 2)), np.array([2]), 0.4)
+
+    def test_overflowed_matrix_is_named_with_its_sensor_count(self):
+        # Var X u^2 is finite, but 4 (a + b + 2c) overflows to inf
+        huge = qfim_sequential(GeneratorMoments(1.7e308, 1.0, 0.0, 0.0, 1.0, 0.5, 1))
+        with pytest.raises(DomainError, match="overflow the float range at N = 1$"):
+            qcrb_global(huge, 1, 0.5)
+        stack = np.array([qfim_sequential(GM_UNIT).as_array(), huge.as_array()])
+        with pytest.raises(DomainError, match="at N = 7$"):
+            _global_bounds(stack, np.array([3, 7]), 0.5)
 
 
 class TestProbeAlone:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cyclesense import (DomainError, Grid, GridError, Moments, NormalizationError, ProbeSpec,
-                        WaveFunction, apply_kick, diffracted_radius, fidelity,
-                        make_gaussian, moments, overlap)
+                        WaveFunction, apply_kick, apply_parity, apply_propagation,
+                        apply_shift, diffracted_radius, fidelity, make_gaussian,
+                        moments, overlap)
 from cyclesense.grid import MOMENTUM, POSITION
 
 
@@ -268,6 +269,75 @@ class TestWaveFunction:
     def test_representation_round_trip_preserves_tag(self, unit_probe):
         assert unit_probe.representation == POSITION
         assert unit_probe.to_momentum().representation == MOMENTUM
+
+
+class TestStacks:
+    """A (b, n) wavefunction is b states that the network operators advance
+    together; only the operators and the transforms accept it."""
+
+    @pytest.fixture
+    def stack(self, unit_probe):
+        a = unit_probe.amplitudes
+        return WaveFunction(unit_probe.grid, np.array([a, a[::-1]]))
+
+    @pytest.mark.parametrize("consumer", [
+        moments, lambda psi: overlap(psi, psi), lambda psi: fidelity(psi, psi),
+        WaveFunction.norm_squared, WaveFunction.norm, WaveFunction.normalized,
+        lambda psi: apply_shift(psi, 0.1)],
+        ids=["moments", "overlap", "fidelity", "norm_squared", "norm",
+             "normalized", "apply_shift"])
+    def test_single_state_consumers_refuse_a_stack(self, stack, consumer):
+        with pytest.raises(GridError, match="takes a single state, got a stack of 2"):
+            consumer(stack)
+
+    def test_overlap_refuses_a_stack_in_either_slot(self, stack, unit_probe):
+        for a, b in ((unit_probe, stack), (stack, unit_probe)):
+            with pytest.raises(GridError, match="single state"):
+                overlap(a, b)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1 << 13), (2, 1 << 12), (1 << 12,), ()])
+    def test_constructor_refuses_other_shapes(self, unit_grid, shape):
+        with pytest.raises(GridError, match="does not match grid"):
+            WaveFunction(unit_grid, np.ones(shape))
+
+    def test_norm_check_names_the_row_that_is_off(self, unit_probe):
+        a = unit_probe.amplitudes
+        off = WaveFunction(unit_probe.grid, np.array([a, a, 1.001 * a]))
+        with pytest.raises(NormalizationError, match="^wavefunction row 2 norm "):
+            off.require_normalized()
+        WaveFunction(unit_probe.grid, np.array([a, a])).require_normalized()
+        with pytest.raises(NormalizationError, match="^wavefunction norm "):
+            WaveFunction(unit_probe.grid, 1.001 * a).require_normalized()
+
+    def test_transforms_act_row_by_row_with_single_state_bits(self, stack):
+        for rows, single in ((stack.to_momentum().rows(),
+                              [r.to_momentum() for r in stack.rows()]),
+                             (stack.to_momentum().to_position().rows(),
+                              [r.to_momentum().to_position() for r in stack.rows()])):
+            for a, b in zip(rows, single):
+                assert np.array_equal(a.amplitudes.view(np.uint64),
+                                      b.amplitudes.view(np.uint64))
+
+    def test_rows_are_read_only_views_with_their_own_moments(self, stack):
+        m = moments(stack.rows()[0])
+        kicked = apply_kick(WaveFunction(stack.grid, stack.amplitudes, POSITION,
+                                         (m, m.flipped())), (0.1, -0.2))
+        rows = kicked.rows()
+        assert [r.amplitudes.shape for r in rows] == [(stack.grid.num_points,)] * 2
+        assert all(np.shares_memory(r.amplitudes, kicked.amplitudes) for r in rows)
+        assert not rows[1].amplitudes.flags.writeable
+        assert rows[0].guard_moments == m.kicked(0.1)
+        assert rows[1].guard_moments == m.flipped().kicked(-0.2)
+
+    def test_step_values_one_per_row(self, stack):
+        with pytest.raises(DomainError, match="^3 kicks for 2 rows"):
+            apply_kick(stack, (0.1, 0.2, 0.3))
+        with pytest.raises(DomainError, match="^1 distances for 2 rows"):
+            apply_propagation(stack, [1.0], 1.0)
+        flipped = apply_parity(stack, (False, True)).rows()
+        assert np.array_equal(flipped[0].amplitudes, stack.rows()[0].amplitudes)
+        assert np.array_equal(flipped[1].amplitudes,
+                              apply_parity(stack.rows()[1]).amplitudes)
 
 
 #: values that reach outputs through inner products at 2^14 points, where

@@ -1,17 +1,19 @@
-"""Split-step traversal: exactly tracked guard moments and reused phase masks."""
+"""Split-step traversal: exactly tracked guard moments, reused phase masks and
+both traversal orders walked as one stack."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cyclesense import (DomainError, Grid, GridOverflowError, JointState,
+from cyclesense import (DomainError, Grid, GridError, GridOverflowError, JointState,
                         KickVector, Moments, NetworkGeometry, ProbeSpec,
                         SwitchMode, WaveFunction, apply_kick, apply_parity,
                         apply_propagation, apply_shift, make_gaussian, moments,
                         qfim_numerical, switched_state_family, traverse_sequence)
 from cyclesense import network
 from cyclesense.grid import MOMENTUM, POSITION
+from cyclesense.oracle import _random_instance
 
 from conftest import LAB_WAVE_NUMBER
 
@@ -163,6 +165,152 @@ class TestGuards:
         measured = [outcome(*case) for case in cases]
         assert tracked == measured
         assert {"passed", "propagating", "kicking"} <= set(tracked)
+
+
+def walked(psi, geom, kicks, direction, parity=False, include_leads=False):
+    """One traversal order as single-state operator calls, step by step."""
+    k = geom.wave_number
+    step = 1 if direction == "forward" else -1
+    z, th = geom.distances[::step], kicks.thetas[::step]
+    if include_leads and geom.lead_in > 0:
+        psi = apply_propagation(psi, geom.lead_in, k)
+    if parity:
+        psi = apply_parity(psi)
+    psi = apply_propagation(psi, z[0], k)
+    for theta, leg in zip(th, z[1:]):
+        psi = apply_propagation(apply_kick(psi, theta), leg, k)
+    if parity:
+        psi = apply_parity(psi)
+    if include_leads and geom.lead_out > 0:
+        psi = apply_propagation(psi, geom.lead_out, k)
+    return psi.to_position()
+
+
+def assert_same_bits(a, b):
+    assert a.amplitudes.shape == b.amplitudes.shape
+    assert np.array_equal(a.amplitudes.view(np.uint64), b.amplitudes.view(np.uint64))
+
+
+def assert_stack_matches_single_orders(psi, geom, kicks, orders, flips,
+                                       include_leads, by_hand=True):
+    """Each row of the stacked call has the bits of its order traversed alone,
+    and of the same steps made on a single state (by_hand)."""
+    stacked = traverse_sequence(psi, geom, kicks, orders, flips,
+                                include_leads=include_leads)
+    assert len(stacked) == len(orders)
+    for row, direction, parity in zip(stacked, orders, flips):
+        assert row.representation == POSITION
+        assert_same_bits(row, traverse_sequence(psi, geom, kicks, direction, parity,
+                                                include_leads))
+        if by_hand:
+            assert_same_bits(row, walked(psi, geom, kicks, direction, parity,
+                                         include_leads))
+
+
+class TestStackedOrders:
+    """Both orders in one (2, n) stack give every row the bits of its own walk."""
+
+    @pytest.mark.parametrize("n", [9, 50, 200])
+    def test_lab_geometry_with_leads_and_reverse_parity(self, n):
+        geom, kicks, psi = lab_instance(n, 0.0125, 1 << 14)
+        assert_stack_matches_single_orders(psi, geom, kicks, ("forward", "reverse"),
+                                           (False, True), True, by_hand=n < 200)
+
+    def test_random_instances_with_non_uniform_legs_and_kicks(self):
+        for seed in range(20):
+            geom, kicks, psi = _random_instance(np.random.default_rng(seed), 1 << 14)
+            assert_stack_matches_single_orders(psi, geom, kicks, ("forward", "reverse"),
+                                               (False, False), False)
+
+    def test_parity_before_the_first_transform_without_lead_in(self):
+        geom = NetworkGeometry((0.7, 1.3, 0.9, 1.1), lead_out=0.6, wave_number=1.0)
+        kicks = KickVector((0.05, -0.08, 0.02))
+        psi = make_gaussian(ProbeSpec(1.5, 1.0, center_x=0.2, center_p=-0.1),
+                            Grid.for_probe(ProbeSpec(1.5, 1.0), geom.z_total, 1 << 12))
+        assert_stack_matches_single_orders(psi, geom, kicks,
+                                           ("forward", "reverse", "reverse"),
+                                           (True, True, False), True)
+
+    def test_grid_of_2_13_points(self):
+        geom, kicks, psi = lab_instance(50, 0.0125, 1 << 13)
+        assert_stack_matches_single_orders(psi, geom, kicks, ("forward", "reverse"),
+                                           (False, True), True)
+
+    def test_mask_products_keep_the_amplitudes_first(self):
+        # the complex product rounds differently as mask * amplitudes; at
+        # 2^14 points numpy's temporary elision would swap the operands of
+        # amplitudes * (unnamed mask)
+        _, _, psi = lab_instance(3, 0.0, 1 << 14)
+        g, k = psi.grid, LAB_WAVE_NUMBER
+        stack = WaveFunction(g, np.array([psi.amplitudes,
+                                          apply_parity(apply_kick(psi, 40.0)).amplitudes]))
+        kicked = apply_kick(stack, (30.0, -20.0))
+        for row, a, theta in zip(kicked.rows(), stack.amplitudes, (30.0, -20.0)):
+            assert np.array_equal(row.amplitudes.view(np.uint64),
+                                  (a * g.kick_mask(theta)).view(np.uint64))
+        mom = kicked.to_momentum()
+        moved = apply_propagation(kicked, [0.2, 0.5], k)
+        for row, a, z in zip(moved.rows(), mom.amplitudes, (0.2, 0.5)):
+            assert np.array_equal(row.amplitudes.view(np.uint64),
+                                  (a * g.propagation_mask(z, k)).view(np.uint64))
+
+    def test_one_transform_per_step_for_both_orders(self, monkeypatch):
+        geom, kicks, psi = lab_instance(50, 0.01, 1 << 10)
+        moments(psi)                          # measured once, before counting
+        shapes = []
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(a.shape)
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        traverse_sequence(psi, geom, kicks, ("forward", "reverse"), (False, True),
+                          include_leads=True)
+        assert len(shapes) == 2 * geom.n_sensors + 2
+        assert shapes[0] == (psi.grid.num_points,)          # the shared lead-in
+        assert set(shapes[1:]) == {(2, psi.grid.num_points)}
+
+    def test_guard_raises_when_either_order_would(self):
+        """The stacked call fails exactly when one order alone fails, with the
+        message of an order that fails."""
+        outcomes = []
+        for n in (9, 50):
+            for t in np.geomspace(1.0, 1e4, 12):
+                geom, _, psi = lab_instance(n, 0.0, 1 << 10)
+                kicks = KickVector(tuple(t * np.linspace(0.1, 2.0, n)))
+                alone = []
+                for direction, parity in (("forward", False), ("reverse", True)):
+                    try:
+                        traverse_sequence(psi, geom, kicks, direction, parity, True)
+                    except GridOverflowError as exc:
+                        alone.append(str(exc))
+                try:
+                    traverse_sequence(psi, geom, kicks, ("forward", "reverse"),
+                                      (False, True), True)
+                except GridOverflowError as exc:
+                    assert str(exc) in alone
+                    outcomes.append(len(alone))
+                else:
+                    assert alone == []
+                    outcomes.append(0)
+        assert {0, 1, 2} <= set(outcomes)
+
+    def test_bad_orders_and_inputs_fail_by_name(self, unit_probe):
+        geom = NetworkGeometry.uniform(1, 1.0, wave_number=1.0)
+        kicks = KickVector((0.1,))
+        with pytest.raises(DomainError, match="unknown direction 'sideways'"):
+            traverse_sequence(unit_probe, geom, kicks, ("forward", "sideways"))
+        with pytest.raises(DomainError, match="no traversal direction"):
+            traverse_sequence(unit_probe, geom, kicks, ())
+        with pytest.raises(DomainError, match="1 parity flags for 2 rows"):
+            traverse_sequence(unit_probe, geom, kicks, ("forward", "reverse"), (True,))
+        a = unit_probe.amplitudes
+        with pytest.raises(GridError, match="single state"):
+            traverse_sequence(WaveFunction(unit_probe.grid, np.array([a, a])), geom,
+                              kicks)
 
 
 class TestPhaseMasks:
