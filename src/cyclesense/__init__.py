@@ -14,7 +14,7 @@ from .network import (CompositeEvolution, KickVector, NetworkGeometry,
                       apply_kick, apply_parity, apply_propagation, apply_shift,
                       composite_apply, g_params, switched_state_family,
                       traverse_sequence)
-from .fisher import (GeneratorMoments, JointState, Qfim2, SwitchMode,
+from .fisher import (GeneratorMoments, JointState, SwitchMode,
                      probe_alone_qfi_at_origin, qcrb_global,
                      qfim_classical_switch, qfim_numerical,
                      qfim_quantum_switch, qfim_sequential)

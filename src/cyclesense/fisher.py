@@ -2,11 +2,11 @@
 
 The traversal imprints the two shift weights (g1, g2) on the probe, and the
 network average tilt is the scalar function tbar = (g1+g2)/(N(N+1)zbar) of
-them.  This module evaluates the 2x2 information matrix of (g1, g2) for all
-query strategies from closed forms in the initial-probe moments, at one
-sensor count or broadcast over an array of them, projects it onto tbar for
-the bound, and provides an independent finite-difference evaluation on grid
-states as the numerical oracle for every closed form.
+them.  This module evaluates the information matrix of (g1, g2), a float
+(2, 2) array or an (M, 2, 2) stack over M sensor counts, for all query
+strategies from closed forms in the initial-probe moments, projects it onto
+tbar for the bound, and provides an independent finite-difference evaluation
+on grid states as the numerical oracle for every closed form.
 
 For a pure family |psi(g)> the matrix entries are
 
@@ -62,10 +62,10 @@ class JointState:
 
     def __post_init__(self):
         w0, w1 = self.weights
-        if w0 < 0 or w1 < 0 or abs(w0 + w1 - 1.0) > 1e-9:
+        if not (w0 >= 0 and w1 >= 0 and abs(w0 + w1 - 1.0) <= 1e-9):  # NaN fails too
             raise DomainError(f"branch weights must be a distribution, got {self.weights}")
-        if abs(self.coherence) > np.sqrt(w0 * w1) + 1e-9:
-            raise DomainError("ancilla coherence violates positivity")
+        if not abs(self.coherence) <= np.sqrt(w0 * w1) + 1e-9:       # NaN fails too
+            raise DomainError(f"ancilla coherence {self.coherence} violates positivity")
         if self.branch_minus is None and w1 != 0.0:
             raise DomainError("missing reverse branch with nonzero weight")
 
@@ -75,27 +75,6 @@ class JointState:
         if w1 == 0.0 or w0 == 0.0:
             return True
         return abs(abs(self.coherence) - np.sqrt(w0 * w1)) <= 1e-9
-
-
-@dataclass(frozen=True)
-class Qfim2:
-    """Symmetric 2x2 information matrix over the shift weights (g1, g2), or a
-    stack of them when the entries are arrays of one shape."""
-
-    q11: float | np.ndarray
-    q12: float | np.ndarray
-    q22: float | np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        q11, q12, q22 = np.broadcast_arrays(self.q11, self.q12, self.q22)
-        return np.stack([q11, q12, q12, q22], axis=-1).reshape(q11.shape + (2, 2))
-
-    @classmethod
-    def from_array(cls, q: np.ndarray) -> "Qfim2":
-        """Matrix from a 2x2 array symmetric to 1e-9 of its largest entry."""
-        if q.shape != (2, 2) or abs(q[0, 1] - q[1, 0]) > 1e-9 * (np.max(np.abs(q)) + 1e-300):
-            raise DomainError("expected a symmetric 2x2 array")
-        return cls(float(q[0, 0]), 0.5 * float(q[0, 1] + q[1, 0]), float(q[1, 1]))
 
 
 @dataclass(frozen=True)
@@ -176,13 +155,19 @@ def _terms(gm: GeneratorMoments):
 # -- closed forms ---------------------------------------------------------------
 
 
-def qfim_sequential(gm: GeneratorMoments) -> Qfim2:
+def _symmetric(q11, q12, q22) -> np.ndarray:
+    """The (..., 2, 2) float array [[q11, q12], [q12, q22]] of broadcast entries."""
+    q11, q12, q22 = np.broadcast_arrays(q11, q12, q22)
+    return np.stack([q11, q12, q12, q22], axis=-1).reshape(q11.shape + (2, 2))
+
+
+def qfim_sequential(gm: GeneratorMoments) -> np.ndarray:
     """Information matrix of a fixed-order traversal (pure final state)."""
     a, b, c = _terms(gm)
-    return Qfim2(4.0 * (a + b + 2.0 * c), 4.0 * (a + c), 4.0 * a)
+    return _symmetric(4.0 * (a + b + 2.0 * c), 4.0 * (a + c), 4.0 * a)
 
 
-def qfim_quantum_switch(gm: GeneratorMoments) -> Qfim2:
+def qfim_quantum_switch(gm: GeneratorMoments) -> np.ndarray:
     """Information matrix with the control qubit in the balanced superposition.
 
     The momentum-generator brackets carry the g-dependent displacements
@@ -199,10 +184,10 @@ def qfim_quantum_switch(gm: GeneratorMoments) -> Qfim2:
     var1 = base + half_p + bracket1 * bracket1
     var2 = base + half_p + bracket2 * bracket2
     cov12 = base - bracket1 * bracket2
-    return Qfim2(4.0 * var1, 4.0 * cov12, 4.0 * var2)
+    return _symmetric(4.0 * var1, 4.0 * cov12, 4.0 * var2)
 
 
-def qfim_classical_switch(gm: GeneratorMoments) -> Qfim2:
+def qfim_classical_switch(gm: GeneratorMoments) -> np.ndarray:
     """Information matrix of the balanced classical order mixture.
 
     Equal to the arithmetic mean of the forward- and reverse-order
@@ -211,13 +196,13 @@ def qfim_classical_switch(gm: GeneratorMoments) -> Qfim2:
     """
     a, b, c = _terms(gm)
     diag = a + 0.5 * b + c
-    return Qfim2(4.0 * diag, 4.0 * (a + c), 4.0 * diag)
+    return _symmetric(4.0 * diag, 4.0 * (a + c), 4.0 * diag)
 
 
 #: the one SwitchMode -> closed-form information matrix dispatch.
 #: PROBE_ALONE is absent: its matrix exists only at the origin and is
 #: singular, so its bound comes from probe_alone_qfi_at_origin.
-QFIM_CLOSED_FORMS: dict[SwitchMode, Callable[[GeneratorMoments], Qfim2]] = {
+QFIM_CLOSED_FORMS: dict[SwitchMode, Callable[[GeneratorMoments], np.ndarray]] = {
     SwitchMode.SEQUENTIAL: qfim_sequential,
     SwitchMode.QUANTUM_SWITCH: qfim_quantum_switch,
     SwitchMode.CLASSICAL_SWITCH: qfim_classical_switch,
@@ -273,14 +258,16 @@ def _global_bounds(q: np.ndarray, n: np.ndarray, z_bar: float) -> np.ndarray:
     return terms[:, 0] + terms[:, 1]
 
 
-def qcrb_global(q: Qfim2, n_sensors: int, z_bar: float) -> float:
-    """Project the (g1, g2) information matrix onto the average kick tbar.
+def qcrb_global(q: np.ndarray, n_sensors: int, z_bar: float) -> float:
+    """Project the 2x2 (g1, g2) information matrix onto the average kick tbar.
 
     The one-row case of _global_bounds, the projection behind the bound
     table: G Q^-1 G^T with the Jacobian G = [1, 1]/(N(N+1)zbar), on the
     range of a singular matrix, or EstimabilityError.
     """
-    return float(_global_bounds(q.as_array()[None], np.array([n_sensors]), z_bar)[0])
+    if np.shape(q) != (2, 2):
+        raise DomainError(f"expected a 2x2 information matrix, got shape {np.shape(q)}")
+    return float(_global_bounds(np.asarray(q)[None], np.array([n_sensors]), z_bar)[0])
 
 
 # -- finite-difference oracle ----------------------------------------------------
@@ -351,19 +338,19 @@ def _qfim_fd(builder: StateBuilder, at: tuple[float, float],
 
 
 def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
-                   step: Optional[float] = None) -> Qfim2:
-    """Finite-difference information matrix of a state family.
+                   step: Optional[float] = None) -> np.ndarray:
+    """Finite-difference 2x2 information matrix of a state family.
 
     Central differences at step h and h/2 with one Richardson extrapolation
-    level; raises ConvergenceError when the two estimates disagree by more
-    than MAX_DISAGREEMENT in relative Frobenius norm.  The default step is
-    REL_STEP relative to each parameter value (with a floor of REL_STEP for
-    parameters at zero).  Pure families are differentiated jointly; in a
-    labeled mixture of zero coherence each branch keeps its own projection,
-    which gives the weight-average of the branch matrices (the weights do
-    not depend on the parameters, the label keeps the branches orthogonal).
-    Partially coherent centres raise EstimabilityError.  The centre is
-    built once, so a matrix costs 9 builds.
+    level; raises ConvergenceError when either estimate has a non-finite
+    entry or the two disagree by more than MAX_DISAGREEMENT in relative
+    Frobenius norm.  The default step is REL_STEP relative to each parameter
+    value (with a floor of REL_STEP for parameters at zero).  Pure families
+    are differentiated jointly; in a labeled mixture of zero coherence each
+    branch keeps its own projection, which gives the weight-average of the
+    branch matrices (the weights do not depend on the parameters, the label
+    keeps the branches orthogonal).  Partially coherent centres raise
+    EstimabilityError.  The centre is built once, so a matrix costs 9 builds.
     """
     center = builder(*at)
     if not (center.is_pure or center.coherence == 0):
@@ -376,6 +363,8 @@ def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
         steps = (REL_STEP * max(abs(at[0]), 1.0), REL_STEP * max(abs(at[1]), 1.0))
     q_h = _qfim_fd(builder, at, steps, center)
     q_h2 = _qfim_fd(builder, at, (0.5 * steps[0], 0.5 * steps[1]), center)
+    if not np.isfinite([q_h, q_h2]).all():
+        raise ConvergenceError(f"finite-difference matrix is not finite: {q_h2.tolist()}")
     scale = np.linalg.norm(q_h2)
     if scale == 0.0:
         raise ConvergenceError("finite-difference matrix vanished identically")
@@ -385,4 +374,4 @@ def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
             f"central-difference estimates at h and h/2 disagree by "
             f"{disagreement:.3e} (limit {MAX_DISAGREEMENT:g}); refine the grid "
             f"or the step")
-    return Qfim2.from_array((4.0 * q_h2 - q_h) / 3.0)
+    return (4.0 * q_h2 - q_h) / 3.0

@@ -13,8 +13,8 @@ reordering.  Transforms between the two use the unitary continuum convention
 
 discretized with the midpoint rule, which is spectrally accurate for the
 smooth, rapidly decaying states handled here.  A wavefunction holds one
-state, or a stack of states in the rows of one array that the network
-operators advance in lockstep, one numpy call per step for all rows.  All
+state, or a stack of states in the rows of one array, such as a traversal's
+forward/reverse pair, advanced in lockstep by one numpy call per step.  All
 values are immutable and every operation returns a new object, so instances
 can be shared freely across threads; a grid only remembers the last phase
 mask of each kind it built, and a single state its moments once measured.

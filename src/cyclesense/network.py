@@ -10,8 +10,8 @@ and g2 (reverse order) parameterize that reduced form.  composite_apply
 applies it as plain grid phases and ends in momentum space, where the
 reduced evolution ends; switched_state_family builds the fixed-order,
 quantum-switch and labeled classical-switch states from it.
-traverse_sequence applies the raw operator product and serves as the
-brute-force oracle for both.
+traverse_sequence applies the raw operator product in both orders and
+serves as the brute-force oracle for both.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ def g_params(geom: NetworkGeometry, kicks: KickVector) -> CompositeEvolution:
 
 # -- elementary grid operations ----------------------------------------------
 #
-# Each operation acts on a single state or on every row of a stack; a tuple
-# or list of step values gives each row its own, any other value all rows.
+# Kicks and propagations act on a single state or on every row of a stack; a
+# tuple or list of step values gives each row its own, any other value all rows.
 
 
 def _each(value, count: int, what: str) -> tuple:
@@ -228,77 +228,59 @@ def apply_propagation(psi: WaveFunction, z, wave_number: float) -> WaveFunction:
                    [psi.grid.propagation_mask(zr, wave_number) for zr in zs], carried)
 
 
-def apply_parity(psi: WaveFunction, flip=True) -> WaveFunction:
-    """Spatial inversion psi(x) -> psi(-x); exact involution on the grid.
+def apply_parity(psi: WaveFunction) -> WaveFunction:
+    """Spatial inversion psi(x) -> psi(-x) of one state; exact involution on the grid.
 
-    A row whose flag is false is copied.  Carries the moments unguarded; it
-    maps the symmetric windows onto themselves.
+    Carries the moments unguarded; it maps the symmetric windows onto themselves.
     """
-    n = psi.grid.num_points
-    flips = _each(flip, psi.amplitudes.size // n, "parity flags")
-    out = np.empty_like(psi.amplitudes)
-    for a, f, o in zip(psi.amplitudes.reshape(-1, n), flips, out.reshape(-1, n)):
-        o[0] = a[0]                           # x = 0 (p = 0) maps to itself
-        o[1:] = a[:0:-1] if f else a[1:]      # sample j to sample -j mod n
-    carried = psi.guard_moments               # None stays None
-    if carried is not None:
-        carried = [m.flipped() if f else m for m, f in zip(_guard_moments(psi), flips)]
-    return WaveFunction._adopt(psi.grid, out, psi.representation, carried)
+    psi._require_single("apply_parity")
+    amps = psi.amplitudes
+    out = np.empty_like(amps)
+    out[0] = amps[0]                          # x = 0 (p = 0) maps to itself
+    out[1:] = amps[:0:-1]                     # sample j to sample -j mod n
+    m = psi.guard_moments
+    flipped = None if m is None else m.flipped()
+    return WaveFunction._adopt(psi.grid, out, psi.representation, flipped)
 
 
 # -- traversals ----------------------------------------------------------------
 
 
+def _pair(fwd: WaveFunction, rev: WaveFunction) -> WaveFunction:
+    """Two single states in one representation as the rows of one stack."""
+    return WaveFunction._adopt(fwd.grid, np.stack([fwd.amplitudes, rev.amplitudes]),
+                               fwd.representation, [s.guard_moments for s in (fwd, rev)])
+
+
 def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
-                      direction="forward", parity_conjugated=False,
-                      include_leads: bool = False):
-    """Operator-by-operator network traversal (the brute-force oracle).
+                      parity_reverse: bool = False) -> tuple[WaveFunction, WaveFunction]:
+    """Operator-by-operator traversal in both orders (the brute-force oracle),
+    returned as (forward, reverse) in position space.
 
     forward applies U_zN U_thetaN ... U_theta1 U_z0, reverse applies
-    U_z0 U_theta1 U_z1 ... U_thetaN U_zN: the same loop over the legs and
-    kicks read backwards.  With parity_conjugated the whole traversal is
-    sandwiched between spatial inversions, which is how the reverse branch
-    is realized on the optical table.  Leads, when included, stay outside
-    the parity sandwich.
-
-    A tuple of directions (with one parity flag each, or one for all) walks
-    the orders in lockstep as the rows of one stack and returns one state
-    per order; a plain direction is the one-row case.  The input's moments,
-    measured once unless it carries them, seed every row; each guard reads
-    the moments carried forward, and the first failing step of any row raises.
+    U_z0 U_theta1 U_z1 ... U_thetaN U_zN: the legs and kicks read backwards,
+    walked in lockstep as the two rows of one stack.  With parity_reverse the
+    reverse order is sandwiched between spatial inversions, as on the optical
+    table.  The input's moments, measured once unless it carries them, seed
+    both rows; the first failing guard of either row raises.
     """
     psi._require_single("traverse_sequence")
     n = geom.n_sensors
     if len(kicks) != n:
         raise DomainError(f"{len(kicks)} kicks for a network with {n} sensors")
-    directions = (direction,) if isinstance(direction, str) else tuple(direction)
-    if not directions:
-        raise DomainError("no traversal direction given")
-    flips = _each(parity_conjugated, len(directions), "parity flags")
-    for d in directions:
-        if d not in ("forward", "reverse"):
-            raise DomainError(f"unknown direction {d!r}")
-    steps = [1 if d == "forward" else -1 for d in directions]
     k = geom.wave_number
-    legs = list(zip(*(geom.distances[::s] for s in steps)))   # leg j of every row
-    thetas = list(zip(*(kicks.thetas[::s] for s in steps)))
-
-    if include_leads and geom.lead_in > 0:
-        psi = apply_propagation(psi, geom.lead_in, k)
-    psi = WaveFunction._adopt(psi.grid, np.repeat(psi.amplitudes[None], len(steps), 0),
-                              psi.representation, _guard_moments(psi) * len(steps))
-    if any(flips):
-        psi = apply_parity(psi, flips)
-    psi = apply_propagation(psi, legs[0], k)
-    for theta, z in zip(thetas, legs[1:]):
-        psi = apply_kick(psi, theta)
-        psi = apply_propagation(psi, z, k)
-    if any(flips):
-        psi = apply_parity(psi, flips)
-    if include_leads and geom.lead_out > 0:
-        psi = apply_propagation(psi, geom.lead_out, k)
-    out = psi.to_position().rows()
-    return out[0] if isinstance(direction, str) else out
+    z, th = geom.distances, kicks.thetas
+    psi = WaveFunction._adopt(psi.grid, psi.amplitudes, psi.representation,
+                              _guard_moments(psi)[0])
+    psi = _pair(psi, apply_parity(psi) if parity_reverse else psi)
+    psi = apply_propagation(psi, (z[0], z[n]), k)
+    for j in range(n):
+        psi = apply_kick(psi, (th[j], th[n - 1 - j]))
+        psi = apply_propagation(psi, (z[j + 1], z[n - 1 - j]), k)
+    if parity_reverse:
+        fwd, rev = psi.rows()
+        psi = _pair(fwd, apply_parity(rev))
+    return psi.to_position().rows()
 
 
 def composite_apply(psi: WaveFunction, geom: NetworkGeometry, comp: CompositeEvolution,

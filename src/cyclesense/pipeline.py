@@ -215,7 +215,7 @@ def qcrb_comparison(n_values: Iterable[int], probe: ProbeSpec, z_bar: float,
     with np.errstate(all="ignore"):     # what over- or underflows fails below
         bounds = np.column_stack([
             probe_alone_qfi_at_origin(gm) if mode == SwitchMode.PROBE_ALONE
-            else _global_bounds(QFIM_CLOSED_FORMS[mode](gm).as_array(), n, z_bar)
+            else _global_bounds(QFIM_CLOSED_FORMS[mode](gm), n, z_bar)
             for mode in modes])
         bad = ~((bounds > 0) & np.isfinite(_times_n4(bounds, n)))
     if bad.any():

@@ -41,7 +41,7 @@ class PolarizationState:
 
     def __post_init__(self):
         n = abs(self.amp_h) ** 2 + abs(self.amp_v) ** 2
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:             # a NaN amplitude fails too
             raise DomainError(f"Jones vector norm^2 = {n}, expected 1")
 
     @classmethod
@@ -136,11 +136,12 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
     """Post-selected probe state and the post-selection success probability.
 
     exact_grid runs both polarization branches through the full operator
-    product (reverse branch parity-sandwiched, leads included) and projects
-    onto the post-selected polarization.  first_order applies the linearized
-    joint evolution instead and is only allowed inside the small-signal
-    guards: amplified displacement |A_w| (zbar/2k) N^2 tbar DeltaP < 0.05,
-    accumulated kick N tbar DeltaX < 0.05 and each |theta_j| w0 < 0.5.
+    product (reverse branch parity-sandwiched), between the lead-in and a
+    projection onto the post-selected polarization that the lead-out follows.
+    first_order applies the linearized joint evolution instead and is only
+    allowed inside the small-signal guards: amplified displacement
+    |A_w| (zbar/2k) N^2 tbar DeltaP < 0.05, accumulated kick
+    N tbar DeltaX < 0.05 and each |theta_j| w0 < 0.5.
     """
     if method not in ("exact_grid", "first_order"):
         raise DomainError(f"unknown method {method!r}")
@@ -148,8 +149,9 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
     k = geom.wave_number
 
     if method == "exact_grid":
-        fwd, rev = traverse_sequence(psi, geom, kicks, ("forward", "reverse"),
-                                     (False, True), include_leads=True)
+        if geom.lead_in > 0:
+            psi = apply_propagation(psi, geom.lead_in, k)
+        fwd, rev = traverse_sequence(psi, geom, kicks, parity_reverse=True)
         post = ps.state
         # joint state (fwd (x) H + rev (x) V)/sqrt(2) projected onto <post|
         amps = (post.amp_h.conjugate() * fwd.amplitudes
@@ -159,7 +161,10 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
         if prob < 1e-12:
             raise PostSelectionError(
                 f"post-selection survival probability {prob:.3e} is degenerate")
-        return chi.normalized(), prob
+        chi = chi.normalized()
+        if geom.lead_out > 0:       # acts on both branches alike: commutes with <post|
+            chi = apply_propagation(chi, geom.lead_out, k).to_position()
+        return chi, prob
 
     m = moments(psi)
     delta_x = math.sqrt(m.var_x)

@@ -103,8 +103,8 @@ def test_criterion_3_evolution_oracle_equivalence():
         rng = np.random.default_rng(9000 + seed)
         geom, kicks, psi = _random_instance(rng, 1 << 14)
         comp = g_params(geom, kicks)
-        for direction in ("forward", "reverse"):
-            brute = traverse_sequence(psi, geom, kicks, direction)
+        for direction, brute in zip(("forward", "reverse"),
+                                    traverse_sequence(psi, geom, kicks)):
             reduced = composite_apply(psi, geom, comp, direction)
             worst = max(worst, abs(1.0 - fidelity(brute, reduced)))
     assert report(worst <= 1e-10,
@@ -126,8 +126,8 @@ def test_criterion_4_fisher_oracle_equivalence():
             gm = GeneratorMoments.from_moments(moments(psi), geom.wave_number,
                                                geom.z_bar, geom.n_sensors, g1, g2)
             numeric = qfim_numerical(switched_state_family(psi, geom, mode),
-                                     (g1, g2), step=1e-4).as_array()
-            analytic = form(gm).as_array()
+                                     (g1, g2), step=1e-4)
+            analytic = form(gm)
             w = max(w, float(np.linalg.norm(numeric - analytic)
                              / np.linalg.norm(analytic)))
         worst[mode.value] = w
@@ -249,10 +249,8 @@ class TestCriterion10Properties:
         for seed in range(8):
             rng = np.random.default_rng(600 + seed)
             geom, kicks, psi = _random_instance(rng, 1 << 13)
-            for direction in ("forward", "reverse"):
-                for conj in (False, True):
-                    out = traverse_sequence(psi, geom, kicks, direction,
-                                            parity_conjugated=conj)
+            for parity_reverse in (False, True):
+                for out in traverse_sequence(psi, geom, kicks, parity_reverse):
                     worst = max(worst, abs(out.norm() - 1.0))
         assert report(worst <= 1e-10,
                       f"criterion 10a: traversals preserve the norm "
@@ -276,8 +274,8 @@ class TestCriterion10Properties:
             for form in (qfim_sequential, qfim_quantum_switch,
                          qfim_classical_switch):
                 q = form(gm)
-                floor = -1e-10 * (abs(q.q11) + abs(q.q22))
-                least = np.linalg.eigvalsh(q.as_array()).min()
+                floor = -1e-10 * (abs(q[0, 0]) + abs(q[1, 1]))
+                least = np.linalg.eigvalsh(q).min()
                 smallest = min(smallest, float(least))
                 assert least >= floor
         assert report(True, f"criterion 10c: information matrices PSD "
@@ -291,7 +289,7 @@ class TestCriterion10Properties:
             geom, psi, _, _ = _fisher_instances(rng, 1 << 12)
             gm = GeneratorMoments.from_moments(moments(psi), geom.wave_number,
                                                geom.z_bar, geom.n_sensors)
-            diff = qfim_classical_switch(gm).as_array() \
+            diff = qfim_classical_switch(gm) \
                 - _var_h0(gm) * np.ones((2, 2))
             v = np.array([1.0, 1.0]) / math.sqrt(2)
             worst = min(worst, float(v @ diff @ v))

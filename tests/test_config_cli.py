@@ -284,16 +284,16 @@ class TestCli:
     def test_stacked_traversal_overflow_exit_code(self, tmp_path, capsys, monkeypatch):
         walks = []
 
-        def recording(psi, geom, kicks, direction, *args, **kwargs):
-            walks.append(direction)
-            return traverse_sequence(psi, geom, kicks, direction, *args, **kwargs)
+        def recording(psi, geom, kicks, **kwargs):
+            walks.append(kwargs)
+            return traverse_sequence(psi, geom, kicks, **kwargs)
 
         monkeypatch.setattr(wva, "traverse_sequence", recording)
         cfg = write_config(tmp_path, theta_bar=1e5, num_points=1 << 10)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),
                      "wva-sim", "--n", "200"]) == 3
         assert capsys.readouterr().err.startswith("error: GridOverflowError: ")
-        assert walks == [("forward", "reverse")]
+        assert walks == [{"parity_reverse": True}]
 
     def test_too_few_sensor_counts_for_fit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_values=[2], voltages=[1e-3, 2e-3])

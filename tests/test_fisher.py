@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from cyclesense import (ConvergenceError, DomainError, EstimabilityError, GeneratorMoments,
-                        Grid, JointState, NetworkGeometry, ProbeSpec, Qfim2,
+                        Grid, JointState, NetworkGeometry, ProbeSpec,
                         SwitchMode, apply_propagation, make_gaussian,
                         moments, probe_alone_qfi_at_origin, qcrb_global,
                         qfim_classical_switch, qfim_numerical,
                         qfim_quantum_switch, qfim_sequential,
-                        switched_state_family)
+                        WaveFunction, switched_state_family)
 from cyclesense import fisher
 from cyclesense.fisher import RANK_TOL, _global_bounds
 
@@ -36,38 +36,38 @@ class TestClosedForms:
     def test_sequential_unit_example(self):
         # Gaussian w0 = 2, k = 1, zbar = 1, N = 1: matrix [[2, 1], [1, 1]]
         q = qfim_sequential(GM_UNIT)
-        assert q.as_array() == pytest.approx(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        assert q == pytest.approx(np.array([[2.0, 1.0], [1.0, 1.0]]))
 
     def test_sequential_corner_entry_ignores_var_p(self):
         # with zero covariance q22 = 4 VarX / ((N+1) zbar)^2 regardless of VarP
         for vp in (0.25, 5.0):
             gm = GeneratorMoments(1.0, vp, 0.0, 0.0, 1.0, 1.0, 3)
-            assert qfim_sequential(gm).q22 == pytest.approx(4.0 / 16.0)
+            assert qfim_sequential(gm)[1, 1] == pytest.approx(4.0 / 16.0)
 
     def test_quantum_switch_origin_example(self):
         # g = 0, <P> = 0, Cov = 0: diagonal 4(VarX/span^2 + VarP/2k^2),
         # off-diagonal 4 VarX/span^2
         q = qfim_quantum_switch(GM_UNIT)
-        assert q.q11 == pytest.approx(4 * (0.25 + 0.125))
-        assert q.q22 == pytest.approx(4 * (0.25 + 0.125))
-        assert q.q12 == pytest.approx(4 * 0.25)
+        assert q[0, 0] == pytest.approx(4 * (0.25 + 0.125))
+        assert q[1, 1] == pytest.approx(4 * (0.25 + 0.125))
+        assert q[0, 1] == pytest.approx(4 * 0.25)
 
     def test_classical_switch_unit_example(self):
         q = qfim_classical_switch(GM_UNIT)
-        assert q.as_array() == pytest.approx(np.array([[1.5, 1.0], [1.0, 1.5]]))
+        assert q == pytest.approx(np.array([[1.5, 1.0], [1.0, 1.5]]))
 
     def test_switch_forms_agree_at_origin(self):
         gm = GeneratorMoments(1.3, 0.4, 0.1, 0.0, 1.0, 1.2, 4)
-        assert qfim_quantum_switch(gm).as_array() == pytest.approx(
-            qfim_classical_switch(gm).as_array())
+        assert qfim_quantum_switch(gm) == pytest.approx(
+            qfim_classical_switch(gm))
 
     def test_classical_switch_is_branch_average(self):
         # forward-order and reverse-order fixed traversals have mirrored
         # matrices; the classical switch is their arithmetic mean
         gm = GeneratorMoments(0.9, 0.7, -0.15, 0.3, 1.0, 1.1, 2)
-        fwd = qfim_sequential(gm).as_array()
+        fwd = qfim_sequential(gm)
         rev = fwd[::-1, ::-1].copy()   # swap the roles of g1 and g2
-        assert qfim_classical_switch(gm).as_array() == pytest.approx(0.5 * (fwd + rev))
+        assert qfim_classical_switch(gm) == pytest.approx(0.5 * (fwd + rev))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_psd_on_physical_moments(self, seed):
@@ -76,8 +76,8 @@ class TestClosedForms:
                                            geom.n_sensors, g1, g2)
         for q in (qfim_sequential(gm), qfim_quantum_switch(gm),
                   qfim_classical_switch(gm)):
-            tr = abs(q.q11) + abs(q.q22)
-            assert np.linalg.eigvalsh(q.as_array()).min() >= -RANK_TOL * max(tr, 1e-300)
+            tr = abs(q[0, 0]) + abs(q[1, 1])
+            assert np.linalg.eigvalsh(q).min() >= -RANK_TOL * max(tr, 1e-300)
 
 
 class TestNumericalOracle:
@@ -92,8 +92,8 @@ class TestNumericalOracle:
         gm = GeneratorMoments.from_moments(moments(psi), 1.0, geom.z_bar,
                                            geom.n_sensors, g1, g2)
         numeric = qfim_numerical(switched_state_family(psi, geom, mode),
-                                 (g1, g2), step=1e-4).as_array()
-        analytic = closed(gm).as_array()
+                                 (g1, g2), step=1e-4)
+        analytic = closed(gm)
         err = np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic)
         assert err < 1e-3
 
@@ -108,8 +108,8 @@ class TestNumericalOracle:
 
         gm = GeneratorMoments.from_moments(moments(psi), 1.0, geom.z_bar,
                                            geom.n_sensors, g1, g2)
-        numeric = qfim_numerical(degenerate, (g1, g2), step=1e-4).as_array()
-        analytic = qfim_sequential(gm).as_array()
+        numeric = qfim_numerical(degenerate, (g1, g2), step=1e-4)
+        analytic = qfim_sequential(gm)
         assert np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic) < 1e-3
 
     def test_central_difference_order(self):
@@ -118,7 +118,7 @@ class TestNumericalOracle:
         gm = GeneratorMoments.from_moments(moments(psi), 1.0, geom.z_bar,
                                            geom.n_sensors, g1, g2)
         family = switched_state_family(psi, geom, SwitchMode.QUANTUM_SWITCH)
-        analytic = qfim_quantum_switch(gm).as_array()
+        analytic = qfim_quantum_switch(gm)
         errs = []
         for h in (0.2, 0.1, 0.05):
             q = fisher._qfim_fd(family, (g1, g2), (h, h), family(g1, g2))
@@ -144,10 +144,36 @@ class TestNumericalOracle:
         def centre_in_position(a, b):
             return in_position(a, b) if (a, b) == (g1, g2) else family(a, b)
 
-        ref = qfim_numerical(family, (g1, g2), step=1e-4).as_array()
+        ref = qfim_numerical(family, (g1, g2), step=1e-4)
         for other in (in_position, centre_in_position):
-            q = qfim_numerical(other, (g1, g2), step=1e-4).as_array()
+            q = qfim_numerical(other, (g1, g2), step=1e-4)
             assert np.linalg.norm(q - ref) < 1e-11 * np.linalg.norm(ref)
+
+    def test_matrices_are_symmetric_float_arrays(self):
+        gm = GeneratorMoments(1.3, 0.4, 0.1, 0.2, 1.0, 1.2, np.arange(1, 6), 0.03, -0.05)
+        for closed in (qfim_sequential, qfim_quantum_switch, qfim_classical_switch):
+            q = closed(gm)
+            assert q.dtype == np.float64 and q.shape == (5, 2, 2)
+            assert np.array_equal(q, q.transpose(0, 2, 1))
+        geom, psi, g1, g2 = grid_instance(11)
+        q = qfim_numerical(switched_state_family(psi, geom, SwitchMode.QUANTUM_SWITCH),
+                           (g1, g2), step=1e-4)
+        assert q.dtype == np.float64 and q.shape == (2, 2) and q[0, 1] == q[1, 0]
+
+    def test_nan_amplitude_fails_by_name(self):
+        # a NaN compares false both with 0 and with the disagreement limit
+        geom, psi, g1, g2 = grid_instance(41, with_offsets=False)
+        family = switched_state_family(psi, geom, SwitchMode.SEQUENTIAL)
+
+        def poisoned(a, b):
+            s = family(a, b)
+            amps = s.branch_plus.amplitudes.copy()
+            amps[7] = math.nan
+            branch = WaveFunction(psi.grid, amps, s.branch_plus.representation)
+            return JointState(branch, None, (1.0, 0.0), 0.0)
+
+        with pytest.raises(ConvergenceError, match="not finite"):
+            qfim_numerical(poisoned, (g1, g2), step=1e-4)
 
     def test_convergence_guard_raises(self):
         geom, psi, g1, g2 = grid_instance(41, with_offsets=False)
@@ -193,31 +219,27 @@ class TestQcrb:
             assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_singular_probe_alone_projection(self):
-        q = Qfim2.from_array(fisher._var_h0(GM_UNIT) * np.ones((2, 2)))
+        q = fisher._var_h0(GM_UNIT) * np.ones((2, 2))
         assert qcrb_global(q, 1, 1.0) == pytest.approx(0.2, rel=1e-12)
 
-    def test_from_array_tolerance_scales_with_largest_entry(self):
-        # a zero off-diagonal next to a rounding-sized partner is symmetric
-        q = Qfim2.from_array(np.array([[2.0, 0.0], [1e-18, 3.0]]))
-        assert (q.q11, q.q22) == (2.0, 3.0)
-        assert q.q12 == pytest.approx(0.0, abs=1e-18)
-        for bad in ([[2.0, 0.0], [1e-6, 3.0]], [[1.0, 0.5], [0.4, 1.0]]):
-            with pytest.raises(ValueError, match="symmetric"):
-                Qfim2.from_array(np.array(bad))
+    def test_qcrb_global_takes_one_2x2_matrix(self):
+        for bad in (np.eye(3), np.ones(2), np.ones((1, 2, 2))):
+            with pytest.raises(DomainError, match="expected a 2x2 information matrix"):
+                qcrb_global(bad, 2, 1.0)
 
     def test_estimability_error(self):
         # rank-1 matrix whose range excludes the (1,1) Jacobian direction
         with pytest.raises(EstimabilityError):
-            qcrb_global(Qfim2(1.0, 0.0, 0.0), 2, 1.0)
+            qcrb_global(np.array([[1.0, 0.0], [0.0, 0.0]]), 2, 1.0)
 
     def test_batched_bounds_mix_regular_singular_and_non_estimable_rows(self):
         v = 1.7
-        regular, singular = qfim_sequential(GM_UNIT), Qfim2(v, v, v)
-        stack = np.array([regular.as_array(), singular.as_array()])
+        regular, singular = qfim_sequential(GM_UNIT), np.full((2, 2), v)
+        stack = np.array([regular, singular])
         bounds = _global_bounds(stack, np.array([3, 5]), 0.4)
         assert bounds.tolist() == [qcrb_global(regular, 3, 0.4),
                                    qcrb_global(singular, 5, 0.4)]
-        bad = np.concatenate([stack, Qfim2(1.0, 0.0, 0.0).as_array()[None]])
+        bad = np.concatenate([stack, np.array([[1.0, 0.0], [0.0, 0.0]])[None]])
         with pytest.raises(EstimabilityError, match="not estimable"):
             _global_bounds(bad, np.array([3, 5, 2]), 0.4)
         with pytest.raises(EstimabilityError, match="zero"):
@@ -228,7 +250,7 @@ class TestQcrb:
         huge = qfim_sequential(GeneratorMoments(1.7e308, 1.0, 0.0, 0.0, 1.0, 0.5, 1))
         with pytest.raises(DomainError, match="overflow the float range at N = 1$"):
             qcrb_global(huge, 1, 0.5)
-        stack = np.array([qfim_sequential(GM_UNIT).as_array(), huge.as_array()])
+        stack = np.array([qfim_sequential(GM_UNIT), huge])
         with pytest.raises(DomainError, match="at N = 7$"):
             _global_bounds(stack, np.array([3, 7]), 0.5)
 
@@ -271,10 +293,10 @@ class TestStrategyProperties:
         geom, psi, _, _ = grid_instance(seed)
         gm = GeneratorMoments.from_moments(moments(psi), 1.0, geom.z_bar,
                                            geom.n_sensors)
-        diff = qfim_classical_switch(gm).as_array() \
+        diff = qfim_classical_switch(gm) \
             - fisher._var_h0(gm) * np.ones((2, 2))
         evals = np.linalg.eigvalsh(diff)
-        assert np.all(evals >= -1e-10 * np.trace(qfim_classical_switch(gm).as_array()))
+        assert np.all(evals >= -1e-10 * np.trace(qfim_classical_switch(gm)))
         v = np.array([1.0, 1.0]) / math.sqrt(2.0)
         assert v @ diff @ v >= -1e-12
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyclesense import (DomainError, Grid, GridError, Moments, NormalizationError, ProbeSpec,
-                        WaveFunction, apply_kick, apply_parity, apply_propagation,
+                        WaveFunction, apply_kick, apply_propagation,
                         apply_shift, diffracted_radius, fidelity, make_gaussian,
                         moments, overlap)
 from cyclesense.grid import MOMENTUM, POSITION
@@ -334,10 +334,6 @@ class TestStacks:
             apply_kick(stack, (0.1, 0.2, 0.3))
         with pytest.raises(DomainError, match="^1 distances for 2 rows"):
             apply_propagation(stack, [1.0], 1.0)
-        flipped = apply_parity(stack, (False, True)).rows()
-        assert np.array_equal(flipped[0].amplitudes, stack.rows()[0].amplitudes)
-        assert np.array_equal(flipped[1].amplitudes,
-                              apply_parity(stack.rows()[1]).amplitudes)
 
 
 #: values that reach outputs through inner products at 2^14 points, where

@@ -135,12 +135,25 @@ class TestParity:
         assert m1.cov_xp == pytest.approx(m0.cov_xp, rel=1e-9)
 
 
-def parity_identity_error(psi, geom, kicks, direction, include_leads=False):
-    """Worst relative amplitude gap between P T(theta) P psi and T(-theta) psi."""
-    sandwiched = traverse_sequence(psi, geom, kicks, direction,
-                                   parity_conjugated=True, include_leads=include_leads)
-    negated = traverse_sequence(psi, geom, KickVector(tuple(-t for t in kicks.thetas)),
-                                direction, include_leads=include_leads)
+#: row of each order in the (forward, reverse) pair traverse_sequence returns
+ORDER = {"forward": 0, "reverse": 1}
+
+
+def mirrored(geom, kicks):
+    """The network read backwards: its reverse order is the forward order of
+    (geom, kicks), step for step."""
+    return (NetworkGeometry(geom.distances[::-1], geom.lead_in, geom.lead_out,
+                            geom.wave_number), KickVector(kicks.thetas[::-1]))
+
+
+def parity_identity_error(psi, geom, kicks, direction):
+    """Worst relative amplitude gap between P T(theta) P psi and T(-theta) psi,
+    for the forward order through the mirrored network's reverse row."""
+    if direction == "forward":
+        geom, kicks = mirrored(geom, kicks)
+    sandwiched = traverse_sequence(psi, geom, kicks, parity_reverse=True)[1]
+    negated = traverse_sequence(psi, geom,
+                                KickVector(tuple(-t for t in kicks.thetas)))[1]
     return (np.max(np.abs(sandwiched.amplitudes - negated.amplitudes))
             / np.max(np.abs(negated.amplitudes)))
 
@@ -159,11 +172,11 @@ class TestParityIdentity:
 
     def test_lab_geometry_at_200_sensors(self):
         cfg = RunConfig()
+        geom = cfg.geometry(200)
         psi = make_gaussian(cfg.probe_spec(), cfg.grid(200))
+        psi = apply_propagation(psi, geom.lead_in, geom.wave_number)   # the lead-in
         kicks = KickVector.uniform(200, cfg.theta_bar)
-        error = parity_identity_error(psi, cfg.geometry(200), kicks, "reverse",
-                                      include_leads=True)
-        assert error < 1e-12
+        assert parity_identity_error(psi, geom, kicks, "reverse") < 1e-12
 
 
 class TestGParams:
@@ -200,15 +213,13 @@ class TestTraversal:
     def test_zero_kicks_orders_agree(self, unit_probe):
         geom = NetworkGeometry((1.0, 0.5, 1.5), wave_number=1.0)
         kicks = KickVector((0.0, 0.0))
-        fwd = traverse_sequence(unit_probe, geom, kicks, "forward")
-        rev = traverse_sequence(unit_probe, geom, kicks, "reverse")
+        fwd, rev = traverse_sequence(unit_probe, geom, kicks)
         assert np.max(np.abs(fwd.amplitudes - rev.amplitudes)) < 1e-12
 
     def test_single_symmetric_sensor_orders_agree(self, unit_probe):
         geom = NetworkGeometry((1.0, 1.0), wave_number=1.0)
         kicks = KickVector((0.08,))
-        fwd = traverse_sequence(unit_probe, geom, kicks, "forward")
-        rev = traverse_sequence(unit_probe, geom, kicks, "reverse")
+        fwd, rev = traverse_sequence(unit_probe, geom, kicks)
         assert fidelity(fwd, rev) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -216,7 +227,7 @@ class TestTraversal:
     def test_composite_matches_brute_force(self, seed, direction):
         geom, kicks, psi = random_instance(seed)
         comp = g_params(geom, kicks)
-        brute = traverse_sequence(psi, geom, kicks, direction)
+        brute = traverse_sequence(psi, geom, kicks)[ORDER[direction]]
         reduced = composite_apply(psi, geom, comp, direction, phase="exact")
         assert fidelity(brute, reduced) >= 1.0 - 1e-12
         assert np.max(np.abs(brute.amplitudes
@@ -225,8 +236,7 @@ class TestTraversal:
     def test_unitarity(self):
         for seed in (3, 5):
             geom, kicks, psi = random_instance(seed)
-            for direction in ("forward", "reverse"):
-                out = traverse_sequence(psi, geom, kicks, direction)
+            for out in traverse_sequence(psi, geom, kicks):
                 assert abs(out.norm() - 1.0) < 1e-10
 
     def test_kick_propagation_commutator(self, unit_probe):
@@ -238,25 +248,24 @@ class TestTraversal:
         shift = moments(a).mean_x - moments(b).mean_x
         assert shift == pytest.approx(-z * theta, rel=1e-9)
 
-    def test_leads_outside_parity_sandwich(self, unit_probe):
-        geom = NetworkGeometry((1.0, 1.2), lead_in=0.7, lead_out=0.4, wave_number=1.0)
+    def test_parity_sandwiches_only_the_reverse_order(self, unit_probe):
+        geom = NetworkGeometry((1.0, 1.2), wave_number=1.0)
         kicks = KickVector((0.05,))
-        via_flag = traverse_sequence(unit_probe, geom, kicks, "reverse",
-                                     parity_conjugated=True, include_leads=True)
-        manual = apply_propagation(unit_probe, geom.lead_in, 1.0)
+        psi = apply_propagation(unit_probe, 0.7, 1.0)        # an input in momentum space
+        fwd, rev = traverse_sequence(psi, geom, kicks, parity_reverse=True)
+        plain_fwd, plain_rev = traverse_sequence(psi.to_position(), geom, kicks)
+        _, manual = traverse_sequence(apply_parity(psi).to_position(), geom, kicks)
         manual = apply_parity(manual)
-        manual = traverse_sequence(manual.to_position(), geom, kicks, "reverse")
-        manual = apply_parity(manual)
-        manual = apply_propagation(manual, geom.lead_out, 1.0).to_position()
-        assert np.max(np.abs(via_flag.amplitudes - manual.amplitudes)) < 1e-12
+        assert np.max(np.abs(fwd.amplitudes - plain_fwd.amplitudes)) < 1e-12
+        assert np.max(np.abs(rev.amplitudes - manual.amplitudes)) < 1e-12
+        assert np.max(np.abs(rev.amplitudes - plain_rev.amplitudes)) > 1e-3
 
 
 class TestSwitchedBranches:
     def test_zero_kicks_branches_identical(self, unit_probe):
         geom = NetworkGeometry((1.0, 1.0), wave_number=1.0)
         kicks = KickVector((0.0,))
-        fwd = traverse_sequence(unit_probe, geom, kicks, "forward")
-        rev = traverse_sequence(unit_probe, geom, kicks, "reverse")
+        fwd, rev = traverse_sequence(unit_probe, geom, kicks)
         assert fidelity(fwd, rev) == pytest.approx(1.0, abs=1e-12)
         st = switched_state_family(unit_probe, geom, SwitchMode.QUANTUM_SWITCH)(0.0, 0.0)
         assert fidelity(st.branch_plus, st.branch_minus) == pytest.approx(1.0, abs=1e-12)
@@ -265,7 +274,8 @@ class TestSwitchedBranches:
     def test_invalid_direction_rejected(self, unit_probe):
         geom = NetworkGeometry((1.0, 1.0), wave_number=1.0)
         with pytest.raises(ValueError):
-            traverse_sequence(unit_probe, geom, KickVector((0.1,)), "sideways")
+            composite_apply(unit_probe, geom, g_params(geom, KickVector((0.1,))),
+                            "sideways")
         with pytest.raises(ValueError):
             composite_apply(unit_probe, geom, g_params(geom, KickVector((0.1,))),
                             "forward", phase="maybe")
@@ -274,8 +284,7 @@ class TestSwitchedBranches:
     def test_relative_dynamic_phase(self, seed):
         # oracle: phase of <reverse branch | forward branch> on the grid
         geom, kicks, psi = random_instance(seed)
-        fwd = traverse_sequence(psi, geom, kicks, "forward")
-        rev = traverse_sequence(psi, geom, kicks, "reverse")
+        fwd, rev = traverse_sequence(psi, geom, kicks)
         comp = g_params(geom, kicks)
         span = (geom.n_sensors + 1) * geom.z_bar
         predicted = (comp.g1**2 - comp.g2**2) / (2.0 * geom.wave_number * span)
@@ -291,6 +300,18 @@ class TestJointStateValidation:
     def test_coherence_positivity(self, unit_probe):
         with pytest.raises(ValueError):
             JointState(unit_probe, unit_probe, (0.5, 0.5), 0.9)
+
+    @pytest.mark.parametrize("weights,coherence,match", [
+        ((math.nan, 1.0), 0.0, "distribution"),
+        ((0.5, math.nan), 0.0, "distribution"),
+        ((math.nan, math.nan), 0.0, "distribution"),
+        ((0.5, 0.5), math.nan, "positivity"),
+        ((0.5, 0.5), complex(0.0, math.nan), "positivity"),
+    ])
+    def test_nan_weights_and_coherence_fail_by_name(self, unit_probe, weights,
+                                                    coherence, match):
+        with pytest.raises(DomainError, match=match):
+            JointState(unit_probe, unit_probe, weights, coherence)
 
     def test_composite_evolution_is_plain_record(self):
         comp = CompositeEvolution(1.0, 2.0, 0.5, 0.25)

@@ -48,17 +48,17 @@ def networks(draw):
 def test_closed_forms_are_psd(gm):
     for closed in (qfim_sequential, qfim_quantum_switch, qfim_classical_switch):
         q = closed(gm)
-        tr = abs(q.q11) + abs(q.q22)
-        least = np.linalg.eigvalsh(q.as_array()).min()
+        tr = abs(q[0, 0]) + abs(q[1, 1])
+        least = np.linalg.eigvalsh(q).min()
         assert least >= -RANK_TOL * max(tr, 1e-300), closed.__name__
 
 
 @deterministic
 @given(physical_moments())
 def test_classical_switch_is_mean_of_sequential_and_mirror(gm):
-    fwd = qfim_sequential(gm).as_array()
+    fwd = qfim_sequential(gm)
     rev = fwd[::-1, ::-1]                     # g1 and g2 swap roles
-    assert qfim_classical_switch(gm).as_array() == pytest.approx(0.5 * (fwd + rev))
+    assert qfim_classical_switch(gm) == pytest.approx(0.5 * (fwd + rev))
 
 
 @deterministic

@@ -1,5 +1,5 @@
 """Split-step traversal: exactly tracked guard moments, reused phase masks and
-both traversal orders walked as one stack."""
+both traversal orders walked as one stack, pinned against single-state walks."""
 
 import math
 
@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from cyclesense import (DomainError, Grid, GridError, GridOverflowError, JointState,
-                        KickVector, Moments, NetworkGeometry, ProbeSpec,
+                        KickVector, Moments, NetworkGeometry, PostSelection, ProbeSpec,
                         SwitchMode, WaveFunction, apply_kick, apply_parity,
                         apply_propagation, apply_shift, make_gaussian, moments,
-                        qfim_numerical, switched_state_family, traverse_sequence)
+                        qfim_numerical, switched_state_family, traverse_sequence,
+                        wva_final_probe)
 from cyclesense import network
 from cyclesense.grid import MOMENTUM, POSITION
 from cyclesense.oracle import _random_instance
@@ -53,23 +54,25 @@ def assert_tracked_match_grid(psi, tol=1e-9):
     assert abs(tracked.cov_xp - measured.cov_xp) < tol * dx * dp
 
 
+def pair_with_leads(psi, geom, kicks):
+    """Both orders (reverse parity-sandwiched) between the lead-in and lead-out."""
+    k = geom.wave_number
+    pair = traverse_sequence(apply_propagation(psi, geom.lead_in, k), geom, kicks,
+                             parity_reverse=True)
+    return [apply_propagation(row, geom.lead_out, k) for row in pair]
+
+
 class TestTrackedMoments:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("direction,parity", [("forward", False),
-                                                  ("reverse", True)])
-    def test_random_traversals(self, seed, direction, parity):
+    def test_random_traversals(self, seed):
         geom, kicks, psi = random_instance(seed)
-        out = traverse_sequence(psi, geom, kicks, direction,
-                                parity_conjugated=parity, include_leads=True)
-        assert_tracked_match_grid(out)
+        for row in pair_with_leads(psi, geom, kicks):
+            assert_tracked_match_grid(row)
 
-    @pytest.mark.parametrize("direction,parity", [("forward", False),
-                                                  ("reverse", True)])
-    def test_lab_geometry_at_n200(self, direction, parity):
+    def test_lab_geometry_at_n200(self):
         geom, kicks, psi = lab_instance(200, 0.01, 1 << 12)
-        out = traverse_sequence(psi, geom, kicks, direction,
-                                parity_conjugated=parity, include_leads=True)
-        assert_tracked_match_grid(out)
+        for row in pair_with_leads(psi, geom, kicks):
+            assert_tracked_match_grid(row)
 
     def test_shift_and_parity_carry_moments(self, unit_probe):
         psi = apply_propagation(apply_kick(unit_probe, 0.3), 1.5, 1.0)
@@ -103,7 +106,8 @@ class TestTrackedMoments:
         monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", counted("fft", np.fft.ifft))
         monkeypatch.setattr(network, "moments", counted("moments", network.moments))
-        traverse_sequence(psi, geom, kicks, "forward", include_leads=True)
+        traverse_sequence(apply_propagation(psi, geom.lead_in, geom.wave_number),
+                          geom, kicks, parity_reverse=True)
         assert counts["moments"] <= 1
         assert counts["fft"] <= 2 * geom.n_sensors + 6
 
@@ -145,7 +149,7 @@ class TestGuards:
 
         def outcome(geom, kicks, psi):
             try:
-                traverse_sequence(psi, geom, kicks, include_leads=True)
+                walked(psi, geom, kicks, "forward", include_leads=True)
             except GridOverflowError as exc:
                 return str(exc).split()[0]     # which guard: kicking/propagating
             return "passed"
@@ -168,21 +172,23 @@ class TestGuards:
 
 
 def walked(psi, geom, kicks, direction, parity=False, include_leads=False):
-    """One traversal order as single-state operator calls, step by step."""
+    """One traversal order as single-state operator calls, step by step, with
+    the leads outside the parity sandwich.  The steps are looked up in
+    network at call time, so a test that replaces them there steers this walk."""
     k = geom.wave_number
     step = 1 if direction == "forward" else -1
     z, th = geom.distances[::step], kicks.thetas[::step]
     if include_leads and geom.lead_in > 0:
-        psi = apply_propagation(psi, geom.lead_in, k)
+        psi = network.apply_propagation(psi, geom.lead_in, k)
     if parity:
-        psi = apply_parity(psi)
-    psi = apply_propagation(psi, z[0], k)
+        psi = network.apply_parity(psi)
+    psi = network.apply_propagation(psi, z[0], k)
     for theta, leg in zip(th, z[1:]):
-        psi = apply_propagation(apply_kick(psi, theta), leg, k)
+        psi = network.apply_propagation(network.apply_kick(psi, theta), leg, k)
     if parity:
-        psi = apply_parity(psi)
+        psi = network.apply_parity(psi)
     if include_leads and geom.lead_out > 0:
-        psi = apply_propagation(psi, geom.lead_out, k)
+        psi = network.apply_propagation(psi, geom.lead_out, k)
     return psi.to_position()
 
 
@@ -191,20 +197,14 @@ def assert_same_bits(a, b):
     assert np.array_equal(a.amplitudes.view(np.uint64), b.amplitudes.view(np.uint64))
 
 
-def assert_stack_matches_single_orders(psi, geom, kicks, orders, flips,
-                                       include_leads, by_hand=True):
-    """Each row of the stacked call has the bits of its order traversed alone,
-    and of the same steps made on a single state (by_hand)."""
-    stacked = traverse_sequence(psi, geom, kicks, orders, flips,
-                                include_leads=include_leads)
-    assert len(stacked) == len(orders)
-    for row, direction, parity in zip(stacked, orders, flips):
+def assert_pair_matches_walks(psi, geom, kicks, parity_reverse):
+    """Each row of the pair has the bits of its order walked alone, step by step."""
+    pair = traverse_sequence(psi, geom, kicks, parity_reverse)
+    assert len(pair) == 2
+    for row, direction, parity in zip(pair, ("forward", "reverse"),
+                                      (False, parity_reverse)):
         assert row.representation == POSITION
-        assert_same_bits(row, traverse_sequence(psi, geom, kicks, direction, parity,
-                                                include_leads))
-        if by_hand:
-            assert_same_bits(row, walked(psi, geom, kicks, direction, parity,
-                                         include_leads))
+        assert_same_bits(row, walked(psi, geom, kicks, direction, parity))
 
 
 class TestStackedOrders:
@@ -213,28 +213,27 @@ class TestStackedOrders:
     @pytest.mark.parametrize("n", [9, 50, 200])
     def test_lab_geometry_with_leads_and_reverse_parity(self, n):
         geom, kicks, psi = lab_instance(n, 0.0125, 1 << 14)
-        assert_stack_matches_single_orders(psi, geom, kicks, ("forward", "reverse"),
-                                           (False, True), True, by_hand=n < 200)
+        psi = apply_propagation(psi, geom.lead_in, geom.wave_number)
+        assert_pair_matches_walks(psi, geom, kicks, True)
 
     def test_random_instances_with_non_uniform_legs_and_kicks(self):
         for seed in range(20):
             geom, kicks, psi = _random_instance(np.random.default_rng(seed), 1 << 14)
-            assert_stack_matches_single_orders(psi, geom, kicks, ("forward", "reverse"),
-                                               (False, False), False)
+            assert_pair_matches_walks(psi, geom, kicks, False)
 
-    def test_parity_before_the_first_transform_without_lead_in(self):
-        geom = NetworkGeometry((0.7, 1.3, 0.9, 1.1), lead_out=0.6, wave_number=1.0)
+    @pytest.mark.parametrize("parity_reverse", [True, False])
+    def test_parity_before_the_first_transform_without_lead_in(self, parity_reverse):
+        geom = NetworkGeometry((0.7, 1.3, 0.9, 1.1), wave_number=1.0)
         kicks = KickVector((0.05, -0.08, 0.02))
         psi = make_gaussian(ProbeSpec(1.5, 1.0, center_x=0.2, center_p=-0.1),
                             Grid.for_probe(ProbeSpec(1.5, 1.0), geom.z_total, 1 << 12))
-        assert_stack_matches_single_orders(psi, geom, kicks,
-                                           ("forward", "reverse", "reverse"),
-                                           (True, True, False), True)
+        assert psi.representation == POSITION
+        assert_pair_matches_walks(psi, geom, kicks, parity_reverse)
 
     def test_grid_of_2_13_points(self):
         geom, kicks, psi = lab_instance(50, 0.0125, 1 << 13)
-        assert_stack_matches_single_orders(psi, geom, kicks, ("forward", "reverse"),
-                                           (False, True), True)
+        psi = apply_propagation(psi, geom.lead_in, geom.wave_number)
+        assert_pair_matches_walks(psi, geom, kicks, True)
 
     def test_mask_products_keep_the_amplitudes_first(self):
         # the complex product rounds differently as mask * amplitudes; at
@@ -267,29 +266,29 @@ class TestStackedOrders:
 
         monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
-        traverse_sequence(psi, geom, kicks, ("forward", "reverse"), (False, True),
-                          include_leads=True)
+        traverse_sequence(apply_propagation(psi, geom.lead_in, geom.wave_number),
+                          geom, kicks, parity_reverse=True)
         assert len(shapes) == 2 * geom.n_sensors + 2
         assert shapes[0] == (psi.grid.num_points,)          # the shared lead-in
         assert set(shapes[1:]) == {(2, psi.grid.num_points)}
 
     def test_guard_raises_when_either_order_would(self):
-        """The stacked call fails exactly when one order alone fails, with the
-        message of an order that fails."""
+        """The stacked call fails exactly when one order walked alone fails,
+        with the message of an order that fails."""
         outcomes = []
         for n in (9, 50):
             for t in np.geomspace(1.0, 1e4, 12):
                 geom, _, psi = lab_instance(n, 0.0, 1 << 10)
+                psi = apply_propagation(psi, geom.lead_in, geom.wave_number)
                 kicks = KickVector(tuple(t * np.linspace(0.1, 2.0, n)))
                 alone = []
                 for direction, parity in (("forward", False), ("reverse", True)):
                     try:
-                        traverse_sequence(psi, geom, kicks, direction, parity, True)
+                        walked(psi, geom, kicks, direction, parity)
                     except GridOverflowError as exc:
                         alone.append(str(exc))
                 try:
-                    traverse_sequence(psi, geom, kicks, ("forward", "reverse"),
-                                      (False, True), True)
+                    traverse_sequence(psi, geom, kicks, parity_reverse=True)
                 except GridOverflowError as exc:
                     assert str(exc) in alone
                     outcomes.append(len(alone))
@@ -298,19 +297,17 @@ class TestStackedOrders:
                     outcomes.append(0)
         assert {0, 1, 2} <= set(outcomes)
 
-    def test_bad_orders_and_inputs_fail_by_name(self, unit_probe):
+    def test_bad_inputs_fail_by_name(self, unit_probe):
         geom = NetworkGeometry.uniform(1, 1.0, wave_number=1.0)
         kicks = KickVector((0.1,))
-        with pytest.raises(DomainError, match="unknown direction 'sideways'"):
-            traverse_sequence(unit_probe, geom, kicks, ("forward", "sideways"))
-        with pytest.raises(DomainError, match="no traversal direction"):
-            traverse_sequence(unit_probe, geom, kicks, ())
-        with pytest.raises(DomainError, match="1 parity flags for 2 rows"):
-            traverse_sequence(unit_probe, geom, kicks, ("forward", "reverse"), (True,))
+        with pytest.raises(DomainError, match="^2 kicks for a network with 1 sensors"):
+            traverse_sequence(unit_probe, geom, KickVector((0.1, 0.2)))
         a = unit_probe.amplitudes
-        with pytest.raises(GridError, match="single state"):
-            traverse_sequence(WaveFunction(unit_probe.grid, np.array([a, a])), geom,
-                              kicks)
+        stack = WaveFunction(unit_probe.grid, np.array([a, a]))
+        with pytest.raises(GridError, match="^traverse_sequence takes a single state"):
+            traverse_sequence(stack, geom, kicks)
+        with pytest.raises(GridError, match="^apply_parity takes a single state"):
+            apply_parity(stack)
 
 
 class TestPhaseMasks:
@@ -396,9 +393,60 @@ class TestBranchFamilies:
                 return JointState(getattr(family(a, b), pick), None, (1.0, 0.0), 0.0)
             return build
 
-        mixed = qfim_numerical(mixture, at, step=1e-4).as_array()
+        mixed = qfim_numerical(mixture, at, step=1e-4)
         average = (weights[0] * qfim_numerical(only("branch_plus"), at,
-                                               step=1e-4).as_array()
+                                               step=1e-4)
                    + weights[1] * qfim_numerical(only("branch_minus"), at,
-                                                 step=1e-4).as_array())
+                                                 step=1e-4))
         assert np.linalg.norm(mixed - average) / np.linalg.norm(average) < 1e-12
+
+
+def projected_after_lead_out(psi, geom, kicks, ps):
+    """The exact readout composed as before: both branches propagated over
+    the lead-out, then projected onto the post-selected polarization."""
+    fwd = walked(psi, geom, kicks, "forward", False, include_leads=True)
+    rev = walked(psi, geom, kicks, "reverse", True, include_leads=True)
+    post = ps.state
+    amps = (post.amp_h.conjugate() * fwd.amplitudes
+            + post.amp_v.conjugate() * rev.amplitudes) / math.sqrt(2.0)
+    chi = WaveFunction(psi.grid, amps, POSITION)
+    return chi.normalized(), chi.norm_squared()
+
+
+class TestLeadOut:
+    """The lead-out acts on both branches alike, so the exact readout
+    propagates the projected probe instead of both branches."""
+
+    @staticmethod
+    def assert_close(psi, geom, kicks, ps):
+        chi, prob = wva_final_probe(psi, geom, kicks, ps)
+        ref, ref_prob = projected_after_lead_out(psi, geom, kicks, ps)
+        assert chi.representation == POSITION
+        gap = np.max(np.abs(chi.amplitudes - ref.amplitudes))
+        assert gap <= 1e-12 * np.max(np.abs(ref.amplitudes))
+        assert prob == pytest.approx(ref_prob, rel=1e-12)
+
+    @staticmethod
+    def lab(n, lead_out):
+        spec = ProbeSpec(2e-3, LAB_WAVE_NUMBER)
+        geom = NetworkGeometry.uniform(n, 0.2, 0.325, lead_out, LAB_WAVE_NUMBER)
+        psi = make_gaussian(spec, Grid.for_probe(spec, geom.z_total, 1 << 14))
+        return psi, geom, KickVector.uniform(n, 0.0125)
+
+    @pytest.mark.parametrize("n,lead_out", [(9, 0.8), (50, 2.5)])
+    def test_lab_geometry(self, n, lead_out):
+        self.assert_close(*self.lab(n, lead_out),
+                          PostSelection.from_weak_value_magnitude(7.0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_instances(self, seed):
+        geom, kicks, psi = random_instance(seed)
+        assert geom.lead_out > 0
+        self.assert_close(psi, geom, kicks, PostSelection(0.3))
+
+    def test_no_lead_out_keeps_the_bits(self):
+        ps = PostSelection.from_weak_value_magnitude(7.0)
+        chi, prob = wva_final_probe(*self.lab(9, 0.0), ps)
+        ref, ref_prob = projected_after_lead_out(*self.lab(9, 0.0), ps)
+        assert_same_bits(chi, ref)
+        assert prob == ref_prob

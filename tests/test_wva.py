@@ -56,6 +56,7 @@ class TestWeakValue:
 
 @pytest.mark.parametrize("call", [
     lambda: PolarizationState(1.0, 1.0),
+    lambda: PolarizationState(math.nan, 0.0),
     lambda: PostSelection(0.1, variant="complex"),
     lambda: PostSelection.from_weak_value_magnitude(0.0),
     lambda: ReadoutModel(0.25, 0.0, 0.2e-3),
@@ -63,7 +64,7 @@ class TestWeakValue:
     lambda: wva_final_probe(None, None, None, None, method="second_order"),
     lambda: min_detectable_tilt(NetworkGeometry.uniform(1, 1.0, wave_number=1.0),
                                 0.0, PostSelection(0.1)),
-], ids=["jones-norm", "variant", "weak-value-magnitude", "readout-constants",
+], ids=["jones-norm", "jones-nan", "variant", "weak-value-magnitude", "readout-constants",
         "final-probe-method", "min-tilt-delta-p"])
 def test_inputs_out_of_domain(call):
     # DomainError is what the CLI reports with exit code 3
