@@ -277,9 +277,8 @@ def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVecto
     for j in range(n):
         psi = apply_kick(psi, (th[j], th[n - 1 - j]))
         psi = apply_propagation(psi, (z[j + 1], z[n - 1 - j]), k)
-    if parity_reverse:
-        fwd, rev = psi.rows()
-        psi = _pair(fwd, apply_parity(rev))
+    if parity_reverse:          # no name keeps the unflipped stack alive
+        psi = _pair(psi.rows()[0], apply_parity(psi.rows()[1]))
     return psi.to_position().rows()
 
 

@@ -307,7 +307,8 @@ class TestJointStateValidation:
         ((math.nan, math.nan), 0.0, "distribution"),
         ((0.5, 0.5), math.nan, "positivity"),
         ((0.5, 0.5), complex(0.0, math.nan), "positivity"),
-    ])
+    ], ids=["first-weight", "second-weight", "both-weights", "coherence",
+            "imaginary-coherence"])
     def test_nan_weights_and_coherence_fail_by_name(self, unit_probe, weights,
                                                     coherence, match):
         with pytest.raises(DomainError, match=match):
