@@ -174,7 +174,7 @@ class TestParityIdentity:
         cfg = RunConfig()
         geom = cfg.geometry(200)
         psi = make_gaussian(cfg.probe_spec(), cfg.grid(200))
-        psi = apply_propagation(psi, geom.lead_in, geom.wave_number)   # the lead-in
+        psi = apply_propagation(psi, geom.lead_in, geom.wave_number)
         kicks = KickVector.uniform(200, cfg.theta_bar)
         assert parity_identity_error(psi, geom, kicks, "reverse") < 1e-12
 
