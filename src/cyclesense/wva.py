@@ -149,9 +149,10 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
     k = geom.wave_number
 
     if method == "exact_grid":
-        if geom.lead_in > 0:
-            psi = apply_propagation(psi, geom.lead_in, k)
-        fwd, rev = traverse_sequence(psi, geom, kicks, parity_reverse=True)
+        # the lead-in state is passed unnamed, so the walk drops it once stacked
+        fwd, rev = traverse_sequence(
+            apply_propagation(psi, geom.lead_in, k) if geom.lead_in > 0 else psi,
+            geom, kicks, parity_reverse=True)
         post = ps.state
         # joint state (fwd (x) H + rev (x) V)/sqrt(2) projected onto <post|
         amps = (post.amp_h.conjugate() * fwd.amplitudes
