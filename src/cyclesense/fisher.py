@@ -4,9 +4,9 @@ The traversal imprints the two shift weights (g1, g2) on the probe, and the
 network average tilt is the scalar function tbar = (g1+g2)/(N(N+1)zbar) of
 them.  This module evaluates the information matrix of (g1, g2), a float
 (2, 2) array or an (M, 2, 2) stack over M sensor counts, for all query
-strategies from closed forms in the initial-probe moments, projects it onto
-tbar for the bound, and provides an independent finite-difference evaluation
-on grid states as the numerical oracle for every closed form.
+strategies from closed forms in the initial-probe moments, together with the
+closed-form bounds on tbar.  qcrb_global (the eigen projection of one matrix)
+and finite differences on grid states are their independent oracles.
 
 For a pure family |psi(g)> the matrix entries are
 
@@ -218,56 +218,50 @@ def _var_h0(gm: GeneratorMoments) -> float | np.ndarray:
 def probe_alone_qfi_at_origin(gm: GeneratorMoments) -> float | np.ndarray:
     """Bound on tbar from the mixed probe alone, in the small-signal regime.
 
-    1 / (N^2 (N+1)^2 zbar^2 Var(H0)), one per sensor count of gm; coincides
-    exactly with the classical-switch bound.
+    1 / (N^2 (N+1)^2 zbar^2 Var(H0)) per sensor count of gm; at g = 0 also
+    both switched bounds, 2 w^2 / (q11 + q12) of their equal-diagonal matrices.
     """
     n, span = gm.n_sensors, gm.span
     return 1.0 / (n * n * (span * span) * _var_h0(gm))
 
 
-def _global_bounds(q: np.ndarray, n: np.ndarray, z_bar: float) -> np.ndarray:
-    """G Q^-1 G^T for a stack of (M, 2, 2) matrices and their (M,) sensor counts.
+def _qcrb_sequential(gm: GeneratorMoments) -> float | np.ndarray:
+    """The projection of qfim_sequential, one per sensor count of gm.
 
-    The Jacobian is G = [w, w] with w = 1/(N(N+1)zbar).  Each matrix is
-    inverted on its range only: eigenvalues at or below RANK_TOL times the
-    largest are dropped, and a dropped term enters the sum as exactly 0.  A
-    row with nothing kept, or whose Jacobian has a component along the null
-    space, is not estimable and raises EstimabilityError; a matrix entry
-    that overflowed raises DomainError naming the first such N.  The projections
-    are plain elementwise products and sums rather than a BLAS product, so
-    their bits do not depend on the BLAS kernel.
+    Var P / (4 N^2 (Var X Var P - Cov^2)), which is w^2 b / (4 (ab - c^2))
+    of _terms with the path length cancelled, so it holds at any length.
     """
-    n = np.asarray(n, dtype=float)        # exact products while N(N+1) < 2^53
-    w = 1.0 / (n * (n + 1.0) * z_bar)
-    finite = np.isfinite(q).all(axis=(1, 2))
-    if not finite.all():
+    n = gm.n_sensors
+    return gm.var_p / (4.0 * (n * n) * (gm.var_x * gm.var_p - gm.cov_xp * gm.cov_xp))
+
+
+def qcrb_global(q: np.ndarray, n_sensors: int, z_bar: float) -> float:
+    """Project a 2x2 (g1, g2) information matrix onto the average kick tbar.
+
+    G Q^-1 G^T with G = [w, w], w = 1/(N(N+1)zbar), by eigendecomposition:
+    the oracle of the closed-form bounds.  Eigenvalues at or below RANK_TOL
+    times the largest are dropped.  Nothing kept, or a Jacobian component
+    along the null space, raises EstimabilityError; an overflowed entry
+    raises DomainError.  The projection is elementwise, not a BLAS product.
+    """
+    if np.shape(q) != (2, 2):
+        raise DomainError(f"expected a 2x2 information matrix, got shape {np.shape(q)}")
+    w = 1.0 / (n_sensors * (n_sensors + 1.0) * z_bar)
+    if not np.isfinite(q).all():
         raise DomainError(f"information matrix entries overflow the float range "
-                          f"at N = {n[np.argmin(finite)]:.0f}")
+                          f"at N = {n_sensors}")
     evals, evecs = np.linalg.eigh(q)
-    cut = RANK_TOL * np.maximum(np.abs(evals).max(axis=1), 1e-300)
-    keep = evals > cut[:, None]
-    if not np.all(keep.any(axis=1)):
+    keep = evals > RANK_TOL * max(np.abs(evals).max(), 1e-300)
+    if not keep.any():
         raise EstimabilityError("information matrix is zero; nothing is estimable")
-    proj = w[:, None] * evecs[:, 0, :] + w[:, None] * evecs[:, 1, :]
-    # |G| = sqrt(2) w, and at most one direction is dropped in a kept row
-    if np.any(np.where(keep, 0.0, np.abs(proj)) > 1e-9 * math.sqrt(2.0) * w[:, None]):
+    proj = w * evecs[0] + w * evecs[1]
+    # |G| = sqrt(2) w, and at most one direction is dropped
+    if np.any(np.where(keep, 0.0, np.abs(proj)) > 1e-9 * math.sqrt(2.0) * w):
         raise EstimabilityError(
             "average kick is not estimable: Jacobian leaves the row space "
             "of the singular information matrix")
     terms = np.divide(proj**2, evals, out=np.zeros_like(proj), where=keep)
-    return terms[:, 0] + terms[:, 1]
-
-
-def qcrb_global(q: np.ndarray, n_sensors: int, z_bar: float) -> float:
-    """Project the 2x2 (g1, g2) information matrix onto the average kick tbar.
-
-    The one-row case of _global_bounds, the projection behind the bound
-    table: G Q^-1 G^T with the Jacobian G = [1, 1]/(N(N+1)zbar), on the
-    range of a singular matrix, or EstimabilityError.
-    """
-    if np.shape(q) != (2, 2):
-        raise DomainError(f"expected a 2x2 information matrix, got shape {np.shape(q)}")
-    return float(_global_bounds(np.asarray(q)[None], np.array([n_sensors]), z_bar)[0])
+    return float(terms[0] + terms[1])
 
 
 # -- finite-difference oracle ----------------------------------------------------

@@ -93,6 +93,9 @@ class KickVector:
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
         if len(self.thetas) < 1:
             raise DomainError("need at least one kick")
+        bad = [t for t in self.thetas if not math.isfinite(t)]
+        if bad:
+            raise DomainError(f"kicks must be finite, got {bad[0]}")
 
     def __len__(self) -> int:
         return len(self.thetas)

@@ -20,12 +20,13 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .fisher import QFIM_CLOSED_FORMS, GeneratorMoments, SwitchMode, qfim_numerical
+from .fisher import (QFIM_CLOSED_FORMS, GeneratorMoments, SwitchMode,
+                     probe_alone_qfi_at_origin, qcrb_global, qfim_numerical)
 from .grid import Grid, ProbeSpec, fidelity, make_gaussian, moments, overlap
 from .network import (KickVector, NetworkGeometry, apply_propagation,
                       composite_apply, g_params, switched_state_family,
                       traverse_sequence)
-from .pipeline import TABLETOP_PRECISION_TABLE, fit_scaling_law, qcrb_comparison
+from .pipeline import TABLETOP_PRECISION_TABLE, fit_scaling_law
 from .wva import (PostSelection, first_order_momentum_shift, min_detectable_tilt,
                   rotation_z, sandwich_jones, waveplate_compensation,
                   max_difference_up_to_phase, wva_final_probe)
@@ -183,35 +184,41 @@ def check_qfim_mode(mode: SwitchMode, instances: int = 10,
                   f"worst relative Frobenius error over {instances} instances", errors)
 
 
+def _projected_bound(mode: SwitchMode, n: int) -> float:
+    """qcrb_global of the lab probe's closed-form matrix for mode at N = n."""
+    gm = GeneratorMoments.from_probe_spec(LAB_PROBE, LAB_Z_BAR, n)
+    return qcrb_global(QFIM_CLOSED_FORMS[mode](gm), n, LAB_Z_BAR)
+
+
 def check_probe_alone_identity(tolerance: float = 1e-12) -> CheckResult:
-    """Probe-alone bound at the origin equals the classical-switch bound."""
+    """Probe-alone bound at the origin equals the projected classical-switch bound."""
     def errors():
-        alone, csw = qcrb_comparison(range(1, 51), LAB_PROBE, LAB_Z_BAR, (
-            SwitchMode.PROBE_ALONE, SwitchMode.CLASSICAL_SWITCH)).T
+        alone = probe_alone_qfi_at_origin(GeneratorMoments.from_probe_spec(
+            LAB_PROBE, LAB_Z_BAR, np.arange(1, 51)))
+        csw = np.array([_projected_bound(SwitchMode.CLASSICAL_SWITCH, n)
+                        for n in range(1, 51)])
         return (np.abs(alone - csw) / csw).tolist()
     return _check("probe_alone_equals_classical_switch", tolerance, "N = 1..50",
                   errors)
 
 
 def check_sequential_scaling(tolerance: float = 1e-12) -> CheckResult:
-    """Fixed-order bound times N^2 is constant (linear-scaling limit)."""
+    """Projected fixed-order bound times N^2 is constant (linear-scaling limit)."""
     def errors():
-        n = np.arange(1, 101)
-        values = qcrb_comparison(n, LAB_PROBE, LAB_Z_BAR,
-                                 (SwitchMode.SEQUENTIAL,))[:, 0] * (n * n)
+        values = np.array([_projected_bound(SwitchMode.SEQUENTIAL, n) * (n * n)
+                           for n in range(1, 101)])
         yield values[0], values[-1], (values.max() - values.min()) / values[0]
     return _check("sequential_bound_times_n2_constant", tolerance, "N = 1..100",
                   errors)
 
 
 def check_asymptote(tolerance: float = 1e-2) -> CheckResult:
-    """Switched bounds times N^4 approach k^2/(zbar^2 VarP) for large N."""
+    """Projected switched bounds times N^4 approach k^2/(zbar^2 VarP) for large N."""
     limit = LAB_PROBE.wave_number**2 / (LAB_Z_BAR**2 * LAB_PROBE.delta_p**2)
     return _check("super_heisenberg_asymptote", tolerance, "N = 3000", lambda: (
         (limit, scaled, abs(scaled - limit) / limit)
-        for scaled in (qcrb_comparison((3000,), LAB_PROBE, LAB_Z_BAR, (
-            SwitchMode.QUANTUM_SWITCH, SwitchMode.CLASSICAL_SWITCH))[0]
-            * 3000**4).tolist()))
+        for scaled in (_projected_bound(mode, 3000) * 3000**4 for mode in (
+            SwitchMode.QUANTUM_SWITCH, SwitchMode.CLASSICAL_SWITCH))))
 
 
 def _lab_readouts(num_points: int, tilt: Callable[[NetworkGeometry], float]):

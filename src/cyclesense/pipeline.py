@@ -11,12 +11,13 @@ closed-form bound table is one float array over (N, strategy).
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, FitError
-from .fisher import QFIM_CLOSED_FORMS, GeneratorMoments, SwitchMode, _global_bounds, \
+from .fisher import GeneratorMoments, SwitchMode, _qcrb_sequential, \
     probe_alone_qfi_at_origin
 from .grid import ProbeSpec
 from .network import NetworkGeometry
@@ -36,6 +37,13 @@ class SensorDriveModel:
     chip_separation: float = 20e-3
     beam_tilt_factor: float = 2.0
 
+    def __post_init__(self):
+        for name in ("pzt_displacement_per_volt", "chip_separation",
+                     "beam_tilt_factor"):                   # NaN fails too
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
+
     @property
     def tilt_per_volt(self) -> float:
         """Beam-tilt modulation amplitude per volt peak-to-peak (rad/V)."""
@@ -45,8 +53,8 @@ class SensorDriveModel:
 
 def voltage_to_beam_tilt(v_pp: float, model: SensorDriveModel) -> float:
     """Beam-tilt modulation amplitude for a peak-to-peak drive voltage."""
-    if v_pp < 0:
-        raise DomainError(f"voltage must be non-negative, got {v_pp}")
+    if not 0 <= v_pp < math.inf:                            # NaN fails too
+        raise DomainError(f"voltage must be finite and non-negative, got {v_pp}")
     return v_pp * model.tilt_per_volt
 
 
@@ -204,19 +212,18 @@ def qcrb_comparison(n_values: Iterable[int], probe: ProbeSpec, z_bar: float,
     """Closed-form bounds on the average kick for every N and strategy.
 
     bounds[i, j] is the bound at n_values[i] for modes[j]; raveled, the table
-    runs in itertools.product(n_values, modes) order.  Each mode is evaluated
-    once over the N array, its information matrices projected onto the
-    average kick in one batched call (PROBE_ALONE: probe_alone_qfi_at_origin).
-    A bound not positive, or whose bound * N^4 is not finite, raises
-    DomainError naming the first such N.
+    runs in itertools.product(n_values, modes) order.  Each column is one
+    closed form over the N array, with no information matrix built: the
+    sequential projection, and probe_alone_qfi_at_origin for the three other
+    modes, which it equals at g = 0.  A bound not positive, or whose
+    bound * N^4 is not finite, raises DomainError naming the first such N.
     """
     n = np.fromiter(n_values, dtype=np.int64)
     gm = GeneratorMoments.from_probe_spec(probe, z_bar, n)
     with np.errstate(all="ignore"):     # what over- or underflows fails below
         bounds = np.column_stack([
-            probe_alone_qfi_at_origin(gm) if mode == SwitchMode.PROBE_ALONE
-            else _global_bounds(QFIM_CLOSED_FORMS[mode](gm), n, z_bar)
-            for mode in modes])
+            _qcrb_sequential(gm) if mode == SwitchMode.SEQUENTIAL
+            else probe_alone_qfi_at_origin(gm) for mode in modes])
         bad = ~((bounds > 0) & np.isfinite(_times_n4(bounds, n)))
     if bad.any():
         i, j = np.argwhere(bad)[0]

@@ -111,8 +111,10 @@ class ReadoutModel:
     position_slope: float = 0.65
 
     def __post_init__(self):
-        if not (self.focal_length > 0 and self.qpd_gain > 0 and self.total_power > 0):
-            raise DomainError("focal_length, qpd_gain and total_power must be positive")
+        if not (self.focal_length > 0 and self.qpd_gain > 0 and self.total_power > 0
+                and self.position_slope > 0):
+            raise DomainError("focal_length, qpd_gain, total_power and position_slope "
+                              "must be positive")
 
 
 def weak_value(ps: PostSelection) -> complex:
@@ -178,16 +180,17 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
     kappa = (geom.z_bar / (2.0 * k)) * n**2 * tbar \
         + (geom.z_bar / (2.0 * k) + geom.lead_in / k) * n * tbar
 
+    # written as not metric < bound, so a NaN metric fails too
     amplified = abs(a_w) * (geom.z_bar / (2.0 * k)) * n**2 * abs(tbar) * delta_p
-    if amplified >= GUARD_AMPLIFIED_SHIFT:
+    if not amplified < GUARD_AMPLIFIED_SHIFT:
         raise RegimeError(
             f"amplified displacement metric {amplified:.3g} exceeds "
             f"{GUARD_AMPLIFIED_SHIFT}; use exact_grid")
-    if n * abs(tbar) * delta_x >= GUARD_KICK_SPREAD:
+    if not n * abs(tbar) * delta_x < GUARD_KICK_SPREAD:
         raise RegimeError(
             f"accumulated kick metric {n * abs(tbar) * delta_x:.3g} exceeds "
             f"{GUARD_KICK_SPREAD}; use exact_grid")
-    if any(abs(t) * w0 >= GUARD_SINGLE_KICK for t in kicks.thetas):
+    if not all(abs(t) * w0 < GUARD_SINGLE_KICK for t in kicks.thetas):
         raise RegimeError(
             f"a single kick times the beam width exceeds {GUARD_SINGLE_KICK}; "
             f"use exact_grid")
@@ -219,6 +222,10 @@ def first_order_momentum_shift(geom: NetworkGeometry, var_p: float,
     and cot(eps) is the exact first-order gain; quoting 1/eps instead is the
     small-epsilon shorthand.
     """
+    if not 0 < var_p < math.inf:
+        raise DomainError(f"var_p must be positive and finite, got {var_p}")
+    if not math.isfinite(theta_bar):
+        raise DomainError(f"theta_bar must be finite, got {theta_bar}")
     k = geom.wave_number
     n = geom.n_sensors
     bracket = (geom.z_bar / (2.0 * k)) * n**2 \
@@ -270,6 +277,8 @@ def qpd_signal(phi_bar: float, geom: NetworkGeometry, waist_radius: float,
     I_delta.  Valid in the same small-signal regime as the linearized
     evolution.
     """
+    if not 0 < waist_radius < math.inf:
+        raise DomainError(f"waist_radius must be positive and finite, got {waist_radius}")
     i_delta = (geom.z_bar * readout.total_power
                / (2.0 * readout.position_slope * ps.epsilon * waist_radius)) \
         * _lead_gain(geom) * phi_bar

@@ -150,6 +150,28 @@ class TestCli:
         assert main(["--config", str(cfg), "--out", str(out), "qcrb-sweep"]) == 0
         assert len((out / "qcrb_sweep.csv").read_text().splitlines()) == 2
 
+    def test_qcrb_sweep_on_a_long_path(self, tmp_path):
+        # from (N+1) zbar ~ 1.6e6 m on, the fixed-order matrix's small
+        # eigenvalue falls under RANK_TOL of its largest, yet the bound is the
+        # finite 1/(4 N^2 Var X) = 1/(N w0)^2
+        path = tmp_path / "long.yaml"
+        path.write_text("geometry: {z_bar: 1.0e+4}\nsweep: {n_values: [9, 200]}\n")
+        out = tmp_path / "long"
+        assert main(["--config", str(path), "--out", str(out), *QCRB]) == 0
+        rows = [line.split(",") for line
+                in (out / "qcrb_sweep.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[2]) for r in rows if r[1] == "sequential"] == [
+            ("9", "3.086419753086e+03"), ("200", "6.250000000000e+00")]
+
+    def test_qcrb_sweep_calls_no_eigensolver(self, tmp_path, monkeypatch):
+        # every column is a closed form; only qcrb_global, the oracle,
+        # eigendecomposes a matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bound table called np.linalg.eigh")
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        cfg = write_config(tmp_path, n_values=list(range(1, 201)))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), *QCRB]) == 0
+
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, **SMALL_SWEEP)
         outs = []
@@ -511,11 +533,17 @@ NO_CHAIN = dict(probe=None, ps=None, readout=None, drive=None, noise=None,
 
 @pytest.mark.parametrize("call", [
     lambda: voltage_to_beam_tilt(-1.0, SensorDriveModel()),
+    lambda: voltage_to_beam_tilt(math.nan, SensorDriveModel()),
+    lambda: voltage_to_beam_tilt(math.inf, SensorDriveModel()),
+    lambda: SensorDriveModel(chip_separation=0.0).tilt_per_volt,
+    lambda: SensorDriveModel(pzt_displacement_per_volt=math.nan),
+    lambda: SensorDriveModel(beam_tilt_factor=math.inf),
     lambda: NoiseModel(0.0),
     lambda: NoiseModel(1.0, jitter=-0.1),
     lambda: end_to_end_sweep([1, 2, 3], [1e-3], 0, **NO_CHAIN),
     lambda: end_to_end_sweep([], [1e-3], 1, **NO_CHAIN),
-], ids=["negative-voltage", "zero-noise-floor", "negative-jitter",
+], ids=["negative-voltage", "nan-voltage", "inf-voltage", "zero-chip-separation",
+        "nan-displacement", "inf-tilt-factor", "zero-noise-floor", "negative-jitter",
         "zero-replicates", "no-sensor-counts"])
 def test_pipeline_inputs_out_of_domain(call):
     # DomainError is what the CLI reports with exit code 3

@@ -11,7 +11,7 @@ from cyclesense import (ConvergenceError, DomainError, EstimabilityError, Genera
                         qfim_quantum_switch, qfim_sequential,
                         WaveFunction, switched_state_family)
 from cyclesense import fisher
-from cyclesense.fisher import RANK_TOL, _global_bounds
+from cyclesense.fisher import RANK_TOL
 
 GM_UNIT = GeneratorMoments(var_x=1.0, var_p=0.25, cov_xp=0.0, mean_p=0.0,
                            wave_number=1.0, z_bar=1.0, n_sensors=1)
@@ -229,30 +229,16 @@ class TestQcrb:
 
     def test_estimability_error(self):
         # rank-1 matrix whose range excludes the (1,1) Jacobian direction
-        with pytest.raises(EstimabilityError):
-            qcrb_global(np.array([[1.0, 0.0], [0.0, 0.0]]), 2, 1.0)
-
-    def test_batched_bounds_mix_regular_singular_and_non_estimable_rows(self):
-        v = 1.7
-        regular, singular = qfim_sequential(GM_UNIT), np.full((2, 2), v)
-        stack = np.array([regular, singular])
-        bounds = _global_bounds(stack, np.array([3, 5]), 0.4)
-        assert bounds.tolist() == [qcrb_global(regular, 3, 0.4),
-                                   qcrb_global(singular, 5, 0.4)]
-        bad = np.concatenate([stack, np.array([[1.0, 0.0], [0.0, 0.0]])[None]])
         with pytest.raises(EstimabilityError, match="not estimable"):
-            _global_bounds(bad, np.array([3, 5, 2]), 0.4)
+            qcrb_global(np.array([[1.0, 0.0], [0.0, 0.0]]), 2, 1.0)
         with pytest.raises(EstimabilityError, match="zero"):
-            _global_bounds(np.zeros((1, 2, 2)), np.array([2]), 0.4)
+            qcrb_global(np.zeros((2, 2)), 2, 0.4)
 
     def test_overflowed_matrix_is_named_with_its_sensor_count(self):
         # Var X u^2 is finite, but 4 (a + b + 2c) overflows to inf
         huge = qfim_sequential(GeneratorMoments(1.7e308, 1.0, 0.0, 0.0, 1.0, 0.5, 1))
         with pytest.raises(DomainError, match="overflow the float range at N = 1$"):
             qcrb_global(huge, 1, 0.5)
-        stack = np.array([qfim_sequential(GM_UNIT), huge])
-        with pytest.raises(DomainError, match="at N = 7$"):
-            _global_bounds(stack, np.array([3, 7]), 0.5)
 
 
 class TestProbeAlone:

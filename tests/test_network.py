@@ -46,8 +46,11 @@ class TestGeometryTypes:
         (ProbeSpec, (math.inf, 1.0), {}, "waist_radius"),
         (ProbeSpec, (math.nan, 1.0), {}, "waist_radius"),
         (ProbeSpec, (1.0, math.inf), {"center_p": math.nan}, "wave_number"),
+        (KickVector, ((0.01, math.nan, 0.01),), {}, "kicks"),
+        (KickVector, ((math.inf,),), {}, "kicks"),
     ], ids=["legs-nan", "legs-inf", "lead-in-nan", "lead-out-inf", "geom-k-inf",
-            "waist-inf", "waist-nan", "probe-k-inf-center-p-nan"])
+            "waist-inf", "waist-nan", "probe-k-inf-center-p-nan", "kick-nan",
+            "kick-inf"])
     def test_non_finite_inputs_fail_by_name(self, cls, args, kwargs, name):
         with pytest.raises(DomainError, match=f"^{name} must be "):
             cls(*args, **kwargs)

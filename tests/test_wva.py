@@ -54,18 +54,32 @@ class TestWeakValue:
             PolarizationState(1.0, 1.0)
 
 
+UNIT_GEOM = NetworkGeometry.uniform(1, 1.0, wave_number=1.0)
+READOUT = ReadoutModel(0.25, 1e4, 0.2e-3)
+
+
 @pytest.mark.parametrize("call", [
     lambda: PolarizationState(1.0, 1.0),
     lambda: PolarizationState(math.nan, 0.0),
     lambda: PostSelection(0.1, variant="complex"),
     lambda: PostSelection.from_weak_value_magnitude(0.0),
     lambda: ReadoutModel(0.25, 0.0, 0.2e-3),
+    lambda: ReadoutModel(0.25, 1e4, 0.2e-3, position_slope=0.0),
+    lambda: ReadoutModel(0.25, 1e4, 0.2e-3, position_slope=math.nan),
     # the method is checked before any of the other arguments is read
     lambda: wva_final_probe(None, None, None, None, method="second_order"),
-    lambda: min_detectable_tilt(NetworkGeometry.uniform(1, 1.0, wave_number=1.0),
-                                0.0, PostSelection(0.1)),
+    lambda: min_detectable_tilt(UNIT_GEOM, 0.0, PostSelection(0.1)),
+    lambda: first_order_momentum_shift(UNIT_GEOM, 1.0, PostSelection(0.1), math.nan),
+    lambda: first_order_momentum_shift(UNIT_GEOM, 1.0, PostSelection(0.1), math.inf),
+    lambda: first_order_momentum_shift(UNIT_GEOM, -1.0, PostSelection(0.1), 0.01),
+    lambda: first_order_momentum_shift(UNIT_GEOM, math.nan, PostSelection(0.1), 0.01),
+    lambda: first_order_momentum_shift(UNIT_GEOM, math.inf, PostSelection(0.1), 0.01),
+    lambda: qpd_signal(1e-6, UNIT_GEOM, 0.0, PostSelection(0.1), READOUT),
+    lambda: qpd_signal(1e-6, UNIT_GEOM, math.nan, PostSelection(0.1), READOUT),
 ], ids=["jones-norm", "jones-nan", "variant", "weak-value-magnitude", "readout-constants",
-        "final-probe-method", "min-tilt-delta-p"])
+        "readout-slope-zero", "readout-slope-nan", "final-probe-method",
+        "min-tilt-delta-p", "shift-theta-nan", "shift-theta-inf", "shift-var-p-negative",
+        "shift-var-p-nan", "shift-var-p-inf", "qpd-waist-zero", "qpd-waist-nan"])
 def test_inputs_out_of_domain(call):
     # DomainError is what the CLI reports with exit code 3
     with pytest.raises(DomainError):
