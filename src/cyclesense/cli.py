@@ -143,7 +143,6 @@ def cmd_reproduce_experiment(cfg: RunConfig, out: str, source: str) -> int:
     probe = cfg.probe_spec()
     ps = cfg.post_selection()
     readout = cfg.readout_model()
-    drive = cfg.drive_model()
 
     if source == "tabletop":
         points = [(n, phi) for n, _, phi in TABLETOP_PRECISION_TABLE]
@@ -153,12 +152,13 @@ def cmd_reproduce_experiment(cfg: RunConfig, out: str, source: str) -> int:
                    ["n_sensors", "min_voltage_pp", "delta_phi_min"],
                    (n_col,), (v_col, phi_col))
     else:
+        drive = cfg.drive_model()       # only the forward model reads the drive
         floor = calibrate_noise_floor(cfg.geometry, probe.waist_radius, ps,
                                       readout, drive)
         noise = cfg.noise_model(calibrated_floor=floor)
         result = end_to_end_sweep(cfg.n_values, cfg.voltages, cfg.replicates,
                                   probe, ps, readout, drive, noise, cfg.z_bar,
-                                  cfg.lead_in, cfg.lead_out, cfg.seed)
+                                  cfg.lead_in, cfg.seed)
         _write_csv(out_dir / "snr_sweep.csv",
                    ["n_sensors", "drive_voltage_pp", "replicate", "snr"],
                    (result.n_values, result.voltages, range(cfg.replicates)),

@@ -62,7 +62,6 @@ class RunConfig:
     # geometry
     z_bar: float = 0.2
     lead_in: float = 0.325
-    lead_out: float = 0.0
     # post-selection
     weak_value_magnitude: float = 7.0
     # readout
@@ -93,7 +92,7 @@ class RunConfig:
 
     _SECTIONS = {
         "probe": ("waist_radius", "wavelength", "center_x", "center_p"),
-        "geometry": ("z_bar", "lead_in", "lead_out"),
+        "geometry": ("z_bar", "lead_in"),
         "post_selection": ("weak_value_magnitude",),
         "readout": ("focal_length", "qpd_gain", "total_power", "position_slope"),
         "drive": ("pzt_displacement_per_volt", "chip_separation", "beam_tilt_factor"),
@@ -134,7 +133,7 @@ class RunConfig:
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{self._field_path(name)}: must be positive, "
                                   f"got {getattr(self, name)}")
-        for name in ("lead_in", "lead_out", "jitter", "noise_floor", "theta_bar"):
+        for name in ("lead_in", "jitter", "noise_floor", "theta_bar"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{self._field_path(name)}: must be non-negative")
         n = self.num_points
@@ -231,7 +230,7 @@ class RunConfig:
 
     def geometry(self, n_sensors: int) -> NetworkGeometry:
         return NetworkGeometry.uniform(n_sensors, self.z_bar, self.lead_in,
-                                       self.lead_out, self.wave_number)
+                                       self.wave_number)
 
     def grid(self, n_sensors: int) -> Grid:
         return Grid.for_probe(self.probe_spec(), self.geometry(n_sensors).z_total,

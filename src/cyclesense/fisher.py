@@ -134,15 +134,14 @@ class GeneratorMoments:
 
     @classmethod
     def from_probe_spec(cls, spec: ProbeSpec, z_bar: float,
-                        n_sensors: int | np.ndarray, g1: float = 0.0,
-                        g2: float = 0.0) -> "GeneratorMoments":
+                        n_sensors: int | np.ndarray) -> "GeneratorMoments":
         """Analytic Gaussian moments: Var X = w0^2/4, Var P = 1/w0^2, Cov = 0."""
         try:
             var_x, var_p = spec.delta_x**2, spec.delta_p**2
         except OverflowError:
             raise DomainError(f"waist {spec.waist_radius:g} m: probe variances overflow") from None
         return cls(var_x, var_p, 0.0, spec.center_p, spec.wave_number, z_bar,
-                   n_sensors, g1, g2)
+                   n_sensors)
 
 
 def _terms(gm: GeneratorMoments):

@@ -238,29 +238,39 @@ class Moments:
     cov_xp: float
 
     def __post_init__(self):
-        if not (self.var_x > 0 and self.var_p > 0):
+        if not (0 < self.var_x < math.inf and 0 < self.var_p < math.inf   # NaN fails too
+                and all(map(math.isfinite, (self.mean_x, self.mean_p, self.cov_xp)))):
+            raise DomainError("moments must be finite, with positive variances")
+
+    def _stepped(self, *values: float) -> "Moments":
+        """The moments after one step, with only the variances checked:
+        guard_windows judges the rest and names the step that left the range."""
+        m = object.__new__(Moments)
+        m.__dict__.update(zip(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), values))
+        if not (m.var_x > 0 and m.var_p > 0):
             raise DomainError("variances must be positive")
+        return m
 
     def kicked(self, theta: float) -> "Moments":
         """P -> P - theta; the second moments stay."""
-        return Moments(self.mean_x, self.mean_p - theta, self.var_x, self.var_p,
-                       self.cov_xp)
+        return self._stepped(self.mean_x, self.mean_p - theta, self.var_x, self.var_p,
+                             self.cov_xp)
 
     def propagated(self, t: float) -> "Moments":
         """X -> X + t P with t = z/k; the momentum moments stay."""
-        return Moments(self.mean_x + t * self.mean_p, self.mean_p,
-                       self.var_x + 2.0 * t * self.cov_xp + t**2 * self.var_p,
-                       self.var_p, self.cov_xp + t * self.var_p)
+        return self._stepped(self.mean_x + t * self.mean_p, self.mean_p,
+                             self.var_x + 2.0 * t * self.cov_xp + t**2 * self.var_p,
+                             self.var_p, self.cov_xp + t * self.var_p)
 
     def shifted(self, d: float) -> "Moments":
         """X -> X + d; the second moments stay."""
-        return Moments(self.mean_x + d, self.mean_p, self.var_x, self.var_p,
-                       self.cov_xp)
+        return self._stepped(self.mean_x + d, self.mean_p, self.var_x, self.var_p,
+                             self.cov_xp)
 
     def flipped(self) -> "Moments":
         """X -> -X and P -> -P: both means change sign, the second moments stay."""
-        return Moments(-self.mean_x, -self.mean_p, self.var_x, self.var_p,
-                       self.cov_xp)
+        return self._stepped(-self.mean_x, -self.mean_p, self.var_x, self.var_p,
+                             self.cov_xp)
 
 
 def guard_windows(m: Moments, grid: Grid, step: str) -> None:
@@ -379,14 +389,14 @@ class WaveFunction:
             raise NormalizationError("cannot normalize the zero wavefunction")
         return WaveFunction._adopt(self.grid, self.amplitudes / n, self.representation)
 
-    def require_normalized(self, tol: float = NORM_PRECONDITION_TOL) -> None:
+    def require_normalized(self) -> None:
         # one dot product a row; norm() keeps its own sum, whose bits reach outputs
         for r, a in enumerate(self.amplitudes.reshape(-1, self.grid.num_points)):
             n = math.sqrt(np.vdot(a, a).real * self._weight)
-            if not abs(n - 1.0) <= tol:             # a NaN norm fails too
+            if not abs(n - 1.0) <= NORM_PRECONDITION_TOL:   # a NaN norm fails too
                 row = f" row {r}" if self.amplitudes.ndim == 2 else ""
                 raise NormalizationError(f"wavefunction{row} norm {n} deviates "
-                                         f"from 1 by more than {tol}")
+                                         f"from 1 by more than {NORM_PRECONDITION_TOL}")
 
 
 def make_gaussian(spec: ProbeSpec, grid: Grid) -> WaveFunction:

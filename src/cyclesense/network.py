@@ -40,13 +40,12 @@ class NetworkGeometry:
 
     distances holds the N+1 legs z_0 .. z_N: z_0 from the server to the
     first sensor, z_j between sensors j and j+1, z_N back to the server.
-    lead_in and lead_out are the free paths before the network input and
-    after its output.
+    lead_in is the free path before the network input; none follows the
+    output, because free flight cannot change the momentum readout.
     """
 
     distances: tuple[float, ...]
     lead_in: float = 0.0
-    lead_out: float = 0.0
     wave_number: float = DEFAULT_WAVE_NUMBER
 
     def __post_init__(self):
@@ -55,10 +54,9 @@ class NetworkGeometry:
             raise DomainError("need at least two legs (one sensor)")
         if not all(0 <= z < math.inf for z in self.distances):    # NaN fails too
             raise DomainError("leg distances must be finite and non-negative")
-        for name in ("lead_in", "lead_out"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and non-negative, "
-                                  f"got {getattr(self, name)}")
+        if not 0 <= self.lead_in < math.inf:
+            raise DomainError(f"lead_in must be finite and non-negative, "
+                              f"got {self.lead_in}")
         if not 0 < self.wave_number < math.inf:
             raise DomainError(f"wave_number must be positive and finite, "
                               f"got {self.wave_number}")
@@ -73,14 +71,13 @@ class NetworkGeometry:
 
     @property
     def z_total(self) -> float:
-        return self.lead_in + sum(self.distances) + self.lead_out
+        return self.lead_in + sum(self.distances)
 
     @classmethod
     def uniform(cls, n_sensors: int, z_bar: float = 0.2, lead_in: float = 0.0,
-                lead_out: float = 0.0, wave_number: float = DEFAULT_WAVE_NUMBER
-                ) -> "NetworkGeometry":
+                wave_number: float = DEFAULT_WAVE_NUMBER) -> "NetworkGeometry":
         """Equidistant network; the lab preset uses z_bar = 20 cm legs."""
-        return cls((z_bar,) * (n_sensors + 1), lead_in, lead_out, wave_number)
+        return cls((z_bar,) * (n_sensors + 1), lead_in, wave_number)
 
 
 @dataclass(frozen=True)
@@ -193,14 +190,14 @@ def apply_shift(psi: WaveFunction, displacement: float) -> WaveFunction:
     """Translation exp(-i d P): moves a single state by +d in position.
 
     Carries the moments unguarded; composite_apply's propagation guards them.
+    The product goes into its fresh mask, amplitudes first as in _masked.
     """
     psi._require_single("apply_shift")
-    mom = psi.to_momentum()
-    amps = mom.amplitudes * symmetric_phase(psi.grid.momenta,
-                                            lambda p: -displacement * p, odd=True)
+    mask = symmetric_phase(psi.grid.momenta, lambda p: -displacement * p, odd=True)
+    np.multiply(psi.to_momentum().amplitudes, mask, out=mask)
     m = psi.guard_moments
     moved = None if m is None else m.shifted(displacement)
-    return WaveFunction._adopt(psi.grid, amps, MOMENTUM, moved)
+    return WaveFunction._adopt(psi.grid, mask, MOMENTUM, moved)
 
 
 def apply_propagation(psi: WaveFunction, z, wave_number: float) -> WaveFunction:
@@ -286,19 +283,15 @@ def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVecto
 
 
 def composite_apply(psi: WaveFunction, geom: NetworkGeometry, comp: CompositeEvolution,
-                    direction: str = "forward", phase: str = "exact") -> WaveFunction:
+                    direction: str = "forward") -> WaveFunction:
     """Apply the reduced traversal as three grid phases plus a scalar phase.
 
-    phase selects the scalar factor: "exact" uses exp(-i xi/2k) and makes the
-    result equal the raw operator product including its global phase and
-    "switch" uses the branch phases exp(-/+ i (g1^2-g2^2)/(4k(N+1)zbar)) of
-    the order-switched joint evolution (same state up to a global phase).
-    The result is in momentum space, where the reduced evolution ends.
+    The scalar factor exp(-i xi/2k), with xi = xi1 forward and xi2 reverse,
+    makes the result equal the raw operator product including its global
+    phase.  The result is in momentum space, where the reduced evolution ends.
     """
     if direction not in ("forward", "reverse"):
         raise DomainError(f"unknown direction {direction!r}")
-    if phase not in ("exact", "switch"):
-        raise DomainError(f"unknown phase convention {phase!r}")
     k = geom.wave_number
     n_legs = geom.n_sensors + 1
     span = n_legs * geom.z_bar
@@ -308,12 +301,8 @@ def composite_apply(psi: WaveFunction, geom: NetworkGeometry, comp: CompositeEvo
     psi = apply_shift(psi, g_shift / k)
     psi = apply_propagation(psi, span, k)
 
-    if phase == "exact":
-        xi = comp.xi1 if direction == "forward" else comp.xi2
-        scalar = np.exp(-1j * xi / (2.0 * k))
-    else:
-        alpha = (comp.g1**2 - comp.g2**2) / (4.0 * k * span)
-        scalar = np.exp(-1j * alpha) if direction == "forward" else np.exp(1j * alpha)
+    xi = comp.xi1 if direction == "forward" else comp.xi2
+    scalar = np.exp(-1j * xi / (2.0 * k))
     return WaveFunction._adopt(psi.grid, scalar * psi.amplitudes, MOMENTUM)
 
 
@@ -322,18 +311,20 @@ def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: Switch
 
     Used by the finite-difference information-matrix oracle: the family is
     parameterized directly by the shift weights, with the branch dynamic
-    phases of the switched joint evolution included, so its derivatives probe
-    exactly the closed forms.  Every branch a builder makes is
-    differentiated.  Branches come in momentum space, where the reduced
-    evolution ends.
+    phases exp(-i xi/2k) of the exact composite in the gauge xi1 = -xi2 =
+    (g1^2 - g2^2)/(2 (N+1) zbar), so its derivatives probe exactly the
+    closed forms.  Every branch a builder makes is differentiated.
+    Branches come in momentum space, where the reduced evolution ends.
     """
+    span = (geom.n_sensors + 1) * geom.z_bar
 
     def build(g1: float, g2: float) -> JointState:
-        comp = CompositeEvolution(g1, g2, 0.0, 0.0)
-        fwd = composite_apply(psi, geom, comp, "forward", "switch")
+        xi = (g1**2 - g2**2) / (2.0 * span)
+        comp = CompositeEvolution(g1, g2, xi, -xi)
+        fwd = composite_apply(psi, geom, comp, "forward")
         if mode == SwitchMode.SEQUENTIAL:
             return JointState(fwd, None, (1.0, 0.0), 0.0)
-        rev = composite_apply(psi, geom, comp, "reverse", "switch")
+        rev = composite_apply(psi, geom, comp, "reverse")
         if mode == SwitchMode.QUANTUM_SWITCH:
             return JointState(fwd, rev, BALANCED_WEIGHTS, 0.5)
         if mode == SwitchMode.CLASSICAL_SWITCH:

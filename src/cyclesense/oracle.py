@@ -87,8 +87,7 @@ def _random_instance(rng: np.random.Generator, num_points: int):
 
 def _traversal_pairs(seed_base: int, seeds: int, num_points: int):
     """Grid traversal of random instances in both orders, each paired with
-    the composite that must reproduce it: a call taking composite_apply's
-    keyword arguments."""
+    the composite that must reproduce it, as a call with no arguments."""
     for seed in range(seeds):
         geom, kicks, psi = _random_instance(np.random.default_rng(seed_base + seed),
                                             num_points)
@@ -98,29 +97,27 @@ def _traversal_pairs(seed_base: int, seeds: int, num_points: int):
             yield brute, functools.partial(composite_apply, psi, geom, comp, direction)
 
 
-def check_bch_fidelity(seeds: int = 20, num_points: int = 1 << 14,
-                       tolerance: float = 1e-10) -> CheckResult:
+def check_bch_fidelity(seeds: int = 20, num_points: int = 1 << 14) -> CheckResult:
     """Grid traversal versus algebraic composite: |1 - F|, of either sign."""
-    return _check("bch_traversal_fidelity", tolerance,
+    return _check("bch_traversal_fidelity", 1e-10,
                   f"worst |1 - F| over {seeds} seeds, both orders",
                   lambda: (abs(1.0 - fidelity(brute, reduced()))
                            for brute, reduced in _traversal_pairs(1000, seeds, num_points)))
 
 
-def check_composite_phase(seeds: int = 20, num_points: int = 1 << 14,
-                          tolerance: float = 1e-9) -> CheckResult:
+def check_composite_phase(seeds: int = 20, num_points: int = 1 << 14) -> CheckResult:
     """Composite with exact scalar phase reproduces the raw product amplitudes."""
-    return _check("composite_exact_phase", tolerance,
+    return _check("composite_exact_phase", 1e-9,
                   "max amplitude difference including the scalar phase",
-                  lambda: (np.max(np.abs(brute.amplitudes - reduced(phase="exact")
-                                         .to_position().amplitudes))
+                  lambda: (np.max(np.abs(brute.amplitudes
+                                         - reduced().to_position().amplitudes))
                            for brute, reduced in _traversal_pairs(2000, seeds, num_points)))
 
 
-def check_g_identities(seeds: int = 200, tolerance: float = 1e-12) -> CheckResult:
+def check_g_identities() -> CheckResult:
     """g1 + g2 = (N+1) N zbar tbar and the xi difference identity."""
     def errors():
-        for seed in range(seeds):
+        for seed in range(200):
             rng = np.random.default_rng(3000 + seed)
             n = int(rng.integers(1, 9))
             geom = NetworkGeometry(tuple(rng.uniform(0.2, 3.0, n + 1)), wave_number=1.0)
@@ -130,12 +127,11 @@ def check_g_identities(seeds: int = 200, tolerance: float = 1e-12) -> CheckResul
             for lhs, rhs in ((comp.g1 + comp.g2, span * n * kicks.theta_bar),
                              (comp.xi1 - comp.xi2, (comp.g1**2 - comp.g2**2) / span)):
                 yield abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-    return _check("composite_scalar_identities", tolerance,
-                  f"worst relative identity violation over {seeds} instances", errors)
+    return _check("composite_scalar_identities", 1e-12,
+                  "worst relative identity violation over 200 instances", errors)
 
 
-def check_switch_phase(num_points: int = 1 << 14,
-                       tolerance: float = 1e-8) -> CheckResult:
+def check_switch_phase(num_points: int = 1 << 14) -> CheckResult:
     """Relative dynamic phase between traversal orders from the branch overlap."""
     def errors():
         rng = np.random.default_rng(47)
@@ -147,7 +143,7 @@ def check_switch_phase(num_points: int = 1 << 14,
             measured = cmath.phase(overlap(rev, fwd))
             predicted = (comp.g1**2 - comp.g2**2) / (2.0 * geom.wave_number * span)
             yield abs(measured - predicted) / max(abs(predicted), 1e-12)
-    return _check("switch_relative_phase", tolerance,
+    return _check("switch_relative_phase", 1e-8,
                   "arg<reverse|forward> vs (g1^2-g2^2)/(2k(N+1)zbar)", errors)
 
 
@@ -168,7 +164,7 @@ def _fisher_instances(rng: np.random.Generator, num_points: int):
 
 
 def check_qfim_mode(mode: SwitchMode, instances: int = 10,
-                    num_points: int = 1 << 13, tolerance: float = 1e-3) -> CheckResult:
+                    num_points: int = 1 << 13) -> CheckResult:
     """Closed-form information matrix versus finite differences on the grid."""
     def errors():
         for i in range(instances):
@@ -180,7 +176,7 @@ def check_qfim_mode(mode: SwitchMode, instances: int = 10,
             numeric = qfim_numerical(switched_state_family(psi, geom, mode),
                                      (g1, g2), step=1e-4)
             yield np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic)
-    return _check(f"qfim_{mode.value}_vs_finite_difference", tolerance,
+    return _check(f"qfim_{mode.value}_vs_finite_difference", 1e-3,
                   f"worst relative Frobenius error over {instances} instances", errors)
 
 
@@ -190,7 +186,7 @@ def _projected_bound(mode: SwitchMode, n: int) -> float:
     return qcrb_global(QFIM_CLOSED_FORMS[mode](gm), n, LAB_Z_BAR)
 
 
-def check_probe_alone_identity(tolerance: float = 1e-12) -> CheckResult:
+def check_probe_alone_identity() -> CheckResult:
     """Probe-alone bound at the origin equals the projected classical-switch bound."""
     def errors():
         alone = probe_alone_qfi_at_origin(GeneratorMoments.from_probe_spec(
@@ -198,24 +194,24 @@ def check_probe_alone_identity(tolerance: float = 1e-12) -> CheckResult:
         csw = np.array([_projected_bound(SwitchMode.CLASSICAL_SWITCH, n)
                         for n in range(1, 51)])
         return (np.abs(alone - csw) / csw).tolist()
-    return _check("probe_alone_equals_classical_switch", tolerance, "N = 1..50",
+    return _check("probe_alone_equals_classical_switch", 1e-12, "N = 1..50",
                   errors)
 
 
-def check_sequential_scaling(tolerance: float = 1e-12) -> CheckResult:
+def check_sequential_scaling() -> CheckResult:
     """Projected fixed-order bound times N^2 is constant (linear-scaling limit)."""
     def errors():
         values = np.array([_projected_bound(SwitchMode.SEQUENTIAL, n) * (n * n)
                            for n in range(1, 101)])
         yield values[0], values[-1], (values.max() - values.min()) / values[0]
-    return _check("sequential_bound_times_n2_constant", tolerance, "N = 1..100",
+    return _check("sequential_bound_times_n2_constant", 1e-12, "N = 1..100",
                   errors)
 
 
-def check_asymptote(tolerance: float = 1e-2) -> CheckResult:
+def check_asymptote() -> CheckResult:
     """Projected switched bounds times N^4 approach k^2/(zbar^2 VarP) for large N."""
     limit = LAB_PROBE.wave_number**2 / (LAB_Z_BAR**2 * LAB_PROBE.delta_p**2)
-    return _check("super_heisenberg_asymptote", tolerance, "N = 3000", lambda: (
+    return _check("super_heisenberg_asymptote", 1e-2, "N = 3000", lambda: (
         (limit, scaled, abs(scaled - limit) / limit)
         for scaled in (_projected_bound(mode, 3000) * 3000**4 for mode in (
             SwitchMode.QUANTUM_SWITCH, SwitchMode.CLASSICAL_SWITCH))))
@@ -235,8 +231,7 @@ def _lab_readouts(num_points: int, tilt: Callable[[NetworkGeometry], float]):
         yield geom, tbar, moments(chi)
 
 
-def check_wva_mean_momentum(num_points: int = 1 << 14,
-                            tolerance: float = 1e-2) -> CheckResult:
+def check_wva_mean_momentum(num_points: int = 1 << 14) -> CheckResult:
     """Exact post-selected momentum shift versus the linear-response formula."""
     def errors():
         for geom, tbar, m in _lab_readouts(num_points, lambda geom: 0.46 / (
@@ -244,12 +239,11 @@ def check_wva_mean_momentum(num_points: int = 1 << 14,
             predicted = first_order_momentum_shift(geom, LAB_PROBE.delta_p**2,
                                                    LAB_PS, tbar)
             yield abs(m.mean_p - predicted) / abs(predicted)
-    return _check("wva_mean_momentum_first_order", tolerance,
+    return _check("wva_mean_momentum_first_order", 1e-2,
                   "N in {1, 3, 5}, |A_w| = 7", errors)
 
 
-def check_threshold_consistency(num_points: int = 1 << 14,
-                                tolerance: float = 1e-6) -> CheckResult:
+def check_threshold_consistency(num_points: int = 1 << 14) -> CheckResult:
     """Detection-threshold identity in linear response on the grid.
 
     The grid slope of the post-selected momentum signal, extrapolated to the
@@ -272,40 +266,39 @@ def check_threshold_consistency(num_points: int = 1 << 14,
             ratio = (m.mean_p / probe_tilt) * theta_min(geom) / math.sqrt(m.var_p)
             e = abs(ratio / gain - 1.0)
             yield 1.0, 1.0 + e, e
-    return _check("detection_threshold_identity", tolerance,
+    return _check("detection_threshold_identity", 1e-6,
                   "slope * theta_min / (spread * eps cot eps) at "
                   "theta_min / 1e5, N in {1, 3, 5}", errors)
 
 
-def check_waveplates(trials: int = 100, tolerance: float = 1e-12) -> CheckResult:
+def check_waveplates() -> CheckResult:
     """Three-plate sandwich equals the target relative-phase rotation."""
     def errors():
         rng = np.random.default_rng(99)
-        for _ in range(trials):
+        for _ in range(100):
             dt = float(rng.uniform(-math.pi, math.pi))
             yield max_difference_up_to_phase(sandwich_jones(waveplate_compensation(dt)),
                                              rotation_z(-0.5 * dt))
-    return _check("waveplate_compensation", tolerance,
-                  f"{trials} random phases, max element difference up to phase", errors)
+    return _check("waveplate_compensation", 1e-12,
+                  "100 random phases, max element difference up to phase", errors)
 
 
-def check_tabletop_fit(tolerance_a: float = 0.03, tolerance_b: float = 0.05,
-                       min_r2: float = 0.985) -> list[CheckResult]:
+def check_tabletop_fit() -> list[CheckResult]:
     """Scaling fit over the embedded tabletop precision table."""
     fit = fit_scaling_law([(n, phi) for n, _, phi in TABLETOP_PRECISION_TABLE])
     return [_check(name, tolerance, "", lambda reading=reading: [reading])
             for name, tolerance, reading in (
-                ("tabletop_fit_amplitude", tolerance_a,
+                ("tabletop_fit_amplitude", 0.03,
                  (4.77e-9, fit.a, abs(fit.a - 4.77e-9) / 4.77e-9)),
-                ("tabletop_fit_linear_coeff", tolerance_b,
+                ("tabletop_fit_linear_coeff", 0.05,
                  (4.25, fit.b, abs(fit.b - 4.25) / 4.25)),
                 ("tabletop_fit_r_squared", 0.0,
-                 (min_r2, fit.r_squared, max(0.0, min_r2 - fit.r_squared))))]
+                 (0.985, fit.r_squared, max(0.0, 0.985 - fit.r_squared))))]
 
 
 def run_all_checks(num_points: int = 1 << 14, seeds: int = 20,
                    instances: int = 10) -> list[CheckResult]:
-    """The full oracle suite with the default tolerances."""
+    """The full oracle suite, each check at its own tolerance."""
     return [
         check_bch_fidelity(seeds, num_points),
         check_composite_phase(min(seeds, 10), num_points),

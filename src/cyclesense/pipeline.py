@@ -43,6 +43,9 @@ class SensorDriveModel:
             if not 0 < getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be positive and finite, "
                                   f"got {getattr(self, name)}")
+        if not 0 < self.tilt_per_volt < math.inf:           # an over- or underflow
+            raise DomainError(f"tilt_per_volt must be positive and finite, "
+                              f"got {self.tilt_per_volt}")
 
     @property
     def tilt_per_volt(self) -> float:
@@ -70,10 +73,12 @@ class NoiseModel:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if not self.noise_floor > 0:
-            raise DomainError("noise_floor must be positive")
-        if self.jitter < 0:
-            raise DomainError("jitter must be non-negative")
+        if not 0 < self.noise_floor < math.inf:             # NaN fails too
+            raise DomainError(f"noise_floor must be positive and finite, "
+                              f"got {self.noise_floor}")
+        if not 0 <= self.jitter < math.inf:
+            raise DomainError(f"jitter must be finite and non-negative, "
+                              f"got {self.jitter}")
 
 
 @dataclass(frozen=True)
@@ -253,7 +258,7 @@ def end_to_end_sweep(n_values: Sequence[int], voltages: Sequence[float],
                      replicates: int, probe: ProbeSpec, ps: PostSelection,
                      readout: ReadoutModel, drive: SensorDriveModel,
                      noise: NoiseModel, z_bar: float, lead_in: float = 0.0,
-                     lead_out: float = 0.0, seed: int = 0) -> SweepResult:
+                     seed: int = 0) -> SweepResult:
     """Generate a synthetic SNR sweep and run the full analysis chain on it.
 
     Every (N, voltage) cell owns an RNG stream spawned from (seed, N,
@@ -269,8 +274,7 @@ def end_to_end_sweep(n_values: Sequence[int], voltages: Sequence[float],
 
     snr = np.empty((len(n_values), len(voltages), replicates))
     for ni, n in enumerate(n_values):
-        geom = NetworkGeometry.uniform(n, z_bar, lead_in, lead_out,
-                                       probe.wave_number)
+        geom = NetworkGeometry.uniform(n, z_bar, lead_in, probe.wave_number)
         for vi, v in enumerate(voltages):
             phi = voltage_to_beam_tilt(v, drive)
             snr[ni, vi] = snr_model(phi, geom, probe.waist_radius, ps, readout,

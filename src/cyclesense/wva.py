@@ -78,12 +78,11 @@ class PostSelection:
             raise DomainError(f"unknown post-selection variant {self.variant!r}")
 
     @classmethod
-    def from_weak_value_magnitude(cls, magnitude: float,
-                                  variant: str = "imaginary") -> "PostSelection":
-        """Choose epsilon = arccot(magnitude), e.g. magnitude 7 for the rig."""
+    def from_weak_value_magnitude(cls, magnitude: float) -> "PostSelection":
+        """Imaginary variant at epsilon = arccot(magnitude), e.g. 7 for the rig."""
         if not magnitude > 0:
             raise DomainError("weak-value magnitude must be positive")
-        return cls(math.atan(1.0 / magnitude), variant)
+        return cls(math.atan(1.0 / magnitude))
 
     @property
     def state(self) -> PolarizationState:
@@ -111,10 +110,11 @@ class ReadoutModel:
     position_slope: float = 0.65
 
     def __post_init__(self):
-        if not (self.focal_length > 0 and self.qpd_gain > 0 and self.total_power > 0
-                and self.position_slope > 0):
-            raise DomainError("focal_length, qpd_gain, total_power and position_slope "
-                              "must be positive")
+        for name in ("focal_length", "qpd_gain", "total_power",
+                     "position_slope"):                     # NaN fails too
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
 
 
 def weak_value(ps: PostSelection) -> complex:
@@ -139,7 +139,8 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
 
     exact_grid runs both polarization branches through the full operator
     product (reverse branch parity-sandwiched), between the lead-in and a
-    projection onto the post-selected polarization that the lead-out follows.
+    projection onto the post-selected polarization; the state is returned
+    in position space at the network output.
     first_order applies the linearized joint evolution instead and is only
     allowed inside the small-signal guards: amplified displacement
     |A_w| (zbar/2k) N^2 tbar DeltaP < 0.05, accumulated kick
@@ -164,10 +165,7 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
         if prob < 1e-12:
             raise PostSelectionError(
                 f"post-selection survival probability {prob:.3e} is degenerate")
-        chi = chi.normalized()
-        if geom.lead_out > 0:       # acts on both branches alike: commutes with <post|
-            chi = apply_propagation(chi, geom.lead_out, k).to_position()
-        return chi, prob
+        return chi.normalized(), prob
 
     m = moments(psi)
     delta_x = math.sqrt(m.var_x)
@@ -217,9 +215,8 @@ def first_order_momentum_shift(geom: NetworkGeometry, var_p: float,
                                ps: PostSelection, theta_bar: float) -> float:
     """Linear-response momentum shift of the post-selected probe.
 
-    2 cot(eps) VarP [ (zbar/2k) N^2 + (zbar/2k + z_in/k) N ] tbar.  The
-    lead-out path drops out exactly (it commutes with the momentum readout),
-    and cot(eps) is the exact first-order gain; quoting 1/eps instead is the
+    2 cot(eps) VarP [ (zbar/2k) N^2 + (zbar/2k + z_in/k) N ] tbar.
+    cot(eps) is the exact first-order gain; quoting 1/eps instead is the
     small-epsilon shorthand.
     """
     if not 0 < var_p < math.inf:
@@ -260,8 +257,8 @@ def min_detectable_tilt(geom: NetworkGeometry, delta_p: float,
     delta_theta_min = (k eps / (zbar DeltaP)) / (N^2 + (1 + 2 z_in/zbar) N);
     returns (delta_theta_min, delta_phi_min) with phi = theta/k.
     """
-    if not delta_p > 0:
-        raise DomainError("delta_p must be positive")
+    if not 0 < delta_p < math.inf:
+        raise DomainError(f"delta_p must be positive and finite, got {delta_p}")
     k = geom.wave_number
     d_theta = (k * abs(ps.epsilon) / (geom.z_bar * delta_p)) / _lead_gain(geom)
     return d_theta, d_theta / k
@@ -279,6 +276,8 @@ def qpd_signal(phi_bar: float, geom: NetworkGeometry, waist_radius: float,
     """
     if not 0 < waist_radius < math.inf:
         raise DomainError(f"waist_radius must be positive and finite, got {waist_radius}")
+    if not math.isfinite(phi_bar):
+        raise DomainError(f"phi_bar must be finite, got {phi_bar}")
     i_delta = (geom.z_bar * readout.total_power
                / (2.0 * readout.position_slope * ps.epsilon * waist_radius)) \
         * _lead_gain(geom) * phi_bar
@@ -328,6 +327,8 @@ def waveplate_compensation(delta_theta: float) -> tuple[float, float, float]:
     quarter-wave plates sit at -45 degrees and the half-wave plate at
     delta_theta/4 - 45 degrees.
     """
+    if not math.isfinite(delta_theta):
+        raise DomainError(f"delta_theta must be finite, got {delta_theta}")
     return euler_plate_angles(0.0, 0.5 * delta_theta, 0.0)
 
 

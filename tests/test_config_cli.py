@@ -62,17 +62,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.") + ": "):
             cfg.validate()
 
-    def test_unknown_section_and_field_rejected(self, tmp_path):
+    def test_unknown_section_and_field_rejected(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="unknown config section"):
             RunConfig.from_dict({"lasers": {}})
         with pytest.raises(ConfigError, match="probe.w0"):
             RunConfig.from_dict({"probe": {"w0": 1.0}})
-        # the former run.trials field is rejected like any unknown one
-        with pytest.raises(ConfigError, match=r"run\.trials: unknown field"):
-            RunConfig.from_dict({"run": {"trials": 4}})
-        path = tmp_path / "trials.yaml"
-        path.write_text("run: {trials: 4}\n")
-        assert main(["--config", str(path), "--out", str(tmp_path / "x"), *QCRB]) == 2
+        # the former run.trials and geometry.lead_out fields are rejected like
+        # any unknown one
+        for section, key, value in (("run", "trials", 4), ("geometry", "lead_out", 1.0)):
+            with pytest.raises(ConfigError, match=rf"{section}\.{key}: unknown field"):
+                RunConfig.from_dict({section: {key: value}})
+            path = tmp_path / f"{key}.yaml"
+            path.write_text(f"{section}: {{{key}: {value}}}\n")
+            assert main(["--config", str(path), "--out", str(tmp_path / "x"),
+                         *QCRB]) == 2
+            assert f"{section}.{key}: unknown field" in capsys.readouterr().err
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -538,13 +542,18 @@ NO_CHAIN = dict(probe=None, ps=None, readout=None, drive=None, noise=None,
     lambda: SensorDriveModel(chip_separation=0.0).tilt_per_volt,
     lambda: SensorDriveModel(pzt_displacement_per_volt=math.nan),
     lambda: SensorDriveModel(beam_tilt_factor=math.inf),
+    lambda: SensorDriveModel(1e300, 1e-300, 2.0),
+    lambda: SensorDriveModel(1e-300, 1e300, 2.0),
     lambda: NoiseModel(0.0),
+    lambda: NoiseModel(math.inf),
     lambda: NoiseModel(1.0, jitter=-0.1),
+    lambda: NoiseModel(1.0, jitter=math.nan),
     lambda: end_to_end_sweep([1, 2, 3], [1e-3], 0, **NO_CHAIN),
     lambda: end_to_end_sweep([], [1e-3], 1, **NO_CHAIN),
 ], ids=["negative-voltage", "nan-voltage", "inf-voltage", "zero-chip-separation",
-        "nan-displacement", "inf-tilt-factor", "zero-noise-floor", "negative-jitter",
-        "zero-replicates", "no-sensor-counts"])
+        "nan-displacement", "inf-tilt-factor", "tilt-per-volt-overflow",
+        "tilt-per-volt-underflow", "zero-noise-floor", "inf-noise-floor",
+        "negative-jitter", "nan-jitter", "zero-replicates", "no-sensor-counts"])
 def test_pipeline_inputs_out_of_domain(call):
     # DomainError is what the CLI reports with exit code 3
     with pytest.raises(DomainError):

@@ -13,19 +13,18 @@ from cyclesense import (DomainError, Grid, GridError, GridOverflowError, JointSt
                         qfim_numerical, switched_state_family, traverse_sequence,
                         wva_final_probe)
 from cyclesense import network
-from cyclesense.grid import MOMENTUM, POSITION
+from cyclesense.grid import MOMENTUM, POSITION, symmetric_phase
 from cyclesense.oracle import _random_instance
 
 from conftest import LAB_WAVE_NUMBER
 
 
 def random_instance(seed):
-    """Dimensionless network with N <= 6, leads and a probe with offsets."""
+    """Dimensionless network with N <= 6, a lead-in and a probe with offsets."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
     geom = NetworkGeometry(tuple(rng.uniform(0.5, 2.0, n + 1)),
-                           lead_in=float(rng.uniform(0.0, 1.0)),
-                           lead_out=float(rng.uniform(0.0, 1.0)), wave_number=1.0)
+                           lead_in=float(rng.uniform(0.0, 1.0)), wave_number=1.0)
     kicks = KickVector(tuple(rng.uniform(-0.1, 0.1, n)))
     spec = ProbeSpec(float(rng.uniform(1.0, 2.0)), 1.0,
                      center_x=float(rng.uniform(-0.3, 0.3)),
@@ -37,7 +36,7 @@ def random_instance(seed):
 def lab_instance(n, theta_bar, num_points):
     """The wva-sim geometry: 2 mm waist, 20 cm legs, 32.5 cm lead-in."""
     spec = ProbeSpec(2e-3, LAB_WAVE_NUMBER)
-    geom = NetworkGeometry.uniform(n, 0.2, 0.325, 0.0, LAB_WAVE_NUMBER)
+    geom = NetworkGeometry.uniform(n, 0.2, 0.325, LAB_WAVE_NUMBER)
     grid = Grid.for_probe(spec, geom.z_total, num_points)
     return geom, KickVector.uniform(n, theta_bar), make_gaussian(spec, grid)
 
@@ -54,24 +53,22 @@ def assert_tracked_match_grid(psi, tol=1e-9):
     assert abs(tracked.cov_xp - measured.cov_xp) < tol * dx * dp
 
 
-def pair_with_leads(psi, geom, kicks):
-    """Both orders (reverse parity-sandwiched) between the lead-in and lead-out."""
-    k = geom.wave_number
-    pair = traverse_sequence(apply_propagation(psi, geom.lead_in, k), geom, kicks,
-                             parity_reverse=True)
-    return [apply_propagation(row, geom.lead_out, k) for row in pair]
+def pair_after_lead_in(psi, geom, kicks):
+    """Both orders (reverse parity-sandwiched) after the lead-in."""
+    return traverse_sequence(apply_propagation(psi, geom.lead_in, geom.wave_number),
+                             geom, kicks, parity_reverse=True)
 
 
 class TestTrackedMoments:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_traversals(self, seed):
         geom, kicks, psi = random_instance(seed)
-        for row in pair_with_leads(psi, geom, kicks):
+        for row in pair_after_lead_in(psi, geom, kicks):
             assert_tracked_match_grid(row)
 
     def test_lab_geometry_at_n200(self):
         geom, kicks, psi = lab_instance(200, 0.01, 1 << 12)
-        for row in pair_with_leads(psi, geom, kicks):
+        for row in pair_after_lead_in(psi, geom, kicks):
             assert_tracked_match_grid(row)
 
     def test_shift_and_parity_carry_moments(self, unit_probe):
@@ -149,7 +146,7 @@ class TestGuards:
 
         def outcome(geom, kicks, psi):
             try:
-                walked(psi, geom, kicks, "forward", include_leads=True)
+                walked(psi, geom, kicks, "forward", include_lead_in=True)
             except GridOverflowError as exc:
                 return str(exc).split()[0]     # which guard: kicking/propagating
             return "passed"
@@ -171,14 +168,14 @@ class TestGuards:
         assert {"passed", "propagating", "kicking"} <= set(tracked)
 
 
-def walked(psi, geom, kicks, direction, parity=False, include_leads=False):
+def walked(psi, geom, kicks, direction, parity=False, include_lead_in=False):
     """One traversal order as single-state operator calls, step by step, with
-    the leads outside the parity sandwich.  The steps are looked up in
+    the lead-in outside the parity sandwich.  The steps are looked up in
     network at call time, so a test that replaces them there steers this walk."""
     k = geom.wave_number
     step = 1 if direction == "forward" else -1
     z, th = geom.distances[::step], kicks.thetas[::step]
-    if include_leads and geom.lead_in > 0:
+    if include_lead_in and geom.lead_in > 0:
         psi = network.apply_propagation(psi, geom.lead_in, k)
     if parity:
         psi = network.apply_parity(psi)
@@ -187,8 +184,6 @@ def walked(psi, geom, kicks, direction, parity=False, include_leads=False):
         psi = network.apply_propagation(network.apply_kick(psi, theta), leg, k)
     if parity:
         psi = network.apply_parity(psi)
-    if include_leads and geom.lead_out > 0:
-        psi = network.apply_propagation(psi, geom.lead_out, k)
     return psi.to_position()
 
 
@@ -236,9 +231,15 @@ class TestStackedOrders:
         assert_pair_matches_walks(psi, geom, kicks, True)
 
     def test_mask_products_keep_the_amplitudes_first(self):
-        # the complex product rounds differently as mask * amplitudes; at
+        # the complex product rounds differently as mask * amplitudes; from
         # 2^14 points numpy's temporary elision would swap the operands of
         # amplitudes * (unnamed mask)
+        for num_points in (1 << 13, 1 << 14):
+            _, _, single = lab_instance(3, 0.0, num_points)
+            mask = symmetric_phase(single.grid.momenta, lambda p: -1e-3 * p, odd=True)
+            assert np.array_equal(
+                apply_shift(single, 1e-3).amplitudes.view(np.uint64),
+                (single.to_momentum().amplitudes * mask).view(np.uint64))
         _, _, psi = lab_instance(3, 0.0, 1 << 14)
         g, k = psi.grid, LAB_WAVE_NUMBER
         stack = WaveFunction(g, np.array([psi.amplitudes,
@@ -401,52 +402,18 @@ class TestBranchFamilies:
         assert np.linalg.norm(mixed - average) / np.linalg.norm(average) < 1e-12
 
 
-def projected_after_lead_out(psi, geom, kicks, ps):
-    """The exact readout composed as before: both branches propagated over
-    the lead-out, then projected onto the post-selected polarization."""
-    fwd = walked(psi, geom, kicks, "forward", False, include_leads=True)
-    rev = walked(psi, geom, kicks, "reverse", True, include_leads=True)
+def test_exact_readout_projects_the_walked_orders():
+    """The exact readout has the bits of both orders walked alone after the
+    lead-in and projected onto the post-selected polarization."""
+    geom, kicks, psi = lab_instance(9, 0.0125, 1 << 14)
+    ps = PostSelection.from_weak_value_magnitude(7.0)
+    chi, prob = wva_final_probe(psi, geom, kicks, ps)
+    fwd = walked(psi, geom, kicks, "forward", False, include_lead_in=True)
+    rev = walked(psi, geom, kicks, "reverse", True, include_lead_in=True)
     post = ps.state
-    amps = (post.amp_h.conjugate() * fwd.amplitudes
-            + post.amp_v.conjugate() * rev.amplitudes) / math.sqrt(2.0)
-    chi = WaveFunction(psi.grid, amps, POSITION)
-    return chi.normalized(), chi.norm_squared()
-
-
-class TestLeadOut:
-    """The lead-out acts on both branches alike, so the exact readout
-    propagates the projected probe instead of both branches."""
-
-    @staticmethod
-    def assert_close(psi, geom, kicks, ps):
-        chi, prob = wva_final_probe(psi, geom, kicks, ps)
-        ref, ref_prob = projected_after_lead_out(psi, geom, kicks, ps)
-        assert chi.representation == POSITION
-        gap = np.max(np.abs(chi.amplitudes - ref.amplitudes))
-        assert gap <= 1e-12 * np.max(np.abs(ref.amplitudes))
-        assert prob == pytest.approx(ref_prob, rel=1e-12)
-
-    @staticmethod
-    def lab(n, lead_out):
-        spec = ProbeSpec(2e-3, LAB_WAVE_NUMBER)
-        geom = NetworkGeometry.uniform(n, 0.2, 0.325, lead_out, LAB_WAVE_NUMBER)
-        psi = make_gaussian(spec, Grid.for_probe(spec, geom.z_total, 1 << 14))
-        return psi, geom, KickVector.uniform(n, 0.0125)
-
-    @pytest.mark.parametrize("n,lead_out", [(9, 0.8), (50, 2.5)])
-    def test_lab_geometry(self, n, lead_out):
-        self.assert_close(*self.lab(n, lead_out),
-                          PostSelection.from_weak_value_magnitude(7.0))
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_instances(self, seed):
-        geom, kicks, psi = random_instance(seed)
-        assert geom.lead_out > 0
-        self.assert_close(psi, geom, kicks, PostSelection(0.3))
-
-    def test_no_lead_out_keeps_the_bits(self):
-        ps = PostSelection.from_weak_value_magnitude(7.0)
-        chi, prob = wva_final_probe(*self.lab(9, 0.0), ps)
-        ref, ref_prob = projected_after_lead_out(*self.lab(9, 0.0), ps)
-        assert_same_bits(chi, ref)
-        assert prob == ref_prob
+    ref = WaveFunction(psi.grid, (post.amp_h.conjugate() * fwd.amplitudes
+                                  + post.amp_v.conjugate() * rev.amplitudes)
+                       / math.sqrt(2.0), POSITION)
+    assert chi.representation == POSITION
+    assert_same_bits(chi, ref.normalized())
+    assert prob == ref.norm_squared()
