@@ -268,15 +268,13 @@ def qcrb_global(q: np.ndarray, n_sensors: int, z_bar: float) -> float:
 
 StateBuilder = Callable[[float, float], JointState]
 
-#: default step relative to each parameter value (and its floor at zero).
-REL_STEP = 1e-4
 #: largest relative Frobenius disagreement between the h and h/2 estimates.
 MAX_DISAGREEMENT = 1e-2
 
 
 def _qfim_fd(builder: StateBuilder, at: tuple[float, float],
-             steps: tuple[float, float], center: JointState) -> np.ndarray:
-    """Central-difference matrix of a family around center = builder(*at).
+             h: float, center: JointState) -> np.ndarray:
+    """Central-difference matrix at step h around center = builder(*at).
 
     With branch projections p_ij = <psi_i|d_j psi_i>, a pure centre subtracts
     the joint projection conj(sum_i w_i p_ij) * sum_i w_i p_il, and a labeled
@@ -288,7 +286,6 @@ def _qfim_fd(builder: StateBuilder, at: tuple[float, float],
     the same in either, to rounding.
     """
     g1, g2 = at
-    h1, h2 = steps
     rep = center.branch_plus.representation
     weight = center.branch_plus._weight
     # branches of weight 0 (a missing reverse branch among them) drop out
@@ -309,8 +306,8 @@ def _qfim_fd(builder: StateBuilder, at: tuple[float, float],
     def terms(a, b) -> list[complex]:
         return [w * _vdot(x, y) * weight for (w, _), x, y in zip(used, a, b)]
 
-    ders = (diff(builder(g1 + h1, g2), builder(g1 - h1, g2), h1),
-            diff(builder(g1, g2 + h2), builder(g1, g2 - h2), h2))
+    ders = (diff(builder(g1 + h, g2), builder(g1 - h, g2), h),
+            diff(builder(g1, g2 + h), builder(g1, g2 - h), h))
     cen = amps(center)
     proj = [terms(cen, d) for d in ders]
     if center.is_pure:
@@ -330,16 +327,15 @@ def _qfim_fd(builder: StateBuilder, at: tuple[float, float],
     return q
 
 
-def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
-                   step: Optional[float] = None) -> np.ndarray:
+def qfim_numerical(builder: StateBuilder, at: tuple[float, float],
+                   step: float) -> np.ndarray:
     """Finite-difference 2x2 information matrix of a state family.
 
-    Central differences at step h and h/2 with one Richardson extrapolation
-    level; raises ConvergenceError when either estimate has a non-finite
-    entry or the two disagree by more than MAX_DISAGREEMENT in relative
-    Frobenius norm.  The default step is REL_STEP relative to each parameter
-    value (with a floor of REL_STEP for parameters at zero).  Pure families
-    are differentiated jointly; in a labeled mixture of zero coherence each
+    Central differences at h = step and step/2 around at, with one
+    Richardson extrapolation level; raises ConvergenceError when either
+    estimate has a non-finite entry or the two disagree by more than
+    MAX_DISAGREEMENT in relative Frobenius norm.  Pure families are
+    differentiated jointly; in a labeled mixture of zero coherence each
     branch keeps its own projection, which gives the weight-average of the
     branch matrices (the weights do not depend on the parameters, the label
     keeps the branches orthogonal).  Partially coherent centres raise
@@ -350,12 +346,8 @@ def qfim_numerical(builder: StateBuilder, at: tuple[float, float] = (0.0, 0.0),
         raise EstimabilityError(
             "finite differences need a pure state or a labeled mixture with zero "
             f"coherence; got coherence {center.coherence} at weights {center.weights}")
-    if step is not None:
-        steps = (float(step), float(step))
-    else:
-        steps = (REL_STEP * max(abs(at[0]), 1.0), REL_STEP * max(abs(at[1]), 1.0))
-    q_h = _qfim_fd(builder, at, steps, center)
-    q_h2 = _qfim_fd(builder, at, (0.5 * steps[0], 0.5 * steps[1]), center)
+    q_h = _qfim_fd(builder, at, step, center)
+    q_h2 = _qfim_fd(builder, at, 0.5 * step, center)
     if not np.isfinite([q_h, q_h2]).all():
         raise ConvergenceError(f"finite-difference matrix is not finite: {q_h2.tolist()}")
     scale = np.linalg.norm(q_h2)

@@ -13,12 +13,12 @@ reordering.  Transforms between the two use the unitary continuum convention
 
 discretized with the midpoint rule, which is spectrally accurate for the
 smooth, rapidly decaying states handled here.  A wavefunction holds one
-state, or a stack of states in the rows of one array, such as a traversal's
-forward/reverse pair, advanced in lockstep by one numpy call per step.  All
-values are immutable and every operation returns a new object, so instances
-can be shared freely across threads; a grid only remembers the last phase
-mask of each kind it built, and a single state its moments once measured.
-Inner products that reach outputs are numpy sums, not BLAS dot products, so
+state; only a traversal stacks its forward/reverse pair in the rows of one
+array, advanced in lockstep by one numpy call per step.  All values are
+immutable and every operation returns a new object, so instances can be
+shared freely across threads; a grid only remembers the last phase mask of
+each kind it built, and a single state its moments once measured.  Inner
+products that reach outputs are numpy sums, not BLAS dot products, so
 results do not depend on the BLAS thread count.
 """
 
@@ -295,29 +295,28 @@ def guard_windows(m: Moments, grid: Grid, step: str) -> None:
 class WaveFunction:
     """Complex amplitudes of the transverse mode in one representation.
 
-    amplitudes has shape (n,) for a single state or (b, n) for a stack of b
-    states, one per row; the transforms act on the last axis.  Norms,
-    overlaps and moments() take single states only and raise GridError on a
-    stack; rows() splits it.  guard_moments, when set, are the moments of
-    the state carried forward exactly by the unitary operators that produced
-    it, one Moments per row in a tuple for a stack; the grid guards read
-    them instead of measuring the state at every step.  They take no part in
-    comparisons, and moments() always measures the amplitudes, once per
-    instance.  The state owns its amplitudes: the constructor copies the
-    array it is given.
+    The constructor takes the n amplitudes of one state and copies them.
+    traverse_sequence alone stacks its forward/reverse pair as the rows of
+    one (2, n) state, through the private _adopt; the transforms, apply_kick
+    and apply_propagation advance it and rows() splits it.  guard_moments,
+    set only by _adopt, are the moments carried forward exactly by the
+    unitary operators that produced the state, a tuple of one per row for a
+    stack; the grid guards read them instead of measuring the state at every
+    step.  They take no part in comparisons, and moments() always measures
+    the amplitudes, once per instance.
     """
 
     grid: Grid
     amplitudes: np.ndarray = field(repr=False)
     representation: str = POSITION
     guard_moments: Optional[Moments | tuple[Moments, ...]] = field(
-        default=None, repr=False, compare=False)
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.representation not in (POSITION, MOMENTUM):
             raise DomainError(f"unknown representation {self.representation!r}")
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.ndim not in (1, 2) or amps.shape[-1] != self.grid.num_points:
+        if amps.shape != (self.grid.num_points,):
             raise GridError(
                 f"amplitude array of shape {amps.shape} does not match grid "
                 f"with {self.grid.num_points} points")
@@ -347,11 +346,6 @@ class WaveFunction:
         return tuple(WaveFunction._adopt(self.grid, a, self.representation, m)
                      for a, m in zip(self.amplitudes, carried))
 
-    def _require_single(self, operation: str) -> None:
-        if self.amplitudes.ndim != 1:
-            raise GridError(f"{operation} takes a single state, got a stack of "
-                            f"{len(self.amplitudes)}")
-
     # -- representation handling -------------------------------------------
 
     @property
@@ -377,7 +371,6 @@ class WaveFunction:
     # -- norms ---------------------------------------------------------------
 
     def norm_squared(self) -> float:
-        self._require_single("norm_squared")
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self._weight)
 
     def norm(self) -> float:
@@ -428,8 +421,6 @@ def make_gaussian(spec: ProbeSpec, grid: Grid) -> WaveFunction:
 
 def overlap(a: WaveFunction, b: WaveFunction) -> complex:
     """Inner product <a|b> by quadrature in a common representation."""
-    for psi in (a, b):
-        psi._require_single("overlap")
     if a.grid != b.grid:
         raise GridError("wavefunctions live on different grids")
     if a.representation != b.representation:
@@ -455,7 +446,6 @@ def moments(psi: WaveFunction) -> Moments:
     measured = psi.__dict__.get("_moments")
     if measured is not None:
         return measured
-    psi._require_single("moments")
     psi.require_normalized()
     pos = psi.to_position()
     mom = psi.to_momentum()

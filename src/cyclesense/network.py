@@ -57,6 +57,9 @@ class NetworkGeometry:
         if not 0 <= self.lead_in < math.inf:
             raise DomainError(f"lead_in must be finite and non-negative, "
                               f"got {self.lead_in}")
+        if not (0 < self.z_bar and self.z_total < math.inf):    # formulas divide by z_bar
+            raise DomainError(f"legs must have a positive mean z_bar and a finite total "
+                              f"path, got z_bar {self.z_bar} and z_total {self.z_total}")
         if not 0 < self.wave_number < math.inf:
             raise DomainError(f"wave_number must be positive and finite, "
                               f"got {self.wave_number}")
@@ -192,7 +195,6 @@ def apply_shift(psi: WaveFunction, displacement: float) -> WaveFunction:
     Carries the moments unguarded; composite_apply's propagation guards them.
     The product goes into its fresh mask, amplitudes first as in _masked.
     """
-    psi._require_single("apply_shift")
     mask = symmetric_phase(psi.grid.momenta, lambda p: -displacement * p, odd=True)
     np.multiply(psi.to_momentum().amplitudes, mask, out=mask)
     m = psi.guard_moments
@@ -233,7 +235,6 @@ def apply_parity(psi: WaveFunction) -> WaveFunction:
 
     Carries the moments unguarded; it maps the symmetric windows onto themselves.
     """
-    psi._require_single("apply_parity")
     amps = psi.amplitudes
     out = np.empty_like(amps)
     out[0] = amps[0]                          # x = 0 (p = 0) maps to itself
@@ -264,7 +265,6 @@ def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVecto
     table.  The input's moments, measured once unless it carries them, seed
     both rows; the first failing guard of either row raises.
     """
-    psi._require_single("traverse_sequence")
     n = geom.n_sensors
     if len(kicks) != n:
         raise DomainError(f"{len(kicks)} kicks for a network with {n} sensors")

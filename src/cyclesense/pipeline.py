@@ -58,7 +58,10 @@ def voltage_to_beam_tilt(v_pp: float, model: SensorDriveModel) -> float:
     """Beam-tilt modulation amplitude for a peak-to-peak drive voltage."""
     if not 0 <= v_pp < math.inf:                            # NaN fails too
         raise DomainError(f"voltage must be finite and non-negative, got {v_pp}")
-    return v_pp * model.tilt_per_volt
+    tilt = v_pp * model.tilt_per_volt
+    if not tilt < math.inf:
+        raise DomainError(f"beam tilt {tilt} for voltage {v_pp} leaves the float range")
+    return tilt
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,11 @@ def snr_model(phi_bar: float, geom: NetworkGeometry, waist_radius: float,
               ps: PostSelection, readout: ReadoutModel, noise: NoiseModel) -> float:
     """Noise-referenced detector signal V_delta / V_noise for a tilt phi_bar."""
     _, v_delta = qpd_signal(phi_bar, geom, waist_radius, ps, readout)
-    return v_delta / noise.noise_floor
+    snr = v_delta / noise.noise_floor
+    if not abs(snr) < math.inf:
+        raise DomainError(f"SNR {snr} for V_delta {v_delta} over the noise floor "
+                          f"{noise.noise_floor} leaves the float range")
+    return snr
 
 
 def calibrate_noise_floor(geom_for_n, waist_radius: float, ps: PostSelection,

@@ -58,28 +58,22 @@ class PolarizationState:
 
 @dataclass(frozen=True)
 class PostSelection:
-    """Post-selected polarization, offset by epsilon from the dark port.
-
-    variant "imaginary" uses (e^{i eps}|H> - e^{-i eps}|V>)/sqrt(2), which
-    gives the purely imaginary gain A_w = i cot(eps); variant "real" rotates
-    the analyzer by epsilon instead, giving the real gain cot(eps) with the
-    same success probability sin^2(eps).
+    """Post-selected polarization (e^{i eps}|H> - e^{-i eps}|V>)/sqrt(2),
+    offset by epsilon from the dark port: the purely imaginary gain
+    A_w = i cot(eps), with success probability sin^2(eps).
     """
 
     epsilon: float
-    variant: str = "imaginary"
 
     def __post_init__(self):
         if not 0.0 < abs(self.epsilon) < 0.5 * math.pi:
             raise PostSelectionError(
                 f"epsilon must lie strictly between 0 and pi/2 in magnitude, "
                 f"got {self.epsilon}")
-        if self.variant not in ("imaginary", "real"):
-            raise DomainError(f"unknown post-selection variant {self.variant!r}")
 
     @classmethod
     def from_weak_value_magnitude(cls, magnitude: float) -> "PostSelection":
-        """Imaginary variant at epsilon = arccot(magnitude), e.g. 7 for the rig."""
+        """Gain i * magnitude at epsilon = arccot(magnitude), e.g. 7 for the rig."""
         if not magnitude > 0:
             raise DomainError("weak-value magnitude must be positive")
         return cls(math.atan(1.0 / magnitude))
@@ -87,11 +81,8 @@ class PostSelection:
     @property
     def state(self) -> PolarizationState:
         s = 1.0 / math.sqrt(2.0)
-        if self.variant == "imaginary":
-            return PolarizationState(s * np.exp(1j * self.epsilon),
-                                     -s * np.exp(-1j * self.epsilon))
-        beta = 0.25 * math.pi - self.epsilon
-        return PolarizationState(math.cos(beta), -math.sin(beta))
+        return PolarizationState(s * np.exp(1j * self.epsilon),
+                                 -s * np.exp(-1j * self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -120,8 +111,7 @@ class ReadoutModel:
 def weak_value(ps: PostSelection) -> complex:
     """A_w = <f|A|i>/<f|i> with A = |H><H| - |V><V| and the diagonal input.
 
-    Evaluated from the inner products; equals i*cot(eps) for the imaginary
-    variant and cot(eps) for the real one.
+    Evaluated from the inner products; equals i*cot(eps).
     """
     pre = PolarizationState.diagonal()
     post = ps.state
@@ -227,7 +217,11 @@ def first_order_momentum_shift(geom: NetworkGeometry, var_p: float,
     n = geom.n_sensors
     bracket = (geom.z_bar / (2.0 * k)) * n**2 \
         + (geom.z_bar / (2.0 * k) + geom.lead_in / k) * n
-    return 2.0 / math.tan(ps.epsilon) * var_p * bracket * theta_bar
+    shift = 2.0 / math.tan(ps.epsilon) * var_p * bracket * theta_bar
+    if not abs(shift) < math.inf:             # NaN fails too
+        raise DomainError(f"momentum shift {shift} for var_p {var_p} and theta_bar "
+                          f"{theta_bar} leaves the float range")
+    return shift
 
 
 def momentum_readout(psi_f: WaveFunction, readout: ReadoutModel,
@@ -260,7 +254,13 @@ def min_detectable_tilt(geom: NetworkGeometry, delta_p: float,
     if not 0 < delta_p < math.inf:
         raise DomainError(f"delta_p must be positive and finite, got {delta_p}")
     k = geom.wave_number
-    d_theta = (k * abs(ps.epsilon) / (geom.z_bar * delta_p)) / _lead_gain(geom)
+    try:
+        d_theta = (k * abs(ps.epsilon) / (geom.z_bar * delta_p)) / _lead_gain(geom)
+    except ZeroDivisionError:                 # z_bar * delta_p underflowed
+        d_theta = math.inf
+    if not d_theta < math.inf:                # NaN fails too
+        raise DomainError(f"delta_theta_min {d_theta} for delta_p {delta_p} leaves "
+                          f"the float range")
     return d_theta, d_theta / k
 
 
@@ -278,10 +278,17 @@ def qpd_signal(phi_bar: float, geom: NetworkGeometry, waist_radius: float,
         raise DomainError(f"waist_radius must be positive and finite, got {waist_radius}")
     if not math.isfinite(phi_bar):
         raise DomainError(f"phi_bar must be finite, got {phi_bar}")
-    i_delta = (geom.z_bar * readout.total_power
-               / (2.0 * readout.position_slope * ps.epsilon * waist_radius)) \
-        * _lead_gain(geom) * phi_bar
-    return i_delta, readout.qpd_gain * i_delta
+    try:
+        i_delta = (geom.z_bar * readout.total_power
+                   / (2.0 * readout.position_slope * ps.epsilon * waist_radius)) \
+            * _lead_gain(geom) * phi_bar
+    except ZeroDivisionError:                 # the denominator underflowed
+        i_delta = math.inf
+    v_delta = readout.qpd_gain * i_delta
+    if not abs(v_delta) < math.inf:           # NaN fails too, and so does I_delta
+        raise DomainError(f"detector signal I_delta {i_delta}, V_delta {v_delta} for "
+                          f"phi_bar {phi_bar} leaves the float range")
+    return i_delta, v_delta
 
 
 # -- wave-plate compensation -----------------------------------------------------

@@ -121,7 +121,7 @@ class TestNumericalOracle:
         analytic = qfim_quantum_switch(gm)
         errs = []
         for h in (0.2, 0.1, 0.05):
-            q = fisher._qfim_fd(family, (g1, g2), (h, h), family(g1, g2))
+            q = fisher._qfim_fd(family, (g1, g2), h, family(g1, g2))
             errs.append(np.linalg.norm(q - analytic))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)

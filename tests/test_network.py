@@ -54,6 +54,16 @@ class TestGeometryTypes:
         with pytest.raises(DomainError, match=f"^{name} must be "):
             cls(*args, **kwargs)
 
+    @pytest.mark.parametrize("geometry", [
+        lambda: NetworkGeometry((0.0, 0.0)),
+        lambda: NetworkGeometry((5e-324, 0.0)),          # the mean underflows
+        lambda: NetworkGeometry.uniform(1, 1e308),        # the legs' sum overflows
+        lambda: NetworkGeometry((1e308, 0.0), lead_in=1e308),
+    ], ids=["zero-legs", "mean-underflow", "legs-overflow", "total-overflow"])
+    def test_legs_need_a_positive_mean_and_a_finite_total(self, geometry):
+        with pytest.raises(DomainError, match="^legs must have a positive mean z_bar"):
+            geometry()
+
     def test_kick_vector_tilts(self):
         kicks = KickVector((2.0, 4.0))
         assert kicks.theta_bar == 3.0

@@ -1,18 +1,23 @@
-"""Property tests of the closed forms over generated moments and networks.
+"""Property tests of the closed forms over generated moments and networks,
+and of the readout formulas over finite floats of the whole range.
 
 Derandomized, so every run draws the same examples; the seed-loop tests in
 test_fisher.py and test_network.py and the oracle-verify checks stay as
 they are.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclesense import (GeneratorMoments, KickVector, NetworkGeometry,
-                        g_params, probe_alone_qfi_at_origin, qcrb_global,
-                        qfim_classical_switch, qfim_quantum_switch,
-                        qfim_sequential)
+from cyclesense import (DomainError, GeneratorMoments, KickVector, NetworkGeometry,
+                        NoiseModel, PostSelection, ReadoutModel, SensorDriveModel,
+                        first_order_momentum_shift, g_params, min_detectable_tilt,
+                        probe_alone_qfi_at_origin, qcrb_global, qfim_classical_switch,
+                        qfim_quantum_switch, qfim_sequential, qpd_signal, snr_model,
+                        voltage_to_beam_tilt, waveplate_compensation)
 from cyclesense.fisher import RANK_TOL
 
 deterministic = settings(derandomize=True, deadline=None, database=None)
@@ -80,3 +85,52 @@ def test_g_params_identities(instance):
     assert comp.g1 + comp.g2 == pytest.approx(span * n * kicks.theta_bar, rel=1e-12)
     assert comp.xi1 - comp.xi2 == pytest.approx(
         (comp.g1**2 - comp.g2**2) / span, rel=1e-12, abs=1e-16)
+
+
+#: every finite float, subnormals and both signed zeros included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+#: the whole domain of PostSelection, so that the record itself never fails
+EPSILONS = st.floats(-0.5 * math.pi, 0.5 * math.pi, exclude_min=True,
+                     exclude_max=True).filter(lambda e: e != 0.0)
+
+
+def geometry(draw):
+    return NetworkGeometry.uniform(draw(st.integers(1, 300)), draw(NON_NEGATIVE),
+                                   draw(NON_NEGATIVE), draw(POSITIVE))
+
+
+def readout(draw):
+    return ReadoutModel(draw(POSITIVE), draw(POSITIVE), draw(POSITIVE), draw(POSITIVE))
+
+
+#: each call draws every float it reads: records are built from their own
+#: domains, and the callable's own float arguments range over all of FINITE
+BOUNDARY_CALLS = {
+    "qpd_signal": lambda d: qpd_signal(
+        d(FINITE), geometry(d), d(FINITE), PostSelection(d(EPSILONS)), readout(d)),
+    "snr_model": lambda d: snr_model(
+        d(FINITE), geometry(d), d(FINITE), PostSelection(d(EPSILONS)), readout(d),
+        NoiseModel(d(POSITIVE))),
+    "min_detectable_tilt": lambda d: min_detectable_tilt(
+        geometry(d), d(FINITE), PostSelection(d(EPSILONS))),
+    "first_order_momentum_shift": lambda d: first_order_momentum_shift(
+        geometry(d), d(FINITE), PostSelection(d(EPSILONS)), d(FINITE)),
+    "voltage_to_beam_tilt": lambda d: voltage_to_beam_tilt(
+        d(FINITE), SensorDriveModel(d(POSITIVE), d(POSITIVE), d(POSITIVE))),
+    "waveplate_compensation": lambda d: waveplate_compensation(d(FINITE)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_CALLS))
+@deterministic
+@given(data=st.data())
+def test_finite_floats_give_finite_values_or_fail_by_name(name, data):
+    """A finite input either gives finite values or raises DomainError, which
+    the CLI reports with exit code 3; never inf, NaN or another exception."""
+    try:
+        out = BOUNDARY_CALLS[name](data.draw)
+    except DomainError:
+        return
+    assert np.isfinite(out).all(), out

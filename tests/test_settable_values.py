@@ -1,5 +1,6 @@
-"""No knob that nobody sets: every defaulted parameter of the package is
-passed by some call in the package or in the benchmark."""
+"""No knob that nobody sets: every defaulted parameter of the package, and
+every defaulted field of its dataclasses, is passed by some call in the
+package or in the benchmark."""
 
 import ast
 from pathlib import Path
@@ -35,23 +36,76 @@ def defaulted_parameters(tree):
     return found
 
 
+def _called_name(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def defaulted_fields(tree):
+    """(class name, field, __init__ position, line) of every defaulted
+    __init__ field of a dataclass; fields declared with init=False are not
+    __init__ parameters and are skipped."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and any(
+                (_called_name(d) if isinstance(d, ast.Call) else getattr(d, "id", None))
+                == "dataclass" for d in node.decorator_list)):
+            continue
+        position = 0
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                continue
+            value = stmt.value
+            options = ({k.arg: k.value for k in value.keywords}
+                       if isinstance(value, ast.Call) and _called_name(value) == "field"
+                       else None)
+            init = (options or {}).get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            if value is not None and (options is None or "default" in options
+                                      or "default_factory" in options):
+                found.append((node.name, stmt.target.id, position, stmt.lineno))
+            position += 1
+    return found
+
+
 def passed_arguments(paths):
     """Per called name: the keywords passed, the most positional arguments
-    passed, and whether some call unpacks *args or **kwargs."""
+    passed, and whether some call unpacks *args or **kwargs.  A call of cls
+    inside a class body counts as a call of that class."""
     calls = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = _called_name(child)
+                if name == "cls" and owner is not None:
+                    name = owner
+                keywords, most, unpacked = calls.get(name, (set(), 0, False))
+                calls[name] = (
+                    keywords | {k.arg for k in child.keywords if k.arg},
+                    max(most, len(child.args)),
+                    unpacked or any(k.arg is None for k in child.keywords)
+                    or any(isinstance(a, ast.Starred) for a in child.args))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            keywords, most, unpacked = calls.get(name, (set(), 0, False))
-            calls[name] = (
-                keywords | {k.arg for k in node.keywords if k.arg},
-                max(most, len(node.args)),
-                unpacked or any(k.arg is None for k in node.keywords)
-                or any(isinstance(a, ast.Starred) for a in node.args))
+        visit(ast.parse(path.read_text()), None)
     return calls
+
+
+def never_passed(scan):
+    """path:line name(value) of every defaulted value that scan finds in the
+    package and that no call passes, by keyword, by position or unpacked."""
+    calls = passed_arguments(CALLERS)
+    unset = []
+    for path in PACKAGE:
+        for name, param, position, line in scan(ast.parse(path.read_text())):
+            keywords, most, unpacked = calls.get(name, (set(), 0, False))
+            if not (unpacked or param in keywords
+                    or (position is not None and position < most)):
+                unset.append(f"{path.name}:{line} {name}({param})")
+    return unset
 
 
 def test_every_default_is_overridden_by_some_caller():
@@ -60,12 +114,11 @@ def test_every_default_is_overridden_by_some_caller():
     that unpacks *args or **kwargs counts as passing every parameter.  Calls
     from tests do not count: a value that only a test sets is a knob that no
     run of the program uses."""
-    calls = passed_arguments(CALLERS)
-    unset = []
-    for path in PACKAGE:
-        for name, param, position, line in defaulted_parameters(ast.parse(path.read_text())):
-            keywords, most, unpacked = calls.get(name, (set(), 0, False))
-            if not (unpacked or param in keywords
-                    or (position is not None and position < most)):
-                unset.append(f"{path.name}:{line} {name}({param})")
-    assert unset == []
+    assert never_passed(defaulted_parameters) == []
+
+
+def test_every_dataclass_default_is_overridden_by_some_construction():
+    """The same rule for dataclass fields, whose defaults the generated
+    __init__ takes: a construction is a call of the class by name, or of cls
+    inside its body."""
+    assert never_passed(defaulted_fields) == []
