@@ -50,57 +50,56 @@ def _is_finite(value) -> bool:
         return False
 
 
+#: range rules that several fields share, each a test and the text naming a
+#: failure; a field's declaration names its rule
+_POSITIVE = (lambda v: v > 0, "must be positive, got {}")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+
+
+def _knob(section: str, default, rule=None):
+    """A field of YAML section `section`, with its shared range rule if any."""
+    meta = {"section": section, "rule": rule}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _path(f) -> str:
+    return f"{f.metadata['section']}.{f.name}"
+
+
 @dataclass
 class RunConfig:
-    """All knobs of a toolkit run, grouped by subsystem."""
+    """All knobs of a toolkit run, each declared with its YAML section."""
 
-    # probe
-    waist_radius: float = 2e-3
-    wavelength: float = DEFAULT_WAVELENGTH
-    center_x: float = 0.0
-    center_p: float = 0.0
-    # geometry
-    z_bar: float = 0.2
-    lead_in: float = 0.325
-    # post-selection
-    weak_value_magnitude: float = 7.0
-    # readout
-    focal_length: float = 0.25
-    qpd_gain: float = 1e4
-    total_power: float = 0.2e-3
-    position_slope: float = 0.65
-    # sensor drive
-    pzt_displacement_per_volt: float = 22e-9
-    chip_separation: float = 20e-3
-    beam_tilt_factor: float = 2.0
-    # grid
-    num_points: int = 1 << 14
-    padding: float = 8.0
-    # sweeps
-    n_values: list = field(default_factory=lambda: list(range(1, 10)))
-    voltages: list = field(default_factory=lambda: [i * 1e-3 for i in range(1, 11)])
-    replicates: int = 100
-    theta_bar: float = 0.02
-    modes: list = field(default_factory=lambda: [m.value for m in SwitchMode])
-    # noise
-    noise_floor: float = 0.0          # 0 means: calibrate from the reference row
-    jitter: float = 0.05
-    # bookkeeping
-    seed: int = 0
-    oracle_seeds: int = 20
-    oracle_instances: int = 10
-
-    _SECTIONS = {
-        "probe": ("waist_radius", "wavelength", "center_x", "center_p"),
-        "geometry": ("z_bar", "lead_in"),
-        "post_selection": ("weak_value_magnitude",),
-        "readout": ("focal_length", "qpd_gain", "total_power", "position_slope"),
-        "drive": ("pzt_displacement_per_volt", "chip_separation", "beam_tilt_factor"),
-        "grid": ("num_points", "padding"),
-        "sweep": ("n_values", "voltages", "replicates", "theta_bar", "modes"),
-        "noise": ("noise_floor", "jitter"),
-        "run": ("seed", "oracle_seeds", "oracle_instances"),
-    }
+    waist_radius: float = _knob("probe", 2e-3, _POSITIVE)
+    wavelength: float = _knob("probe", DEFAULT_WAVELENGTH, _POSITIVE)
+    center_x: float = _knob("probe", 0.0)
+    center_p: float = _knob("probe", 0.0)
+    z_bar: float = _knob("geometry", 0.2, _POSITIVE)
+    lead_in: float = _knob("geometry", 0.325, _NON_NEGATIVE)
+    weak_value_magnitude: float = _knob("post_selection", 7.0, _POSITIVE)
+    focal_length: float = _knob("readout", 0.25, _POSITIVE)
+    qpd_gain: float = _knob("readout", 1e4, _POSITIVE)
+    total_power: float = _knob("readout", 0.2e-3, _POSITIVE)
+    position_slope: float = _knob("readout", 0.65, _POSITIVE)
+    pzt_displacement_per_volt: float = _knob("drive", 22e-9, _POSITIVE)
+    chip_separation: float = _knob("drive", 20e-3, _POSITIVE)
+    beam_tilt_factor: float = _knob("drive", 2.0, _POSITIVE)
+    num_points: int = _knob("grid", 1 << 14)
+    padding: float = _knob("grid", 8.0, _POSITIVE)
+    n_values: list = _knob("sweep", list(range(1, 10)))
+    voltages: list = _knob("sweep", [i * 1e-3 for i in range(1, 11)])
+    replicates: int = _knob("sweep", 100, _AT_LEAST_1)
+    theta_bar: float = _knob("sweep", 0.02, _NON_NEGATIVE)
+    modes: list = _knob("sweep", [m.value for m in SwitchMode])
+    # 0 means: calibrate from the reference row
+    noise_floor: float = _knob("noise", 0.0, _NON_NEGATIVE)
+    jitter: float = _knob("noise", 0.05, _NON_NEGATIVE)
+    seed: int = _knob("run", 0, _NON_NEGATIVE)
+    oracle_seeds: int = _knob("run", 20, _AT_LEAST_1)
+    oracle_instances: int = _knob("run", 10, _AT_LEAST_1)
 
     # -- validation -----------------------------------------------------------
 
@@ -111,45 +110,30 @@ class RunConfig:
             value = getattr(self, f.name)
             kinds, what = _KINDS[f.type]
             if not _is_kind(value, kinds):
-                raise ConfigError(f"{self._field_path(f.name)}: must be {what}, "
-                                  f"got {value!r}")
+                raise ConfigError(f"{_path(f)}: must be {what}, got {value!r}")
             if f.type == "float" and not _is_finite(value):
-                raise ConfigError(f"{self._field_path(f.name)}: must be finite, "
-                                  f"got {value!r}")
+                raise ConfigError(f"{_path(f)}: must be finite, got {value!r}")
         kinds, _ = _KINDS["float"]
         for name in ("n_values", "voltages"):
             for v in getattr(self, name):
                 if not (_is_kind(v, kinds) and _is_finite(v)):
-                    raise ConfigError(f"{self._field_path(name)}: entries must "
-                                      f"be finite numbers, got {v!r}")
+                    raise ConfigError(f"sweep.{name}: entries must be finite "
+                                      f"numbers, got {v!r}")
 
     def validate(self) -> None:
         self._check_types()
-        pos = ("waist_radius", "wavelength", "z_bar", "weak_value_magnitude",
-               "focal_length", "qpd_gain", "total_power", "position_slope",
-               "pzt_displacement_per_volt", "chip_separation",
-               "beam_tilt_factor", "padding")
-        for name in pos:
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{self._field_path(name)}: must be positive, "
-                                  f"got {getattr(self, name)}")
-        for name in ("lead_in", "jitter", "noise_floor", "theta_bar"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{self._field_path(name)}: must be non-negative")
+        for f in fields(self):
+            value, rule = getattr(self, f.name), f.metadata["rule"]
+            if rule and not rule[0](value):
+                raise ConfigError(f"{_path(f)}: {rule[1].format(value)}")
         n = self.num_points
         if n < 2 or (n & (n - 1)) != 0:
             raise ConfigError(f"grid.num_points: must be a power of two, got {n}")
         if 16 * n > MAX_GRID_BYTES:
             raise ConfigError(f"grid.num_points: {n} points take {16 * n} bytes "
                               f"per state, above the ceiling of {MAX_GRID_BYTES}")
-        if self.replicates < 1:
-            raise ConfigError("sweep.replicates: must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("run.seed: must be non-negative")
         if not self.modes:
             raise ConfigError("sweep.modes: must be non-empty")
-        if self.oracle_seeds < 1 or self.oracle_instances < 1:
-            raise ConfigError("run.oracle_seeds/oracle_instances: must be at least 1")
         if not self.n_values:
             raise ConfigError("sweep.n_values: must be non-empty")
         for v in self.n_values:
@@ -171,32 +155,27 @@ class RunConfig:
                     f"sweep.modes: unknown mode {m!r}; valid values are "
                     f"{[x.value for x in SwitchMode]}") from None
 
-    @classmethod
-    def _field_path(cls, name: str) -> str:
-        for section, names in cls._SECTIONS.items():
-            if name in names:
-                return f"{section}.{name}"
-        return name
-
     # -- YAML round trip --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        flat = asdict(self)
-        return {section: {k: flat[k] for k in names}
-                for section, names in self._SECTIONS.items()}
+        flat, out = asdict(self), {}
+        for f in fields(self):
+            out.setdefault(f.metadata["section"], {})[f.name] = flat[f.name]
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping of sections")
+        known = {(f.metadata["section"], f.name) for f in fields(cls)}
         kwargs = {}
         for section, content in data.items():
-            if section not in cls._SECTIONS:
+            if section not in {s for s, _ in known}:
                 raise ConfigError(f"unknown config section {section!r}")
             if not isinstance(content, dict):
                 raise ConfigError(f"{section}: must be a mapping")
             for key, value in content.items():
-                if key not in cls._SECTIONS[section]:
+                if (section, key) not in known:
                     raise ConfigError(f"{section}.{key}: unknown field")
                 kwargs[key] = value
         cfg = cls(**kwargs)

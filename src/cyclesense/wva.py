@@ -231,10 +231,16 @@ def momentum_readout(psi_f: WaveFunction, readout: ReadoutModel,
     Returns (mean, spread) of the measured displacement; for the Gaussian
     probe the spread is the constant f/(w0 k).
     """
+    if not 0 < wave_number < math.inf:        # NaN fails too
+        raise DomainError(f"wave_number must be positive and finite, got {wave_number}")
     psi_f.require_normalized()
     m = moments(psi_f)
     scale = readout.focal_length / wave_number
-    return scale * m.mean_p, scale * math.sqrt(m.var_p)
+    mean, spread = scale * m.mean_p, scale * math.sqrt(m.var_p)
+    if not (abs(mean) < math.inf and spread < math.inf):   # an overflowed f/k too
+        raise DomainError(f"detector displacement mean {mean}, spread {spread} for "
+                          f"f/k {scale} leaves the float range")
+    return mean, spread
 
 
 def _lead_gain(geom: NetworkGeometry) -> float:

@@ -114,6 +114,33 @@ class TestRunConfig:
         assert err.startswith(f"config error: config file {path} is not valid YAML: ")
         assert "Traceback" not in err
 
+    def test_schema_and_defaults_are_pinned(self, tmp_path):
+        # every section, field and default of the YAML schema; the echo must
+        # print them byte for byte, so an int default that became a float
+        # fails too
+        pinned = {
+            "probe": {"waist_radius": 0.002, "wavelength": 7.8e-07,
+                      "center_x": 0.0, "center_p": 0.0},
+            "geometry": {"z_bar": 0.2, "lead_in": 0.325},
+            "post_selection": {"weak_value_magnitude": 7.0},
+            "readout": {"focal_length": 0.25, "qpd_gain": 10000.0,
+                        "total_power": 0.0002, "position_slope": 0.65},
+            "drive": {"pzt_displacement_per_volt": 2.2e-08, "chip_separation": 0.02,
+                      "beam_tilt_factor": 2.0},
+            "grid": {"num_points": 16384, "padding": 8.0},
+            "sweep": {"n_values": [1, 2, 3, 4, 5, 6, 7, 8, 9],
+                      "voltages": [0.001, 0.002, 0.003, 0.004, 0.005, 0.006, 0.007,
+                                   0.008, 0.009000000000000001, 0.01],
+                      "replicates": 100, "theta_bar": 0.02,
+                      "modes": ["sequential", "quantum_switch", "classical_switch",
+                                "probe_alone"]},
+            "noise": {"noise_floor": 0.0, "jitter": 0.05},
+            "run": {"seed": 0, "oracle_seeds": 20, "oracle_instances": 10},
+        }
+        assert RunConfig().to_dict() == pinned
+        RunConfig().echo_yaml(tmp_path / "c.yaml")
+        assert (tmp_path / "c.yaml").read_text() == yaml.safe_dump(pinned, sort_keys=True)
+
     def test_wave_number(self):
         assert RunConfig().wave_number == pytest.approx(2 * math.pi / 780e-9)
 
@@ -199,6 +226,23 @@ class TestCli:
         assert len(rows) == 1 + 3 * 3 * 2
         assert (out / "fitted_curve.csv").exists()
         assert (out / "heisenberg_curve.csv").exists()
+
+    def test_set_noise_floor_scales_every_snr_and_threshold(self, tmp_path):
+        # with no jitter each SNR is signal / floor, so doubling a floor that
+        # the config sets halves every SNR and doubles every threshold
+        snrs, thresholds = [], []
+        for floor in (3e-6, 6e-6):
+            cfg = write_config(tmp_path, **SMALL_SWEEP, noise_floor=floor)
+            out = tmp_path / f"floor{floor}"
+            assert main(["--config", str(cfg), "--out", str(out), *SYNTHETIC]) == 0
+            with open(out / "snr_sweep.csv", newline="") as fh:
+                snrs.append([float(row["snr"]) for row in csv.DictReader(fh)])
+            fit = json.loads((out / "scaling_fit.json").read_text())
+            thresholds.append([p["delta_phi_min_rad"] for p in fit["points"]])
+        assert len(snrs[0]) == 3 * 3 * 2 and len(thresholds[0]) == 3
+        np.testing.assert_allclose(snrs[1], np.divide(snrs[0], 2), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(thresholds[1], np.multiply(thresholds[0], 2),
+                                   rtol=1e-12, atol=0)
 
     def test_reproduce_tabletop_reference(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,5 +1,6 @@
 """Property tests of the closed forms over generated moments and networks,
-and of the readout formulas over finite floats of the whole range.
+of the grid operators over generated Gaussians, and of the readout formulas
+over finite floats of the whole range.
 
 Derandomized, so every run draws the same examples; the seed-loop tests in
 test_fisher.py and test_network.py and the oracle-verify checks stay as
@@ -12,12 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclesense import (DomainError, GeneratorMoments, KickVector, NetworkGeometry,
-                        NoiseModel, PostSelection, ReadoutModel, SensorDriveModel,
-                        first_order_momentum_shift, g_params, min_detectable_tilt,
-                        probe_alone_qfi_at_origin, qcrb_global, qfim_classical_switch,
-                        qfim_quantum_switch, qfim_sequential, qpd_signal, snr_model,
-                        voltage_to_beam_tilt, waveplate_compensation)
+from cyclesense import (DomainError, GeneratorMoments, Grid, KickVector,
+                        NetworkGeometry, NoiseModel, PostSelection, ProbeSpec,
+                        ReadoutModel, SensorDriveModel, apply_kick, apply_parity,
+                        apply_propagation, apply_shift, first_order_momentum_shift,
+                        g_params, make_gaussian, min_detectable_tilt,
+                        momentum_readout, probe_alone_qfi_at_origin, qcrb_global,
+                        qfim_classical_switch, qfim_quantum_switch, qfim_sequential,
+                        qpd_signal, snr_model, voltage_to_beam_tilt,
+                        waveplate_compensation)
 from cyclesense.fisher import RANK_TOL
 
 deterministic = settings(derandomize=True, deadline=None, database=None)
@@ -87,6 +91,44 @@ def test_g_params_identities(instance):
         (comp.g1**2 - comp.g2**2) / span, rel=1e-12, abs=1e-16)
 
 
+@st.composite
+def gaussians(draw):
+    """A Gaussian (k = 1) of random waist and centre on a random grid, and its
+    waist w0."""
+    w0 = draw(log_uniform(-4, 1))
+    grid = Grid(1 << draw(st.integers(8, 11)), w0 * draw(st.floats(8.0, 16.0)))
+    spec = ProbeSpec(w0, 1.0, draw(st.floats(-w0, w0)), draw(st.floats(-2.0, 2.0)) / w0)
+    return make_gaussian(spec, grid), w0
+
+
+#: each unitary step at a size u in [-1, 1], scaled to stay inside the grid
+#: guards for the Gaussians above: a kick of up to 4 momentum spreads 1/w0,
+#: a propagation of up to w0^2 / 2, a shift of up to one waist
+UNITARY_STEPS = {
+    "apply_kick": lambda psi, w0, u: apply_kick(psi, 4.0 * u / w0),
+    "apply_propagation": lambda psi, w0, u: apply_propagation(
+        psi, 0.5 * abs(u) * w0**2, 1.0),
+    "apply_shift": lambda psi, w0, u: apply_shift(psi, u * w0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNITARY_STEPS))
+@deterministic
+@given(gaussians(), st.floats(-1.0, 1.0))
+def test_unitary_steps_keep_the_norm(name, gaussian, u):
+    psi, w0 = gaussian
+    assert abs(UNITARY_STEPS[name](psi, w0, u).norm_squared() - 1.0) <= 1e-12
+
+
+@deterministic
+@given(gaussians())
+def test_parity_is_an_involution(gaussian):
+    psi, _ = gaussian
+    for state in (psi, psi.to_momentum()):
+        twice = apply_parity(apply_parity(state))
+        assert np.array_equal(twice.amplitudes, state.amplitudes)
+
+
 #: every finite float, subnormals and both signed zeros included
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
@@ -99,6 +141,10 @@ EPSILONS = st.floats(-0.5 * math.pi, 0.5 * math.pi, exclude_min=True,
 def geometry(draw):
     return NetworkGeometry.uniform(draw(st.integers(1, 300)), draw(NON_NEGATIVE),
                                    draw(NON_NEGATIVE), draw(POSITIVE))
+
+
+#: a normalized state to read out, the same for every example
+DETECTED = make_gaussian(ProbeSpec(2.0, 1.0, center_p=0.1), Grid(256, 24.0))
 
 
 def readout(draw):
@@ -120,6 +166,7 @@ BOUNDARY_CALLS = {
     "voltage_to_beam_tilt": lambda d: voltage_to_beam_tilt(
         d(FINITE), SensorDriveModel(d(POSITIVE), d(POSITIVE), d(POSITIVE))),
     "waveplate_compensation": lambda d: waveplate_compensation(d(FINITE)),
+    "momentum_readout": lambda d: momentum_readout(DETECTED, readout(d), d(FINITE)),
 }
 
 

@@ -51,6 +51,7 @@ class TestWeakValue:
 
 UNIT_GEOM = NetworkGeometry.uniform(1, 1.0, wave_number=1.0)
 READOUT = ReadoutModel(0.25, 1e4, 0.2e-3)
+DETECTED = make_gaussian(ProbeSpec(2.0, 1.0, center_p=0.1), Grid(256, 24.0))
 
 
 @pytest.mark.parametrize("call", [
@@ -91,6 +92,11 @@ READOUT = ReadoutModel(0.25, 1e4, 0.2e-3)
     lambda: min_detectable_tilt(NetworkGeometry.uniform(1, 0.2, wave_number=1.0),
                                 5e-324, PostSelection(0.1)),
     lambda: first_order_momentum_shift(UNIT_GEOM, 1e300, PostSelection(0.1), 1e300),
+    lambda: momentum_readout(DETECTED, ReadoutModel(1e308, 1.0, 1.0), 1e-10),
+    lambda: momentum_readout(DETECTED, READOUT, math.nan),
+    lambda: momentum_readout(DETECTED, READOUT, -1.0),
+    lambda: momentum_readout(DETECTED, READOUT, 0.0),
+    lambda: momentum_readout(DETECTED, READOUT, math.inf),
 ], ids=["jones-norm", "jones-nan", "weak-value-magnitude", "readout-constants",
         "readout-slope-zero", "readout-slope-nan", "readout-focal-inf", "moments-mean-nan",
         "moments-mean-inf", "moments-cov-nan", "moments-var-inf", "final-probe-method",
@@ -98,7 +104,9 @@ READOUT = ReadoutModel(0.25, 1e4, 0.2e-3)
         "shift-var-p-negative", "shift-var-p-nan", "shift-var-p-inf", "qpd-waist-zero",
         "qpd-waist-nan", "qpd-phi-nan", "qpd-phi-inf", "snr-phi-nan", "waveplate-nan",
         "qpd-signal-overflow", "snr-signal-overflow", "snr-floor-overflow",
-        "min-tilt-overflow", "min-tilt-underflowed-divisor", "shift-overflow"])
+        "min-tilt-overflow", "min-tilt-underflowed-divisor", "shift-overflow",
+        "readout-scale-overflow", "readout-k-nan", "readout-k-negative", "readout-k-zero",
+        "readout-k-inf"])
 def test_inputs_out_of_domain(call):
     # DomainError is what the CLI reports with exit code 3
     with pytest.raises(DomainError):
