@@ -19,13 +19,13 @@ from .fisher import (GeneratorMoments, JointState, SwitchMode,
                      qfim_classical_switch, qfim_numerical,
                      qfim_quantum_switch, qfim_sequential)
 from .wva import (PolarizationState, PostSelection, ReadoutModel,
-                  euler_plate_angles, first_order_momentum_shift,
-                  half_wave_plate, max_difference_up_to_phase,
-                  min_detectable_tilt, momentum_readout, qpd_signal,
-                  quarter_wave_plate, rotation_y, rotation_z, sandwich_jones,
-                  waveplate_compensation, weak_value, wva_final_probe)
-from .pipeline import (NoiseModel, ScalingFit, SensorDriveModel, SnrLineFit,
-                       SweepResult, TABLETOP_PRECISION_TABLE, calibrate_noise_floor,
+                  first_order_momentum_shift, half_wave_plate,
+                  max_difference_up_to_phase, min_detectable_tilt,
+                  momentum_readout, qpd_signal, quarter_wave_plate, rotation_y,
+                  rotation_z, sandwich_jones, waveplate_compensation,
+                  weak_value, wva_final_probe)
+from .pipeline import (NoiseModel, ScalingFit, SensorDriveModel, SweepResult,
+                       TABLETOP_PRECISION_TABLE, calibrate_noise_floor,
                        end_to_end_sweep, fit_scaling_law, fit_snr_vs_voltage,
                        qcrb_comparison, snr_model, voltage_to_beam_tilt)
 from .config import RunConfig

@@ -49,32 +49,27 @@ class JointState:
 
     branch_plus / branch_minus are the forward- and reverse-order probe
     states (each normalized, with any dynamic phase folded into the
-    amplitudes).  weights are the ancilla populations; coherence is the
-    off-diagonal ancilla weight a0 * conj(a1) (1/2 for the balanced control
-    qubit, 0 for the classical mixture).  The ancilla label survives to the
+    amplitudes).  weights are the ancilla populations.  coherent marks the
+    control-qubit superposition sum_i sqrt(w_i) |branch_i>|i>; otherwise the
+    state is the labeled mixture.  The ancilla label survives to the
     measurement, so the branches of a mixture stay orthogonal.
     """
 
     branch_plus: WaveFunction
     branch_minus: Optional[WaveFunction]
     weights: tuple[float, float]
-    coherence: complex
+    coherent: bool
 
     def __post_init__(self):
         w0, w1 = self.weights
         if not (w0 >= 0 and w1 >= 0 and abs(w0 + w1 - 1.0) <= 1e-9):  # NaN fails too
             raise DomainError(f"branch weights must be a distribution, got {self.weights}")
-        if not abs(self.coherence) <= np.sqrt(w0 * w1) + 1e-9:       # NaN fails too
-            raise DomainError(f"ancilla coherence {self.coherence} violates positivity")
         if self.branch_minus is None and w1 != 0.0:
             raise DomainError("missing reverse branch with nonzero weight")
 
     @property
     def is_pure(self) -> bool:
-        w0, w1 = self.weights
-        if w1 == 0.0 or w0 == 0.0:
-            return True
-        return abs(abs(self.coherence) - np.sqrt(w0 * w1)) <= 1e-9
+        return self.coherent or 0.0 in self.weights
 
 
 @dataclass(frozen=True)
@@ -101,6 +96,10 @@ class GeneratorMoments:
     def __post_init__(self):
         if not (self.var_x > 0 and self.var_p > 0):
             raise DomainError("variances must be positive")
+        det = self.var_x * self.var_p - self.cov_xp * self.cov_xp
+        if not det > 0:                                     # NaN fails too
+            raise DomainError(f"Var X Var P - Cov^2 = {det:g} is not positive: "
+                              f"no state has these moments")
         if not (self.wave_number > 0 and self.z_bar > 0 and np.all(self.n_sensors >= 1)):
             raise DomainError("need positive wave number, spacing and sensor count")
         try:            # every N's closed-form terms and span^2 must stay in range
@@ -114,11 +113,12 @@ class GeneratorMoments:
             raise DomainError(f"Var X / ((N+1) zbar)^2 or Var P / k^2 leaves the float "
                               f"range at k = {self.wave_number:g} 1/m, zbar = {self.z_bar:g} m")
         # so must the squares of the quantum-switch brackets <P>/2k - g u/2k
-        bracket = (abs(self.mean_p) + max(abs(self.g1), abs(self.g2)) / span) / (
-            2.0 * self.wave_number)
+        g = np.maximum(abs(self.g1), abs(self.g2))          # a NaN g fails too
+        bracket = (abs(self.mean_p) + g / span) / (2.0 * self.wave_number)
         if not np.all(4.0 * bracket * bracket < math.inf):
             raise DomainError(f"<P>/2k or g/(2k (N+1) zbar) leaves the float range at "
-                              f"<P> = {self.mean_p:g} 1/m, k = {self.wave_number:g} 1/m")
+                              f"<P> = {self.mean_p:g} 1/m, k = {self.wave_number:g} 1/m, "
+                              f"g = ({self.g1:g}, {self.g2:g}) m")
 
     @property
     def span(self) -> float | np.ndarray:
@@ -240,12 +240,19 @@ def qcrb_global(q: np.ndarray, n_sensors: int, z_bar: float) -> float:
     G Q^-1 G^T with G = [w, w], w = 1/(N(N+1)zbar), by eigendecomposition:
     the oracle of the closed-form bounds.  Eigenvalues at or below RANK_TOL
     times the largest are dropped.  Nothing kept, or a Jacobian component
-    along the null space, raises EstimabilityError; an overflowed entry
+    along the null space, raises EstimabilityError; an overflowed entry, a
+    sensor count below 1, or a spacing that is not positive and finite
     raises DomainError.  The projection is elementwise, not a BLAS product.
     """
     if np.shape(q) != (2, 2):
         raise DomainError(f"expected a 2x2 information matrix, got shape {np.shape(q)}")
+    if not (1 <= n_sensors < math.inf and 0 < z_bar < math.inf):     # NaN fails too
+        raise DomainError(f"need a sensor count of at least 1 and a positive finite "
+                          f"spacing, got N = {n_sensors}, zbar = {z_bar}")
     w = 1.0 / (n_sensors * (n_sensors + 1.0) * z_bar)
+    if not 0 < w < math.inf:
+        raise DomainError(f"weight 1/(N (N+1) zbar) = {w:g} leaves the float range "
+                          f"at N = {n_sensors}, zbar = {z_bar:g} m")
     if not np.isfinite(q).all():
         raise DomainError(f"information matrix entries overflow the float range "
                           f"at N = {n_sensors}")
@@ -335,17 +342,12 @@ def qfim_numerical(builder: StateBuilder, at: tuple[float, float],
     Richardson extrapolation level; raises ConvergenceError when either
     estimate has a non-finite entry or the two disagree by more than
     MAX_DISAGREEMENT in relative Frobenius norm.  Pure families are
-    differentiated jointly; in a labeled mixture of zero coherence each
-    branch keeps its own projection, which gives the weight-average of the
-    branch matrices (the weights do not depend on the parameters, the label
-    keeps the branches orthogonal).  Partially coherent centres raise
-    EstimabilityError.  The centre is built once, so a matrix costs 9 builds.
+    differentiated jointly; in a labeled mixture each branch keeps its own
+    projection, which gives the weight-average of the branch matrices (the
+    weights do not depend on the parameters, the label keeps the branches
+    orthogonal).  The centre is built once, so a matrix costs 9 builds.
     """
     center = builder(*at)
-    if not (center.is_pure or center.coherence == 0):
-        raise EstimabilityError(
-            "finite differences need a pure state or a labeled mixture with zero "
-            f"coherence; got coherence {center.coherence} at weights {center.weights}")
     q_h = _qfim_fd(builder, at, step, center)
     q_h2 = _qfim_fd(builder, at, 0.5 * step, center)
     if not np.isfinite([q_h, q_h2]).all():

@@ -166,15 +166,15 @@ class Grid:
         half_extent = padding * max(w0, w(total_path)) with w(z) the
         diffracted beam radius, so the state never approaches the edge even
         after the longest propagation in the run.  Raises DomainError when
-        that extent is not positive and finite, or when the spacing dx
-        exceeds pi * w0: the momentum window pi/dx then holds less than one
-        momentum spread 1/w0, and the sampled probe collapses onto a few
-        samples with no measurable variance.
+        that extent is not positive and finite, when num_points is not
+        positive, or when the spacing dx exceeds pi * w0: the momentum window
+        pi/dx then holds less than one momentum spread 1/w0, and the sampled
+        probe collapses onto a few samples with no measurable variance.
         """
         w0 = spec.waist_radius
         half_extent = padding * max(w0, diffracted_radius(w0, total_path,
                                                           spec.wave_number))
-        if not 0 < 2.0 * half_extent / num_points <= math.pi * w0:
+        if not (num_points > 0 and 0 < 2.0 * half_extent / num_points <= math.pi * w0):
             raise DomainError(
                 f"grid half_extent {half_extent} over {num_points} points does "
                 f"not resolve the waist radius {w0}")

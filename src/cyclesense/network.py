@@ -323,12 +323,11 @@ def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: Switch
         comp = CompositeEvolution(g1, g2, xi, -xi)
         fwd = composite_apply(psi, geom, comp, "forward")
         if mode == SwitchMode.SEQUENTIAL:
-            return JointState(fwd, None, (1.0, 0.0), 0.0)
+            return JointState(fwd, None, (1.0, 0.0), False)
         rev = composite_apply(psi, geom, comp, "reverse")
-        if mode == SwitchMode.QUANTUM_SWITCH:
-            return JointState(fwd, rev, BALANCED_WEIGHTS, 0.5)
-        if mode == SwitchMode.CLASSICAL_SWITCH:
-            return JointState(fwd, rev, BALANCED_WEIGHTS, 0.0)
+        if mode in (SwitchMode.QUANTUM_SWITCH, SwitchMode.CLASSICAL_SWITCH):
+            return JointState(fwd, rev, BALANCED_WEIGHTS,
+                              mode == SwitchMode.QUANTUM_SWITCH)
         raise DomainError(f"no state family for mode {mode}")
 
     return build

@@ -100,15 +100,6 @@ class ScalingFit:
         return self.a / (1.0 + self.b * n)
 
 
-@dataclass(frozen=True)
-class SnrLineFit:
-    """Zero-intercept line through SNR versus drive voltage."""
-
-    n_sensors: int
-    slope: float
-    min_voltage: float
-
-
 #: Minimum detectable average tilt of the 9-sensor tabletop run: sensor
 #: count, SNR = 1 drive voltage (V peak-to-peak), detected tilt (rad).
 TABLETOP_PRECISION_TABLE: tuple[tuple[int, float, float], ...] = (
@@ -155,11 +146,12 @@ def _fit_error(kind: str, flag: int) -> None:
 
 @np.errstate(over="call", invalid="call", divide="call", call=_fit_error)
 def fit_snr_vs_voltage(n_sensors: int, voltages: Sequence[float],
-                       snr: Sequence[float]) -> SnrLineFit:
-    """Least-squares SNR-versus-voltage line and its SNR = 1 crossing.
+                       snr: Sequence[float]) -> float:
+    """SNR = 1 drive voltage of the least-squares SNR-versus-voltage line.
 
-    voltages and snr are the paired readings of one sensor count.  The
-    intercept is pinned to zero (no drive, no signal).
+    voltages and snr are the paired readings of sensor count n_sensors.  The
+    intercept is pinned to zero (no drive, no signal), so the crossing is
+    1 / slope.
     """
     v = np.asarray(voltages, dtype=float)
     y = np.asarray(snr, dtype=float)
@@ -179,7 +171,7 @@ def fit_snr_vs_voltage(n_sensors: int, voltages: Sequence[float],
     slope = float(np.dot(v, y) / np.dot(v, v))
     if not 0 < slope < np.inf:
         raise FitError(f"fitted slope {slope} is not positive and finite")
-    return SnrLineFit(n_sensors, slope, 1.0 / slope)
+    return 1.0 / slope
 
 
 @np.errstate(over="call", invalid="call", divide="call", call=_fit_error)
@@ -192,6 +184,8 @@ def fit_scaling_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     """
     if len({n for n, _ in points}) < 3:
         raise FitError("need at least three distinct sensor counts")
+    if not all(1 <= n < np.inf for n, _ in points):           # NaN fails too
+        raise FitError("sensor counts must be finite and at least 1")
     if not all(0 < d < np.inf for _, d in points):
         raise FitError("minimum detectable tilts must be positive and finite")
     n = np.array([float(p[0]) for p in points])
@@ -297,10 +291,10 @@ def end_to_end_sweep(n_values: Sequence[int], voltages: Sequence[float],
     for n in n_values:
         # every block of a sensor count listed twice, in sweep order
         cell = n_axis == n
-        fit = fit_snr_vs_voltage(n, np.tile(np.repeat(v_axis, replicates),
-                                            np.count_nonzero(cell)),
-                                 snr[cell].ravel())
-        points.append((n, voltage_to_beam_tilt(fit.min_voltage, drive)))
+        v_min = fit_snr_vs_voltage(n, np.tile(np.repeat(v_axis, replicates),
+                                              np.count_nonzero(cell)),
+                                   snr[cell].ravel())
+        points.append((n, voltage_to_beam_tilt(v_min, drive)))
     scaling = fit_scaling_law(points)
     # a probe outside the bounds' float range fails by name
     GeneratorMoments.from_probe_spec(probe, z_bar, n_axis)

@@ -324,15 +324,6 @@ def half_wave_plate(angle: float) -> np.ndarray:
     return rotation_y(angle) @ HWP_JONES @ rotation_y(-angle)
 
 
-def euler_plate_angles(phi: float, xi: float, zeta: float
-                       ) -> tuple[float, float, float]:
-    """QWP-HWP-QWP fast-axis angles realizing R_y(phi) R_z(-xi) R_y(zeta)."""
-    qwp1 = phi - 0.25 * math.pi
-    hwp = 0.5 * (phi + xi - zeta) - 0.25 * math.pi
-    qwp2 = -zeta - 0.25 * math.pi
-    return qwp1, hwp, qwp2
-
-
 def waveplate_compensation(delta_theta: float) -> tuple[float, float, float]:
     """Plate angles canceling a relative phase delta_theta between H and V.
 
@@ -342,7 +333,7 @@ def waveplate_compensation(delta_theta: float) -> tuple[float, float, float]:
     """
     if not math.isfinite(delta_theta):
         raise DomainError(f"delta_theta must be finite, got {delta_theta}")
-    return euler_plate_angles(0.0, 0.5 * delta_theta, 0.0)
+    return -0.25 * math.pi, 0.25 * delta_theta - 0.25 * math.pi, -0.25 * math.pi
 
 
 def sandwich_jones(angles: tuple[float, float, float]) -> np.ndarray:

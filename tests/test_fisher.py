@@ -104,7 +104,7 @@ class TestNumericalOracle:
 
         def degenerate(a, b):
             s = family(a, b)
-            return JointState(s.branch_plus, None, (1.0, 0.0), 0.0)
+            return JointState(s.branch_plus, None, (1.0, 0.0), False)
 
         gm = GeneratorMoments.from_moments(moments(psi), 1.0, geom.z_bar,
                                            geom.n_sensors, g1, g2)
@@ -139,7 +139,7 @@ class TestNumericalOracle:
             return JointState(s.branch_plus.to_position(),
                               None if s.branch_minus is None
                               else s.branch_minus.to_position(),
-                              s.weights, s.coherence)
+                              s.weights, s.coherent)
 
         def centre_in_position(a, b):
             return in_position(a, b) if (a, b) == (g1, g2) else family(a, b)
@@ -170,7 +170,7 @@ class TestNumericalOracle:
             amps = s.branch_plus.amplitudes.copy()
             amps[7] = math.nan
             branch = WaveFunction(psi.grid, amps, s.branch_plus.representation)
-            return JointState(branch, None, (1.0, 0.0), 0.0)
+            return JointState(branch, None, (1.0, 0.0), False)
 
         with pytest.raises(ConvergenceError, match="not finite"):
             qfim_numerical(poisoned, (g1, g2), step=1e-4)
@@ -180,18 +180,6 @@ class TestNumericalOracle:
         family = switched_state_family(psi, geom, SwitchMode.QUANTUM_SWITCH)
         with pytest.raises(ConvergenceError):
             qfim_numerical(family, (g1, g2), step=3.0)
-
-    def test_partially_coherent_state_rejected(self):
-        # neither pure nor a mixture: the weight-average rule does not hold
-        geom, psi, g1, g2 = grid_instance(51)
-        family = switched_state_family(psi, geom, SwitchMode.QUANTUM_SWITCH)
-
-        def partial(a, b):
-            s = family(a, b)
-            return JointState(s.branch_plus, s.branch_minus, s.weights, 0.25)
-
-        with pytest.raises(EstimabilityError, match="coherence"):
-            qfim_numerical(partial, (g1, g2), step=1e-4)
 
 
 class TestQcrb:

@@ -281,7 +281,7 @@ class TestSwitchedBranches:
         assert fidelity(fwd, rev) == pytest.approx(1.0, abs=1e-12)
         st = switched_state_family(unit_probe, geom, SwitchMode.QUANTUM_SWITCH)(0.0, 0.0)
         assert fidelity(st.branch_plus, st.branch_minus) == pytest.approx(1.0, abs=1e-12)
-        assert st.coherence == pytest.approx(0.5)
+        assert st.coherent and st.is_pure
 
     def test_invalid_direction_rejected(self, unit_probe):
         geom = NetworkGeometry((1.0, 1.0), wave_number=1.0)
@@ -304,24 +304,14 @@ class TestSwitchedBranches:
 class TestJointStateValidation:
     def test_weights_must_sum_to_one(self, unit_probe):
         with pytest.raises(ValueError):
-            JointState(unit_probe, unit_probe, (0.6, 0.6), 0.0)
+            JointState(unit_probe, unit_probe, (0.6, 0.6), False)
 
-    def test_coherence_positivity(self, unit_probe):
-        with pytest.raises(ValueError):
-            JointState(unit_probe, unit_probe, (0.5, 0.5), 0.9)
-
-    @pytest.mark.parametrize("weights,coherence,match", [
-        ((math.nan, 1.0), 0.0, "distribution"),
-        ((0.5, math.nan), 0.0, "distribution"),
-        ((math.nan, math.nan), 0.0, "distribution"),
-        ((0.5, 0.5), math.nan, "positivity"),
-        ((0.5, 0.5), complex(0.0, math.nan), "positivity"),
-    ], ids=["first-weight", "second-weight", "both-weights", "coherence",
-            "imaginary-coherence"])
-    def test_nan_weights_and_coherence_fail_by_name(self, unit_probe, weights,
-                                                    coherence, match):
-        with pytest.raises(DomainError, match=match):
-            JointState(unit_probe, unit_probe, weights, coherence)
+    @pytest.mark.parametrize("weights", [
+        (math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan),
+    ], ids=["first-weight", "second-weight", "both-weights"])
+    def test_nan_weights_fail_by_name(self, unit_probe, weights):
+        with pytest.raises(DomainError, match="distribution"):
+            JointState(unit_probe, unit_probe, weights, False)
 
     def test_composite_evolution_is_plain_record(self):
         comp = CompositeEvolution(1.0, 2.0, 0.5, 0.25)

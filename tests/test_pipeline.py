@@ -107,10 +107,8 @@ class TestSnrLineFit:
     def test_recovers_noiseless_slope_exactly(self):
         slope = 1234.5
         volts = [1e-3, 2e-3, 5e-3, 1e-2]
-        fit = fit_snr_vs_voltage(3, volts, [slope * v for v in volts])
-        assert fit.n_sensors == 3
-        assert fit.slope == pytest.approx(slope, rel=1e-10)
-        assert fit.min_voltage == pytest.approx(1.0 / slope, rel=1e-10)
+        v_min = fit_snr_vs_voltage(3, volts, [slope * v for v in volts])
+        assert v_min == pytest.approx(1.0 / slope, rel=1e-10)
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(FitError, match="no samples"):
@@ -139,9 +137,9 @@ class TestSnrLineFit:
         volts = [1e-3, 2e-3, 5e-3, 1e-2]
         snrs = [snr_model(voltage_to_beam_tilt(v, DRIVE), lab_geom(1), 2e-3, PS,
                           READOUT, noise) for v in volts]
-        fit = fit_snr_vs_voltage(1, volts, snrs)
-        assert fit.min_voltage == pytest.approx(382.6e-6, rel=1e-10)
-        assert voltage_to_beam_tilt(fit.min_voltage, DRIVE) == pytest.approx(
+        v_min = fit_snr_vs_voltage(1, volts, snrs)
+        assert v_min == pytest.approx(382.6e-6, rel=1e-10)
+        assert voltage_to_beam_tilt(v_min, DRIVE) == pytest.approx(
             841.72e-12, rel=1e-4)
 
     @pytest.mark.parametrize("n,v_min,phi_min", [
@@ -152,9 +150,9 @@ class TestSnrLineFit:
         # SNR lines crossing 1 at the recorded voltages convert back to the
         # recorded tilts through the drive chain
         volts = [1e-3, 2e-3, 5e-3, 1e-2]
-        fit = fit_snr_vs_voltage(n, volts, [v / v_min for v in volts])
-        assert fit.min_voltage == pytest.approx(v_min, rel=1e-10)
-        assert voltage_to_beam_tilt(fit.min_voltage, DRIVE) == pytest.approx(
+        fitted = fit_snr_vs_voltage(n, volts, [v / v_min for v in volts])
+        assert fitted == pytest.approx(v_min, rel=1e-10)
+        assert voltage_to_beam_tilt(fitted, DRIVE) == pytest.approx(
             phi_min, rel=1e-3)
 
 
@@ -299,7 +297,7 @@ class TestEndToEndSweep:
             assert n_point == n
             assert list(zip(volts.tolist(), snrs.tolist())) == cells
             assert phi == voltage_to_beam_tilt(
-                fit_snr_vs_voltage(n, *zip(*cells)).min_voltage, DRIVE)
+                fit_snr_vs_voltage(n, *zip(*cells)), DRIVE)
 
 
 class TestFullScaleSweep:

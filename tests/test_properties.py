@@ -1,24 +1,28 @@
 """Property tests of the closed forms over generated moments and networks,
 of the grid operators over generated Gaussians, and of the readout formulas
-over finite floats of the whole range.
+over finite floats of the whole range; a table of the other public callables
+at the edges of their domains.
 
 Derandomized, so every run draws the same examples; the seed-loop tests in
 test_fisher.py and test_network.py and the oracle-verify checks stay as
 they are.
 """
 
+from dataclasses import astuple
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclesense import (DomainError, GeneratorMoments, Grid, KickVector,
-                        NetworkGeometry, NoiseModel, PostSelection, ProbeSpec,
-                        ReadoutModel, SensorDriveModel, apply_kick, apply_parity,
-                        apply_propagation, apply_shift, first_order_momentum_shift,
-                        g_params, make_gaussian, min_detectable_tilt,
-                        momentum_readout, probe_alone_qfi_at_origin, qcrb_global,
+from cyclesense import (DomainError, EstimabilityError, FitError, GeneratorMoments,
+                        Grid, KickVector, NetworkGeometry, NoiseModel, PostSelection,
+                        ProbeSpec, ReadoutModel, SensorDriveModel, apply_kick,
+                        apply_parity, apply_propagation, apply_shift,
+                        first_order_momentum_shift, fit_scaling_law,
+                        fit_snr_vs_voltage, g_params, make_gaussian,
+                        min_detectable_tilt, momentum_readout,
+                        probe_alone_qfi_at_origin, qcrb_comparison, qcrb_global,
                         qfim_classical_switch, qfim_quantum_switch, qfim_sequential,
                         qpd_signal, snr_model, voltage_to_beam_tilt,
                         waveplate_compensation)
@@ -181,3 +185,102 @@ def test_finite_floats_give_finite_values_or_fail_by_name(name, data):
     except DomainError:
         return
     assert np.isfinite(out).all(), out
+
+
+NAN, INF = math.nan, math.inf
+#: a w0 = 2 Gaussian at k = 1, zbar = 1, N = 3: Var X Var P - Cov^2 = 1/4
+UNIT_MOMENTS = dict(var_x=1.0, var_p=0.25, cov_xp=0.0, mean_p=0.0, wave_number=1.0,
+                    z_bar=1.0, n_sensors=3, g1=0.0, g2=0.0)
+UNIT_PROBE = ProbeSpec(2.0, 1.0)
+
+
+# Each callable below takes in-domain defaults, so that a row changes one input.
+
+def closed_forms(**changed):
+    gm = GeneratorMoments(**{**UNIT_MOMENTS, **changed})
+    return np.concatenate([np.ravel(form(gm)) for form in (
+        qfim_sequential, qfim_quantum_switch, qfim_classical_switch,
+        probe_alone_qfi_at_origin)])
+
+
+def projection(n=3, z_bar=1.0, q=((1.0, 0.0), (0.0, 1.0))):
+    return qcrb_global(np.array(q), n, z_bar)
+
+
+def kick_sums(kick=0.1, leg=1.0, kicks=None, legs=None):
+    return astuple(g_params(NetworkGeometry(legs or (leg, 1.0), wave_number=1.0),
+                            KickVector(kicks or (kick,))))
+
+
+def probe_grid(total_path=1.0, num_points=1 << 10, padding=8.0):
+    grid = Grid.for_probe(UNIT_PROBE, total_path, num_points, padding)
+    return grid.dx, grid.dp
+
+
+def scaling_law(n=4, tilt=0.05, base=((1, 0.5), (2, 1 / 6), (3, 1 / 12))):
+    return astuple(fit_scaling_law([*base, (n, tilt)]))
+
+
+def snr_line(volt=1e-3, snr=1.0, volts=(2e-3, 3e-3)):
+    return fit_snr_vs_voltage(1, [volt, *volts], [snr, 2.0, 3.0])
+
+
+def bound_table(n=2, z_bar=1.0):
+    return qcrb_comparison([1, n], UNIT_PROBE, z_bar)
+
+
+NOT_FINITE = (NAN, INF, -INF)
+NOT_POSITIVE = NOT_FINITE + (0.0, -1.0)
+
+#: (callable, argument, values its domain excludes, the error they raise,
+#: values its domain holds)
+DOMAINS = [
+    (closed_forms, "var_x", NOT_POSITIVE, DomainError, ()),
+    (closed_forms, "var_p", NOT_POSITIVE, DomainError, ()),
+    # |Cov| must stay below sqrt(Var X Var P) = 1/2
+    (closed_forms, "cov_xp", NOT_FINITE + (0.5, 2.0, -5.0), DomainError, (0.0, -0.4)),
+    (closed_forms, "mean_p", NOT_FINITE, DomainError, (0.0, -1.0)),
+    (closed_forms, "wave_number", NOT_POSITIVE, DomainError, ()),
+    (closed_forms, "z_bar", NOT_POSITIVE, DomainError, ()),
+    (closed_forms, "n_sensors", NOT_POSITIVE, DomainError, (1,)),
+    (closed_forms, "g1", NOT_FINITE, DomainError, (0.0, -1.0)),
+    (closed_forms, "g2", NOT_FINITE, DomainError, (0.0, -1.0)),
+    (projection, "n", NOT_POSITIVE, DomainError, (1,)),
+    # the Jacobian weight 1/(N (N+1) zbar) over- and underflows at these
+    (projection, "z_bar", NOT_POSITIVE + (1e-320, 1e308), DomainError, ()),
+    (projection, "q", (((NAN, 0.0), (0.0, 1.0)), ((INF, 0.0), (0.0, 1.0))),
+     DomainError, ()),
+    (projection, "q", (((0.0, 0.0), (0.0, 0.0)), ((-1.0, 0.0), (0.0, -1.0))),
+     EstimabilityError, (((1.0, 1.0), (1.0, 1.0)),)),
+    (kick_sums, "kick", NOT_FINITE, DomainError, (0.0, -0.1)),
+    (kick_sums, "leg", NOT_FINITE + (-1.0,), DomainError, (0.0,)),
+    (kick_sums, "legs", ((0.0, 0.0),), DomainError, ()),
+    (kick_sums, "kicks", ((0.1, 0.1),), DomainError, ()),
+    (probe_grid, "total_path", NOT_FINITE, DomainError, (0.0,)),
+    (probe_grid, "num_points", (0, -2), DomainError, ()),
+    (probe_grid, "padding", NOT_POSITIVE, DomainError, ()),
+    (scaling_law, "n", NOT_POSITIVE, FitError, ()),
+    (scaling_law, "tilt", NOT_POSITIVE, FitError, ()),
+    (scaling_law, "base", (((-1, 4.0), (-2, 1.5), (-3, 0.8)),), FitError, ()),
+    (snr_line, "volt", NOT_FINITE, FitError, (0.0,)),
+    (snr_line, "volts", ((-2e-3, -3e-3),), FitError, ()),
+    (snr_line, "snr", NOT_FINITE + (-1.0,), FitError, (0.0,)),
+    (bound_table, "n", (0, -1), DomainError, ()),
+    (bound_table, "z_bar", NOT_POSITIVE, DomainError, ()),
+]
+
+EDGE_CASES = [pytest.param(call, {arg: value}, error, id=f"{call.__name__}-{arg}={value}")
+              for call, arg, excluded, raised, held in DOMAINS
+              for values, error in ((excluded, raised), (held, None))
+              for value in values]
+
+
+@pytest.mark.parametrize("call,kwargs,error", EDGE_CASES)
+def test_domain_edges_give_finite_values_or_fail_by_name(call, kwargs, error):
+    """A value outside the domain raises the CycleSenseError subclass that its
+    row names; a value inside gives finite values."""
+    if error is None:
+        assert np.isfinite(np.asarray(call(**kwargs), dtype=float)).all()
+    else:
+        with pytest.raises(error):
+            call(**kwargs)

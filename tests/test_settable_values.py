@@ -1,6 +1,7 @@
 """No knob that nobody sets: every defaulted parameter of the package, and
 every defaulted field of its dataclasses, is passed by some call in the
-package or in the benchmark."""
+package or in the benchmark.  No export that nobody lists: the public names
+of the package are pinned."""
 
 import ast
 from pathlib import Path
@@ -122,3 +123,35 @@ def test_every_dataclass_default_is_overridden_by_some_construction():
     __init__ takes: a construction is a call of the class by name, or of cls
     inside its body."""
     assert never_passed(defaulted_fields) == []
+
+
+#: every public name of the package, its 7 submodules included
+PUBLIC_NAMES = [
+    "CompositeEvolution", "ConfigError", "ConvergenceError", "CycleSenseError",
+    "DomainError", "EstimabilityError", "FitError", "GeneratorMoments", "Grid",
+    "GridError", "GridOverflowError", "JointState", "KickVector", "Moments",
+    "NetworkGeometry", "NoiseModel", "NormalizationError", "PolarizationState",
+    "PostSelection", "PostSelectionError", "ProbeSpec", "ReadoutModel",
+    "RegimeError", "RunConfig", "ScalingFit", "SensorDriveModel", "SweepResult",
+    "SwitchMode", "TABLETOP_PRECISION_TABLE", "WaveFunction", "apply_kick",
+    "apply_parity", "apply_propagation", "apply_shift", "calibrate_noise_floor",
+    "composite_apply", "config", "diffracted_radius", "end_to_end_sweep", "errors",
+    "fidelity", "first_order_momentum_shift", "fisher", "fit_scaling_law",
+    "fit_snr_vs_voltage", "g_params", "grid", "half_wave_plate", "make_gaussian",
+    "max_difference_up_to_phase", "min_detectable_tilt", "moments",
+    "momentum_readout", "network", "overlap", "pipeline",
+    "probe_alone_qfi_at_origin", "qcrb_comparison", "qcrb_global",
+    "qfim_classical_switch", "qfim_numerical", "qfim_quantum_switch",
+    "qfim_sequential", "qpd_signal", "quarter_wave_plate", "rotation_y",
+    "rotation_z", "sandwich_jones", "snr_model", "switched_state_family",
+    "traverse_sequence", "voltage_to_beam_tilt", "waveplate_compensation",
+    "weak_value", "wva", "wva_final_probe",
+]
+
+
+def test_public_names_are_pinned(run_probe):
+    """Read in a fresh interpreter: importing cyclesense.cli or .oracle, as
+    other tests do, binds them as attributes of the package."""
+    code = ("import cyclesense; print(' '.join(n for n in dir(cyclesense) "
+            "if not n.startswith('_')))")
+    assert run_probe(code).split() == PUBLIC_NAMES

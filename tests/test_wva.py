@@ -6,10 +6,10 @@ import pytest
 from cyclesense import (DomainError, Grid, KickVector, Moments, NetworkGeometry,
                         NoiseModel, PolarizationState, PostSelection,
                         PostSelectionError, ProbeSpec, ReadoutModel, RegimeError,
-                        euler_plate_angles, first_order_momentum_shift,
+                        first_order_momentum_shift,
                         half_wave_plate, make_gaussian, max_difference_up_to_phase,
                         min_detectable_tilt, moments, momentum_readout,
-                        qpd_signal, quarter_wave_plate, rotation_y, rotation_z,
+                        qpd_signal, quarter_wave_plate, rotation_z,
                         sandwich_jones, snr_model, waveplate_compensation,
                         weak_value, wva_final_probe)
 LAB_WAVE_NUMBER = 2.0 * math.pi / 780e-9
@@ -269,11 +269,3 @@ class TestWaveplates:
         for mat in (quarter_wave_plate(0.3), half_wave_plate(-1.1),
                     sandwich_jones(waveplate_compensation(0.77))):
             assert np.max(np.abs(mat @ mat.conj().T - np.eye(2))) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_general_euler_decomposition(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        phi, xi, zeta = rng.uniform(-math.pi, math.pi, 3)
-        target = rotation_y(phi) @ rotation_z(-xi) @ rotation_y(zeta)
-        got = sandwich_jones(euler_plate_angles(phi, xi, zeta))
-        assert max_difference_up_to_phase(got, target) < 1e-12
