@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import reprlib
 
 import numpy as np
 
@@ -126,19 +127,25 @@ def g_params(geom: NetworkGeometry, kicks: KickVector) -> CompositeEvolution:
     g2 = sum_j z_j * (sum of kicks before leg j) for the reverse order,
     and xi1/xi2 are the same sums with the kick partial sums squared (they
     generate the dynamic phase).  Identities g1 + g2 = (N+1) N zbar tbar
-    and xi1 - xi2 = (g1^2 - g2^2) / ((N+1) zbar) hold exactly.
+    and xi1 - xi2 = (g1^2 - g2^2) / ((N+1) zbar) hold exactly.  A partial
+    sum, g or xi outside the float range raises DomainError.
     """
     n = geom.n_sensors
     if len(kicks) != n:
         raise DomainError(f"{len(kicks)} kicks for a network with {n} sensors")
     z = geom.distances
     th = kicks.thetas
-    tail = np.cumsum(th[::-1])[::-1]          # tail[j] = sum_{l>=j} theta_l
-    head = np.cumsum(th)                      # head[j] = sum_{l<=j} theta_l
-    g1 = float(sum(z[j] * tail[j] for j in range(n)))
-    g2 = float(sum(z[j + 1] * head[j] for j in range(n)))
-    xi1 = float(sum(z[j] * tail[j] ** 2 for j in range(n)))
-    xi2 = float(sum(z[j + 1] * head[j] ** 2 for j in range(n)))
+    with np.errstate(over="ignore", invalid="ignore"):    # what overflows fails below
+        tail = np.cumsum(th[::-1])[::-1]          # tail[j] = sum_{l>=j} theta_l
+        head = np.cumsum(th)                      # head[j] = sum_{l<=j} theta_l
+        g1 = float(sum(z[j] * tail[j] for j in range(n)))
+        g2 = float(sum(z[j + 1] * head[j] for j in range(n)))
+        xi1 = float(sum(z[j] * tail[j] ** 2 for j in range(n)))
+        xi2 = float(sum(z[j + 1] * head[j] ** 2 for j in range(n)))
+    # a partial sum out of range makes g1 or g2 inf or NaN too
+    if not all(abs(x) < math.inf for x in (g1, g2, xi1, xi2)):
+        raise DomainError(f"kick sums of the kicks {reprlib.repr(kicks.thetas)} "
+                          f"leave the float range")
     return CompositeEvolution(g1, g2, xi1, xi2)
 
 

@@ -85,33 +85,40 @@ def _random_instance(rng: np.random.Generator, num_points: int):
                                                            num_points))
 
 
-def _traversal_pairs(seed_base: int, seeds: int, num_points: int):
-    """Grid traversal of random instances in both orders, each paired with
-    the composite that must reproduce it, as a call with no arguments."""
+def _walk_readings(seeds: int, num_points: int) -> list[tuple]:
+    """Walk each random instance once in both orders and keep what the three
+    traversal checks read: per order |1 - F| and the largest amplitude
+    difference against its composite, then arg<reverse|forward> and its
+    prediction (g1^2 - g2^2) / (2k (N+1) zbar)."""
+    readings = []
     for seed in range(seeds):
-        geom, kicks, psi = _random_instance(np.random.default_rng(seed_base + seed),
+        geom, kicks, psi = _random_instance(np.random.default_rng(1000 + seed),
                                             num_points)
         comp = g_params(geom, kicks)
-        for direction, brute in zip(("forward", "reverse"),
-                                    traverse_sequence(psi, geom, kicks)):
-            yield brute, functools.partial(composite_apply, psi, geom, comp, direction)
+        fwd, rev = traverse_sequence(psi, geom, kicks)
+        reduced = (composite_apply(psi, geom, comp, direction).to_position()
+                   for direction in ("forward", "reverse"))
+        orders = [(abs(1.0 - fidelity(b, r)), np.max(np.abs(b.amplitudes - r.amplitudes)))
+                  for b, r in zip((fwd, rev), reduced)]
+        span = (geom.n_sensors + 1) * geom.z_bar
+        readings.append((orders, cmath.phase(overlap(rev, fwd)),
+                         (comp.g1**2 - comp.g2**2) / (2.0 * geom.wave_number * span)))
+    return readings
 
 
-def check_bch_fidelity(seeds: int = 20, num_points: int = 1 << 14) -> CheckResult:
+def check_bch_fidelity(seeds: int, walks: Callable[[], list]) -> CheckResult:
     """Grid traversal versus algebraic composite: |1 - F|, of either sign."""
     return _check("bch_traversal_fidelity", 1e-10,
                   f"worst |1 - F| over {seeds} seeds, both orders",
-                  lambda: (abs(1.0 - fidelity(brute, reduced()))
-                           for brute, reduced in _traversal_pairs(1000, seeds, num_points)))
+                  lambda: (f for orders, *_ in walks() for f, _ in orders))
 
 
-def check_composite_phase(seeds: int = 20, num_points: int = 1 << 14) -> CheckResult:
+def check_composite_phase(seeds: int, walks: Callable[[], list]) -> CheckResult:
     """Composite with exact scalar phase reproduces the raw product amplitudes."""
     return _check("composite_exact_phase", 1e-9,
-                  "max amplitude difference including the scalar phase",
-                  lambda: (np.max(np.abs(brute.amplitudes
-                                         - reduced().to_position().amplitudes))
-                           for brute, reduced in _traversal_pairs(2000, seeds, num_points)))
+                  f"max amplitude difference including the scalar phase over "
+                  f"{seeds} seeds, both orders",
+                  lambda: (d for orders, *_ in walks() for _, d in orders))
 
 
 def check_g_identities() -> CheckResult:
@@ -131,20 +138,12 @@ def check_g_identities() -> CheckResult:
                   "worst relative identity violation over 200 instances", errors)
 
 
-def check_switch_phase(num_points: int = 1 << 14) -> CheckResult:
+def check_switch_phase(seeds: int, walks: Callable[[], list]) -> CheckResult:
     """Relative dynamic phase between traversal orders from the branch overlap."""
-    def errors():
-        rng = np.random.default_rng(47)
-        for _ in range(5):
-            geom, kicks, psi = _random_instance(rng, num_points)
-            comp = g_params(geom, kicks)
-            span = (geom.n_sensors + 1) * geom.z_bar
-            fwd, rev = traverse_sequence(psi, geom, kicks)
-            measured = cmath.phase(overlap(rev, fwd))
-            predicted = (comp.g1**2 - comp.g2**2) / (2.0 * geom.wave_number * span)
-            yield abs(measured - predicted) / max(abs(predicted), 1e-12)
     return _check("switch_relative_phase", 1e-8,
-                  "arg<reverse|forward> vs (g1^2-g2^2)/(2k(N+1)zbar)", errors)
+                  f"arg<reverse|forward> vs (g1^2-g2^2)/(2k(N+1)zbar) over {seeds} seeds",
+                  lambda: (abs(measured - predicted) / max(abs(predicted), 1e-12)
+                           for _, measured, predicted in walks()))
 
 
 def _fisher_instances(rng: np.random.Generator, num_points: int):
@@ -299,11 +298,12 @@ def check_tabletop_fit() -> list[CheckResult]:
 def run_all_checks(num_points: int = 1 << 14, seeds: int = 20,
                    instances: int = 10) -> list[CheckResult]:
     """The full oracle suite, each check at its own tolerance."""
+    walks = functools.cache(functools.partial(_walk_readings, seeds, num_points))
     return [
-        check_bch_fidelity(seeds, num_points),
-        check_composite_phase(min(seeds, 10), num_points),
+        check_bch_fidelity(seeds, walks),
+        check_composite_phase(seeds, walks),
         check_g_identities(),
-        check_switch_phase(num_points),
+        check_switch_phase(seeds, walks),
         *(check_qfim_mode(mode, instances, min(num_points, 1 << 13))
           for mode in QFIM_CLOSED_FORMS),
         check_probe_alone_identity(),

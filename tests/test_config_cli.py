@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import functools
 import io
 import itertools
 import json
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 import yaml
 
-from cyclesense import (ConfigError, DomainError, NoiseModel, RunConfig,
-                        SensorDriveModel, TABLETOP_PRECISION_TABLE, WaveFunction,
-                        end_to_end_sweep, traverse_sequence, voltage_to_beam_tilt)
+from cyclesense import (ConfigError, DomainError, GridOverflowError, NoiseModel,
+                        RunConfig, SensorDriveModel, TABLETOP_PRECISION_TABLE,
+                        WaveFunction, end_to_end_sweep, traverse_sequence,
+                        voltage_to_beam_tilt)
 from cyclesense import cli, config, oracle, pipeline, wva
 from cyclesense.cli import _write_csv, _write_json, main
 from cyclesense.config import MAX_GRID_BYTES, MAX_SENSORS, MAX_SYNTHETIC_SAMPLES
@@ -21,6 +23,10 @@ from cyclesense.config import MAX_GRID_BYTES, MAX_SENSORS, MAX_SYNTHETIC_SAMPLES
 QCRB = ["qcrb-sweep"]
 SYNTHETIC = ["reproduce-experiment", "--source", "synthetic"]
 WVA_SIM = ["wva-sim", "--n", "3"]
+#: the walk readings of one traversal instance at 2^10 points, uncached
+ONE_WALK = functools.partial(oracle._walk_readings, 1, 1 << 10)
+TRAVERSAL_CHECKS = ("bch_traversal_fidelity", "composite_exact_phase",
+                    "switch_relative_phase")
 
 
 class TestRunConfig:
@@ -621,7 +627,7 @@ class TestOracleVerifyCommand:
     def test_bch_check_reports_deficits_of_either_sign(self, monkeypatch, deficit):
         # rounding can put the fidelity on either side of 1
         monkeypatch.setattr(oracle, "fidelity", lambda a, b: 1.0 - deficit)
-        result = oracle.check_bch_fidelity(seeds=1, num_points=1 << 10)
+        result = oracle.check_bch_fidelity(1, ONE_WALK)
         assert result.passed
         assert result.oracle == pytest.approx(1e-11, rel=1e-3, abs=0)
 
@@ -669,10 +675,34 @@ class TestOracleVerifyCommand:
             return WaveFunction(chi.grid, np.full_like(chi.amplitudes, np.nan),
                                 chi.representation)
         monkeypatch.setattr(oracle, "composite_apply", nan_composite)
-        for result in (oracle.check_composite_phase(1, 1 << 10),
-                       oracle.check_bch_fidelity(1, 1 << 10)):
+        monkeypatch.setattr(oracle, "overlap", lambda a, b: complex(math.nan, math.nan))
+        for result in (oracle.check_composite_phase(1, ONE_WALK),
+                       oracle.check_bch_fidelity(1, ONE_WALK),
+                       oracle.check_switch_phase(1, ONE_WALK)):
             assert not result.passed
             assert result.rel_error is None and result.note
+
+    def test_traversal_checks_share_one_walk_per_instance(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return traverse_sequence(*args, **kwargs)
+        monkeypatch.setattr(oracle, "traverse_sequence", counted)
+        results = oracle.run_all_checks(1 << 10, 3, 1)
+        assert len(calls) == 3
+        assert all(r.passed for r in results if r.name in TRAVERSAL_CHECKS)
+
+        # a walk that raises is not cached: each check reports it by name
+        def overflowing(*args, **kwargs):
+            raise GridOverflowError("walk left the grid")
+        monkeypatch.setattr(oracle, "traverse_sequence", overflowing)
+        results = {r.name: r for r in oracle.run_all_checks(1 << 10, 3, 1)}
+        for name in TRAVERSAL_CHECKS:
+            r = results[name]
+            assert not r.passed
+            assert (r.analytic, r.oracle, r.rel_error) == (None, None, None)
+            assert r.note.startswith("GridOverflowError: walk left the grid")
 
 
 def _glibc_mallopt() -> bool:

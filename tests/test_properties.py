@@ -1,7 +1,7 @@
 """Property tests of the closed forms over generated moments and networks,
 of the grid operators over generated Gaussians, and of the readout formulas
-over finite floats of the whole range; a table of the other public callables
-at the edges of their domains.
+and g_params over finite floats of the whole range; a table of the other
+public callables at the edges of their domains.
 
 Derandomized, so every run draws the same examples; the seed-loop tests in
 test_fisher.py and test_network.py and the oracle-verify checks stay as
@@ -155,6 +155,14 @@ def readout(draw):
     return ReadoutModel(draw(POSITIVE), draw(POSITIVE), draw(POSITIVE), draw(POSITIVE))
 
 
+def kicked_network(draw):
+    """Legs from zero through subnormal to huge, kicks over all finite floats."""
+    n = draw(st.integers(1, 8))
+    return (NetworkGeometry(tuple(draw(st.lists(NON_NEGATIVE, min_size=n + 1,
+                                                max_size=n + 1)))),
+            KickVector(tuple(draw(st.lists(FINITE, min_size=n, max_size=n)))))
+
+
 #: each call draws every float it reads: records are built from their own
 #: domains, and the callable's own float arguments range over all of FINITE
 BOUNDARY_CALLS = {
@@ -171,6 +179,7 @@ BOUNDARY_CALLS = {
         d(FINITE), SensorDriveModel(d(POSITIVE), d(POSITIVE), d(POSITIVE))),
     "waveplate_compensation": lambda d: waveplate_compensation(d(FINITE)),
     "momentum_readout": lambda d: momentum_readout(DETECTED, readout(d), d(FINITE)),
+    "g_params": lambda d: astuple(g_params(*kicked_network(d))),
 }
 
 
@@ -210,6 +219,14 @@ def projection(n=3, z_bar=1.0, q=((1.0, 0.0), (0.0, 1.0))):
 def kick_sums(kick=0.1, leg=1.0, kicks=None, legs=None):
     return astuple(g_params(NetworkGeometry(legs or (leg, 1.0), wave_number=1.0),
                             KickVector(kicks or (kick,))))
+
+
+def kick_sums_over_long_legs(kick=0.1):
+    return kick_sums(kick, legs=(1e300, 1e300))
+
+
+def two_kick_sums(kicks=(0.1, 0.1)):
+    return kick_sums(kicks=kicks, legs=(1.0, 1.0, 1.0))
 
 
 def probe_grid(total_path=1.0, num_points=1 << 10, padding=8.0):
@@ -252,7 +269,11 @@ DOMAINS = [
      DomainError, ()),
     (projection, "q", (((0.0, 0.0), (0.0, 0.0)), ((-1.0, 0.0), (0.0, -1.0))),
      EstimabilityError, (((1.0, 1.0), (1.0, 1.0)),)),
-    (kick_sums, "kick", NOT_FINITE, DomainError, (0.0, -0.1)),
+    # xi = z kick^2 overflows at 1e200, g = z kick at 1e10 over 1e300 legs,
+    # and the partial sum of the two kicks 1.7e308
+    (kick_sums, "kick", NOT_FINITE + (1e200,), DomainError, (0.0, -0.1, 1e150)),
+    (kick_sums_over_long_legs, "kick", (1e10,), DomainError, (0.1, -1.0)),
+    (two_kick_sums, "kicks", ((1.7e308, 1.7e308),), DomainError, ((1e150, -1e150),)),
     (kick_sums, "leg", NOT_FINITE + (-1.0,), DomainError, (0.0,)),
     (kick_sums, "legs", ((0.0, 0.0),), DomainError, ()),
     (kick_sums, "kicks", ((0.1, 0.1),), DomainError, ()),
