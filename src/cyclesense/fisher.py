@@ -241,8 +241,9 @@ def qcrb_global(q: np.ndarray, n_sensors: int, z_bar: float) -> float:
     the oracle of the closed-form bounds.  Eigenvalues at or below RANK_TOL
     times the largest are dropped.  Nothing kept, or a Jacobian component
     along the null space, raises EstimabilityError; an overflowed entry, a
-    sensor count below 1, or a spacing that is not positive and finite
-    raises DomainError.  The projection is elementwise, not a BLAS product.
+    sensor count below 1, a spacing that is not positive and finite, or a
+    bound that over- or underflows raises DomainError.  The projection is
+    elementwise, not a BLAS product.
     """
     if np.shape(q) != (2, 2):
         raise DomainError(f"expected a 2x2 information matrix, got shape {np.shape(q)}")
@@ -266,8 +267,12 @@ def qcrb_global(q: np.ndarray, n_sensors: int, z_bar: float) -> float:
         raise EstimabilityError(
             "average kick is not estimable: Jacobian leaves the row space "
             "of the singular information matrix")
-    terms = np.divide(proj**2, evals, out=np.zeros_like(proj), where=keep)
-    return float(terms[0] + terms[1])
+    with np.errstate(over="ignore", under="ignore"):     # what leaves the range fails below
+        terms = np.divide(proj**2, evals, out=np.zeros_like(proj), where=keep)
+        bound = float(terms[0] + terms[1])
+    if not 0 < bound < math.inf:
+        raise DomainError(f"bound {bound:g} at N = {n_sensors} is not positive and finite")
+    return bound
 
 
 # -- finite-difference oracle ----------------------------------------------------

@@ -329,12 +329,19 @@ def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: Switch
         xi = (g1**2 - g2**2) / (2.0 * span)
         comp = CompositeEvolution(g1, g2, xi, -xi)
         fwd = composite_apply(psi, geom, comp, "forward")
-        if mode == SwitchMode.SEQUENTIAL:
-            return JointState(fwd, None, (1.0, 0.0), False)
-        rev = composite_apply(psi, geom, comp, "reverse")
-        if mode in (SwitchMode.QUANTUM_SWITCH, SwitchMode.CLASSICAL_SWITCH):
-            return JointState(fwd, rev, BALANCED_WEIGHTS,
-                              mode == SwitchMode.QUANTUM_SWITCH)
-        raise DomainError(f"no state family for mode {mode}")
+        rev = (None if mode == SwitchMode.SEQUENTIAL
+               else composite_apply(psi, geom, comp, "reverse"))
+        return _joint_state(mode, fwd, rev)
 
     return build
+
+
+def _joint_state(mode: SwitchMode, fwd: WaveFunction, rev: WaveFunction | None) -> JointState:
+    """The one SwitchMode -> JointState dispatch: how the ancilla labels the
+    forward and reverse branches.  The fixed order keeps the forward branch
+    only, so rev may be None there."""
+    if mode == SwitchMode.SEQUENTIAL:
+        return JointState(fwd, None, (1.0, 0.0), False)
+    if mode in (SwitchMode.QUANTUM_SWITCH, SwitchMode.CLASSICAL_SWITCH):
+        return JointState(fwd, rev, BALANCED_WEIGHTS, mode == SwitchMode.QUANTUM_SWITCH)
+    raise DomainError(f"no state family for mode {mode}")

@@ -13,10 +13,11 @@ import pytest
 import yaml
 
 from cyclesense import (ConfigError, DomainError, GridOverflowError, NoiseModel,
-                        RunConfig, SensorDriveModel, TABLETOP_PRECISION_TABLE,
-                        WaveFunction, end_to_end_sweep, traverse_sequence,
+                        RunConfig, SensorDriveModel, SwitchMode,
+                        TABLETOP_PRECISION_TABLE, WaveFunction, end_to_end_sweep,
+                        qfim_numerical, switched_state_family, traverse_sequence,
                         voltage_to_beam_tilt)
-from cyclesense import cli, config, oracle, pipeline, wva
+from cyclesense import cli, config, network, oracle, pipeline, wva
 from cyclesense.cli import _write_csv, _write_json, main
 from cyclesense.config import MAX_GRID_BYTES, MAX_SENSORS, MAX_SYNTHETIC_SAMPLES
 
@@ -27,6 +28,8 @@ WVA_SIM = ["wva-sim", "--n", "3"]
 ONE_WALK = functools.partial(oracle._walk_readings, 1, 1 << 10)
 TRAVERSAL_CHECKS = ("bch_traversal_fidelity", "composite_exact_phase",
                     "switch_relative_phase")
+QFIM_CHECKS = {mode: f"qfim_{mode.value}_vs_finite_difference"
+               for mode in oracle.QFIM_CLOSED_FORMS}
 
 
 class TestRunConfig:
@@ -703,6 +706,61 @@ class TestOracleVerifyCommand:
             assert not r.passed
             assert (r.analytic, r.oracle, r.rel_error) == (None, None, None)
             assert r.note.startswith("GridOverflowError: walk left the grid")
+
+    def test_qfim_checks_share_one_stencil_per_instance(self, monkeypatch):
+        # 9 builds per instance serve all three modes, not 9 per mode
+        calls = []
+
+        def counted(psi, geom, mode):
+            build = switched_state_family(psi, geom, mode)
+            return lambda g1, g2: calls.append(mode) or build(g1, g2)
+        monkeypatch.setattr(oracle, "switched_state_family", counted)
+        results = oracle.run_all_checks(1 << 10, 1, 2)
+        assert calls == [SwitchMode.QUANTUM_SWITCH] * 18
+        assert all(r.passed for r in results if r.name in QFIM_CHECKS.values())
+
+    def test_shared_stencil_reproduces_each_mode_family(self):
+        for seed in (5000, 5001):
+            geom, psi, g1, g2 = oracle._fisher_instances(np.random.default_rng(seed),
+                                                         1 << 10)
+            stencil = functools.cache(switched_state_family(
+                psi, geom, SwitchMode.QUANTUM_SWITCH))
+            for mode in QFIM_CHECKS:
+                shared = qfim_numerical(functools.partial(oracle._relabeled, mode,
+                                                          stencil), (g1, g2), step=1e-4)
+                own = qfim_numerical(switched_state_family(psi, geom, mode),
+                                     (g1, g2), step=1e-4)
+                assert np.array_equal(shared, own), mode
+
+    def test_a_mode_that_raises_nulls_only_its_own_entry(self, monkeypatch):
+        def no_closed_form(gm):
+            raise DomainError("no closed form")
+        monkeypatch.setitem(oracle.QFIM_CLOSED_FORMS, SwitchMode.CLASSICAL_SWITCH,
+                            no_closed_form)
+        results = {r.name: r for r in oracle.run_all_checks(1 << 10, 1, 2)}
+        for mode, name in QFIM_CHECKS.items():
+            r = results[name]
+            if mode == SwitchMode.CLASSICAL_SWITCH:
+                assert not r.passed
+                assert (r.analytic, r.oracle, r.rel_error) == (None, None, None)
+                assert r.note == "DomainError: no closed form"
+            else:
+                assert r.passed and r.rel_error is not None
+
+    def test_a_stencil_that_raises_is_not_cached_and_nulls_every_mode(self, monkeypatch):
+        calls = []
+
+        def overflowing(*args):
+            calls.append(args)
+            raise GridOverflowError("stencil left the grid")
+        monkeypatch.setattr(network, "composite_apply", overflowing)
+        results = {r.name: r for r in oracle.run_all_checks(1 << 10, 1, 2)}
+        assert len(calls) == 6          # each mode tries each instance's build once
+        for name in QFIM_CHECKS.values():
+            r = results[name]
+            assert not r.passed
+            assert (r.analytic, r.oracle, r.rel_error) == (None, None, None)
+            assert r.note == "GridOverflowError: stencil left the grid"
 
 
 def _glibc_mallopt() -> bool:

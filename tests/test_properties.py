@@ -1,7 +1,8 @@
 """Property tests of the closed forms over generated moments and networks,
-of the grid operators over generated Gaussians, and of the readout formulas
-and g_params over finite floats of the whole range; a table of the other
-public callables at the edges of their domains.
+of the grid operators over generated Gaussians, and of the readout formulas,
+g_params, qcrb_global and the bounds of GeneratorMoments over finite floats
+of the whole range; a table of the other public callables at the edges of
+their domains.
 
 Derandomized, so every run draws the same examples; the seed-loop tests in
 test_fisher.py and test_network.py and the oracle-verify checks stay as
@@ -163,6 +164,26 @@ def kicked_network(draw):
             KickVector(tuple(draw(st.lists(FINITE, min_size=n, max_size=n)))))
 
 
+def information_matrix(draw):
+    q12 = draw(FINITE)
+    return (draw(FINITE), q12), (q12, draw(FINITE))
+
+
+def projected_bounds(draw):
+    """The closed-form bounds of moments with |Cov| <= sqrt(Var X Var P), at
+    any k, from a subnormal to a huge zbar and any g: each mode's matrix
+    projected by qcrb_global, whose bound must be positive (its log finite),
+    and the probe-alone bound."""
+    var_x, var_p = draw(POSITIVE), draw(POSITIVE)
+    cov = draw(st.floats(-1.0, 1.0)) * math.sqrt(var_x) * math.sqrt(var_p)
+    n, z_bar = draw(st.integers(1, 10**6)), draw(POSITIVE)
+    gm = GeneratorMoments(var_x, var_p, cov, draw(FINITE), draw(POSITIVE), z_bar, n,
+                          draw(FINITE), draw(FINITE))
+    return [*(math.log(qcrb_global(form(gm), n, z_bar)) for form in (
+        qfim_sequential, qfim_quantum_switch, qfim_classical_switch)),
+        probe_alone_qfi_at_origin(gm)]
+
+
 #: each call draws every float it reads: records are built from their own
 #: domains, and the callable's own float arguments range over all of FINITE
 BOUNDARY_CALLS = {
@@ -180,18 +201,27 @@ BOUNDARY_CALLS = {
     "waveplate_compensation": lambda d: waveplate_compensation(d(FINITE)),
     "momentum_readout": lambda d: momentum_readout(DETECTED, readout(d), d(FINITE)),
     "g_params": lambda d: astuple(g_params(*kicked_network(d))),
+    "qcrb_global": lambda d: math.log(qcrb_global(
+        np.array(information_matrix(d)), d(st.integers(1, 300)), d(POSITIVE))),
+    "GeneratorMoments": projected_bounds,
 }
+
+
+#: the projections may also meet a singular matrix, which raises by name
+PROJECTIONS = {"qcrb_global", "GeneratorMoments"}
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_CALLS))
 @deterministic
 @given(data=st.data())
 def test_finite_floats_give_finite_values_or_fail_by_name(name, data):
-    """A finite input either gives finite values or raises DomainError, which
-    the CLI reports with exit code 3; never inf, NaN or another exception."""
+    """A finite input either gives finite values or raises DomainError (or,
+    for a projection, EstimabilityError), which the CLI reports with exit
+    code 3; never inf, NaN or another exception."""
+    named = (DomainError, EstimabilityError) if name in PROJECTIONS else DomainError
     try:
         out = BOUNDARY_CALLS[name](data.draw)
-    except DomainError:
+    except named:
         return
     assert np.isfinite(out).all(), out
 
@@ -263,8 +293,11 @@ DOMAINS = [
     (closed_forms, "g1", NOT_FINITE, DomainError, (0.0, -1.0)),
     (closed_forms, "g2", NOT_FINITE, DomainError, (0.0, -1.0)),
     (projection, "n", NOT_POSITIVE, DomainError, (1,)),
-    # the Jacobian weight 1/(N (N+1) zbar) over- and underflows at these
-    (projection, "z_bar", NOT_POSITIVE + (1e-320, 1e308), DomainError, ()),
+    # the Jacobian weight 1/(N (N+1) zbar) over- and underflows at 1e-320 and
+    # 1e308, the bound, of order its square, at 1e-200 and 1e200, and at
+    # 8e-156 only the sum of the bound's two finite terms overflows
+    (projection, "z_bar", NOT_POSITIVE + (1e-320, 1e308, 1e-200, 1e200, 8e-156),
+     DomainError, (1e-100, 1e100)),
     (projection, "q", (((NAN, 0.0), (0.0, 1.0)), ((INF, 0.0), (0.0, 1.0))),
      DomainError, ()),
     (projection, "q", (((0.0, 0.0), (0.0, 0.0)), ((-1.0, 0.0), (0.0, -1.0))),

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cyclesense import (DomainError, Grid, KickVector, Moments, NetworkGeometry,
+from cyclesense import (DomainError, GeneratorMoments, Grid, KickVector, Moments,
+                        NetworkGeometry,
                         NoiseModel, PolarizationState, PostSelection,
                         PostSelectionError, ProbeSpec, ReadoutModel, RegimeError,
                         first_order_momentum_shift,
                         half_wave_plate, make_gaussian, max_difference_up_to_phase,
                         min_detectable_tilt, moments, momentum_readout,
-                        qpd_signal, quarter_wave_plate, rotation_z,
+                        probe_alone_qfi_at_origin, qpd_signal, quarter_wave_plate, rotation_z,
                         sandwich_jones, snr_model, waveplate_compensation,
                         weak_value, wva_final_probe)
 LAB_WAVE_NUMBER = 2.0 * math.pi / 780e-9
@@ -206,6 +207,66 @@ class TestMinDetectableTilt:
         r10 = min_detectable_tilt(g10, 1.0, ps)[0]
         r20 = min_detectable_tilt(g20, 1.0, ps)[0]
         assert r10 / r20 == pytest.approx(420.0 / 110.0, rel=1e-12)
+
+
+class TestReadoutAgainstBound:
+    """No readout beats the quantum Cramer-Rao bound of its own input state.
+
+    Take the probe after the lead-in z_in (waist w0, Delta P, so Var X =
+    w0^2/4 + (z_in/k)^2 Var P and Cov = (z_in/k) Var P) and the in-network
+    length S = (N+1) zbar + 2 z_in.  The threshold min_detectable_tilt is
+    theta_min = k eps / (zbar Delta P [N^2 + (1 + 2 z_in/zbar) N])
+              = k eps / (Delta P N S).
+    A fraction sin^2 eps of the photons is post-selected, so per input photon
+    the readout resolves theta_min / |sin eps|.  The bound it must not beat
+    is probe_alone_qfi_at_origin, which both switched bounds equal at g = 0:
+    1 / (N^2 (N+1)^2 zbar^2 Var H0), H0 = P/k + 2X/((N+1) zbar).  With the
+    moments above, (N+1)^2 zbar^2 Var H0 = Var P S^2 / k^2 + w0^2, so
+        R = (theta_min / |sin eps|) / sqrt(bound)
+          = (eps / sin eps) sqrt(1 + (k w0 / (Delta P S))^2),
+    which is at least eps / sin eps > 1 and tends to it as N or z_in grows.
+    Both sides scale as 1/N^2 at large N.
+
+    Caveat: the readout's reverse arm is parity-sandwiched, and the bound
+    families do not model that arm.  The derivation relates the two closed
+    forms, not the QFI of the sandwiched state, so for that arm R >= eps /
+    sin eps is an observed invariant of the closed forms, not a theorem.
+    """
+
+    N_VALUES = (1, 2, 5, 20, 200, 2000, 100000)
+
+    @staticmethod
+    def ratio(waist, ps, n, z_in):
+        spec = ProbeSpec(waist, LAB_WAVE_NUMBER)
+        geom = NetworkGeometry.uniform(n, 0.2, lead_in=z_in, wave_number=LAB_WAVE_NUMBER)
+        m = Moments(0.0, 0.0, spec.delta_x**2, spec.delta_p**2, 0.0).propagated(
+            z_in / LAB_WAVE_NUMBER)
+        bound = probe_alone_qfi_at_origin(GeneratorMoments.from_moments(
+            m, LAB_WAVE_NUMBER, geom.z_bar, n))
+        theta_min = min_detectable_tilt(geom, spec.delta_p, ps)[0]
+        return theta_min / abs(math.sin(ps.epsilon)) / math.sqrt(bound)
+
+    @pytest.mark.parametrize("gain", [0.3, 1.0, 7.0, 100.0])
+    @pytest.mark.parametrize("waist", [2e-3, 5e-4])
+    def test_ratio_is_the_derived_closed_form_above_its_limit(self, waist, gain):
+        ps = PostSelection.from_weak_value_magnitude(gain)
+        limit = ps.epsilon / math.sin(ps.epsilon)
+        k_w0_dp = LAB_WAVE_NUMBER * waist**2            # k w0 / Delta P, Delta P = 1/w0
+        for z_in in (0.0, 0.325, 1e4):
+            ratios = [self.ratio(waist, ps, n, z_in) for n in self.N_VALUES]
+            for n, r in zip(self.N_VALUES, ratios):
+                span = (n + 1) * 0.2 + 2.0 * z_in
+                assert r == pytest.approx(limit * math.sqrt(1.0 + (k_w0_dp / span)**2),
+                                          rel=1e-12, abs=0)
+                assert r > limit
+            assert ratios == sorted(ratios, reverse=True)    # falls towards the limit
+            assert ratios[-1] / limit - 1.0 < 1e-5           # and reaches it at large N
+
+    def test_lab_default_values(self):
+        # z_in = 0.325 m, |A_w| = 7: far above the bound at N = 1, near it at N = 200
+        ps = PostSelection.from_weak_value_magnitude(7.0)
+        assert [round(self.ratio(2e-3, ps, n, 0.325), 1) for n in (1, 9, 200)] == [
+            30.8, 12.2, 1.3]
 
 
 class TestQpdSignal:
