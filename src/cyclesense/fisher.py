@@ -45,31 +45,36 @@ class SwitchMode(Enum):
 
 @dataclass(frozen=True)
 class JointState:
-    """Probe-ancilla state as a weighted branch pair.
+    """Probe-ancilla state of one query strategy over a branch pair.
 
-    branch_plus / branch_minus are the forward- and reverse-order probe
-    states (each normalized, with any dynamic phase folded into the
-    amplitudes).  weights are the ancilla populations.  coherent marks the
-    control-qubit superposition sum_i sqrt(w_i) |branch_i>|i>; otherwise the
-    state is the labeled mixture.  The ancilla label survives to the
-    measurement, so the branches of a mixture stay orthogonal.
+    branch_plus / branch_minus are the normalized forward- and reverse-order
+    probe states, dynamic phases included.  The fixed order keeps the
+    forward branch and drops a reverse one; the quantum switch is the
+    balanced control-qubit superposition, the classical switch the balanced
+    labeled mixture, whose label keeps the branches orthogonal.  A switch
+    without a reverse branch, or the probe alone, raises DomainError.
     """
 
+    mode: SwitchMode
     branch_plus: WaveFunction
     branch_minus: Optional[WaveFunction]
-    weights: tuple[float, float]
-    coherent: bool
 
     def __post_init__(self):
-        w0, w1 = self.weights
-        if not (w0 >= 0 and w1 >= 0 and abs(w0 + w1 - 1.0) <= 1e-9):  # NaN fails too
-            raise DomainError(f"branch weights must be a distribution, got {self.weights}")
-        if self.branch_minus is None and w1 != 0.0:
-            raise DomainError("missing reverse branch with nonzero weight")
+        if self.mode == SwitchMode.SEQUENTIAL:
+            object.__setattr__(self, "branch_minus", None)
+        elif self.mode == SwitchMode.PROBE_ALONE:
+            raise DomainError("the probe alone has no joint state")
+        elif self.branch_minus is None:
+            raise DomainError(f"{self.mode.value} needs a reverse branch")
 
     @property
     def is_pure(self) -> bool:
-        return self.coherent or 0.0 in self.weights
+        return self.mode != SwitchMode.CLASSICAL_SWITCH
+
+    @property
+    def weights(self) -> tuple[float, float]:
+        """Ancilla populations of (branch_plus, branch_minus)."""
+        return (1.0, 0.0) if self.mode == SwitchMode.SEQUENTIAL else (0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,9 @@ class GeneratorMoments:
         if not det > 0:                                     # NaN fails too
             raise DomainError(f"Var X Var P - Cov^2 = {det:g} is not positive: "
                               f"no state has these moments")
+        if not det < math.inf:
+            raise DomainError(f"Var X Var P - Cov^2 overflows the float range at "
+                              f"Var X = {self.var_x:g}, Var P = {self.var_p:g}")
         if not (self.wave_number > 0 and self.z_bar > 0 and np.all(self.n_sensors >= 1)):
             raise DomainError("need positive wave number, spacing and sensor count")
         try:            # every N's closed-form terms and span^2 must stay in range
@@ -239,11 +247,12 @@ def qcrb_global(q: np.ndarray, n_sensors: int, z_bar: float) -> float:
 
     G Q^-1 G^T with G = [w, w], w = 1/(N(N+1)zbar), by eigendecomposition:
     the oracle of the closed-form bounds.  Eigenvalues at or below RANK_TOL
-    times the largest are dropped.  Nothing kept, or a Jacobian component
-    along the null space, raises EstimabilityError; an overflowed entry, a
-    sensor count below 1, a spacing that is not positive and finite, or a
-    bound that over- or underflows raises DomainError.  The projection is
-    elementwise, not a BLAS product.
+    times the largest in magnitude are dropped.  Nothing kept, or a Jacobian
+    component along the null space, raises EstimabilityError; an overflowed
+    entry, an eigenvalue below -RANK_TOL times the largest (no information
+    matrix has one), a sensor count below 1, a spacing that is not positive
+    and finite, or a bound that over- or underflows raises DomainError.
+    The projection is elementwise, not a BLAS product.
     """
     if np.shape(q) != (2, 2):
         raise DomainError(f"expected a 2x2 information matrix, got shape {np.shape(q)}")
@@ -258,7 +267,11 @@ def qcrb_global(q: np.ndarray, n_sensors: int, z_bar: float) -> float:
         raise DomainError(f"information matrix entries overflow the float range "
                           f"at N = {n_sensors}")
     evals, evecs = np.linalg.eigh(q)
-    keep = evals > RANK_TOL * max(np.abs(evals).max(), 1e-300)
+    tol = RANK_TOL * max(np.abs(evals).max(), 1e-300)
+    if evals[0] < -tol:                                     # eigh sorts ascending
+        raise DomainError(f"information matrix has the negative eigenvalue "
+                          f"{evals[0]:g}; it is not positive semidefinite")
+    keep = evals > tol
     if not keep.any():
         raise EstimabilityError("information matrix is zero; nothing is estimable")
     proj = w * evecs[0] + w * evecs[1]
@@ -300,7 +313,7 @@ def _qfim_fd(builder: StateBuilder, at: tuple[float, float],
     g1, g2 = at
     rep = center.branch_plus.representation
     weight = center.branch_plus._weight
-    # branches of weight 0 (a missing reverse branch among them) drop out
+    # a branch of weight 0, the fixed order's missing reverse branch, drops out
     used = [(w, pick) for w, pick in zip(center.weights,
                                          ("branch_plus", "branch_minus")) if w != 0.0]
 

@@ -7,9 +7,9 @@ repeated use of the displacement algebra) to a propagation over the total
 length, one momentum-generated shift, one position-generated kick and a
 scalar dynamic phase.  The distance-weighted kick sums g1 (forward order)
 and g2 (reverse order) parameterize that reduced form.  composite_apply
-applies it as plain grid phases and ends in momentum space, where the
-reduced evolution ends; switched_state_family builds the fixed-order,
-quantum-switch and labeled classical-switch states from it.
+applies it in both orders as plain grid phases and ends in momentum space,
+where the reduced evolution ends; switched_state_family labels its pair as
+the fixed-order, quantum-switch or classical-switch state.
 traverse_sequence applies the raw operator product in both orders and
 serves as the brute-force oracle for both.
 """
@@ -30,9 +30,6 @@ from .grid import (MOMENTUM, Moments, WaveFunction, guard_windows,
 #: default wavelength of the tabletop rig (m) and its wave number (1/m).
 DEFAULT_WAVELENGTH = 780e-9
 DEFAULT_WAVE_NUMBER = 2.0 * math.pi / DEFAULT_WAVELENGTH
-
-#: ancilla populations of the balanced control (both orders equally likely).
-BALANCED_WEIGHTS = (0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -289,28 +286,25 @@ def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVecto
     return psi.to_position().rows()
 
 
-def composite_apply(psi: WaveFunction, geom: NetworkGeometry, comp: CompositeEvolution,
-                    direction: str = "forward") -> WaveFunction:
-    """Apply the reduced traversal as three grid phases plus a scalar phase.
+def composite_apply(psi: WaveFunction, geom: NetworkGeometry, comp: CompositeEvolution
+                    ) -> tuple[WaveFunction, WaveFunction]:
+    """Apply the reduced traversal in both orders, returned as (forward, reverse).
 
-    The scalar factor exp(-i xi/2k), with xi = xi1 forward and xi2 reverse,
-    makes the result equal the raw operator product including its global
-    phase.  The result is in momentum space, where the reduced evolution ends.
+    Both orders share the kick (g1 + g2)/span and its transform to momentum
+    space; each then takes its own shift g/k (g1 forward, g2 reverse), the
+    propagation over the span and the scalar exp(-i xi/2k) (xi1, xi2), which
+    makes it equal the raw operator product including its global phase.
+    The results are in momentum space, where the reduced evolution ends.
     """
-    if direction not in ("forward", "reverse"):
-        raise DomainError(f"unknown direction {direction!r}")
     k = geom.wave_number
-    n_legs = geom.n_sensors + 1
-    span = n_legs * geom.z_bar
-    g_shift = comp.g1 if direction == "forward" else comp.g2
-
-    psi = apply_kick(psi, (comp.g1 + comp.g2) / span)
-    psi = apply_shift(psi, g_shift / k)
-    psi = apply_propagation(psi, span, k)
-
-    xi = comp.xi1 if direction == "forward" else comp.xi2
-    scalar = np.exp(-1j * xi / (2.0 * k))
-    return WaveFunction._adopt(psi.grid, scalar * psi.amplitudes, MOMENTUM)
+    span = (geom.n_sensors + 1) * geom.z_bar
+    kicked = apply_kick(psi, (comp.g1 + comp.g2) / span).to_momentum()
+    branches = []
+    for g, xi in ((comp.g1, comp.xi1), (comp.g2, comp.xi2)):
+        out = apply_propagation(apply_shift(kicked, g / k), span, k)
+        scalar = np.exp(-1j * xi / (2.0 * k))
+        branches.append(WaveFunction._adopt(out.grid, scalar * out.amplitudes, MOMENTUM))
+    return tuple(branches)
 
 
 def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: SwitchMode):
@@ -320,28 +314,16 @@ def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: Switch
     parameterized directly by the shift weights, with the branch dynamic
     phases exp(-i xi/2k) of the exact composite in the gauge xi1 = -xi2 =
     (g1^2 - g2^2)/(2 (N+1) zbar), so its derivatives probe exactly the
-    closed forms.  Every branch a builder makes is differentiated.
-    Branches come in momentum space, where the reduced evolution ends.
+    closed forms.  Every build makes the (forward, reverse) pair with one
+    transform; the fixed order drops the reverse branch, which costs a shift
+    mask and three products but no transform.  Branches come in momentum
+    space, where the reduced evolution ends.
     """
     span = (geom.n_sensors + 1) * geom.z_bar
 
     def build(g1: float, g2: float) -> JointState:
         xi = (g1**2 - g2**2) / (2.0 * span)
         comp = CompositeEvolution(g1, g2, xi, -xi)
-        fwd = composite_apply(psi, geom, comp, "forward")
-        rev = (None if mode == SwitchMode.SEQUENTIAL
-               else composite_apply(psi, geom, comp, "reverse"))
-        return _joint_state(mode, fwd, rev)
+        return JointState(mode, *composite_apply(psi, geom, comp))
 
     return build
-
-
-def _joint_state(mode: SwitchMode, fwd: WaveFunction, rev: WaveFunction | None) -> JointState:
-    """The one SwitchMode -> JointState dispatch: how the ancilla labels the
-    forward and reverse branches.  The fixed order keeps the forward branch
-    only, so rev may be None there."""
-    if mode == SwitchMode.SEQUENTIAL:
-        return JointState(fwd, None, (1.0, 0.0), False)
-    if mode in (SwitchMode.QUANTUM_SWITCH, SwitchMode.CLASSICAL_SWITCH):
-        return JointState(fwd, rev, BALANCED_WEIGHTS, mode == SwitchMode.QUANTUM_SWITCH)
-    raise DomainError(f"no state family for mode {mode}")

@@ -20,12 +20,11 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .fisher import (QFIM_CLOSED_FORMS, GeneratorMoments, SwitchMode,
+from .fisher import (QFIM_CLOSED_FORMS, GeneratorMoments, JointState, SwitchMode,
                      probe_alone_qfi_at_origin, qcrb_global, qfim_numerical)
 from .grid import Grid, ProbeSpec, fidelity, make_gaussian, moments, overlap
-from .network import (KickVector, NetworkGeometry, _joint_state, apply_propagation,
-                      composite_apply, g_params, switched_state_family,
-                      traverse_sequence)
+from .network import (KickVector, NetworkGeometry, apply_propagation, composite_apply,
+                      g_params, switched_state_family, traverse_sequence)
 from .pipeline import TABLETOP_PRECISION_TABLE, fit_scaling_law
 from .wva import (PostSelection, first_order_momentum_shift, min_detectable_tilt,
                   rotation_z, sandwich_jones, waveplate_compensation,
@@ -96,8 +95,7 @@ def _walk_readings(seeds: int, num_points: int) -> list[tuple]:
                                             num_points)
         comp = g_params(geom, kicks)
         fwd, rev = traverse_sequence(psi, geom, kicks)
-        reduced = (composite_apply(psi, geom, comp, direction).to_position()
-                   for direction in ("forward", "reverse"))
+        reduced = (r.to_position() for r in composite_apply(psi, geom, comp))
         orders = [(abs(1.0 - fidelity(b, r)), np.max(np.abs(b.amplitudes - r.amplitudes)))
                   for b, r in zip((fwd, rev), reduced)]
         span = (geom.n_sensors + 1) * geom.z_bar
@@ -165,7 +163,7 @@ def _fisher_instances(rng: np.random.Generator, num_points: int):
 def _relabeled(mode: SwitchMode, stencil: Callable, g1: float, g2: float):
     """The (forward, reverse) pair stencil builds at (g1, g2), labeled for mode."""
     pair = stencil(g1, g2)
-    return _joint_state(mode, pair.branch_plus, pair.branch_minus)
+    return JointState(mode, pair.branch_plus, pair.branch_minus)
 
 
 def _qfim_readings(instances: int, num_points: int) -> dict[SwitchMode, list]:

@@ -674,9 +674,9 @@ class TestOracleVerifyCommand:
         exact = oracle.composite_apply
 
         def nan_composite(*args, **kwargs):
-            chi = exact(*args, **kwargs)
-            return WaveFunction(chi.grid, np.full_like(chi.amplitudes, np.nan),
-                                chi.representation)
+            return tuple(WaveFunction(chi.grid, np.full_like(chi.amplitudes, np.nan),
+                                      chi.representation)
+                         for chi in exact(*args, **kwargs))
         monkeypatch.setattr(oracle, "composite_apply", nan_composite)
         monkeypatch.setattr(oracle, "overlap", lambda a, b: complex(math.nan, math.nan))
         for result in (oracle.check_composite_phase(1, ONE_WALK),

@@ -104,7 +104,7 @@ class TestNumericalOracle:
 
         def degenerate(a, b):
             s = family(a, b)
-            return JointState(s.branch_plus, None, (1.0, 0.0), False)
+            return JointState(SwitchMode.SEQUENTIAL, s.branch_plus, None)
 
         gm = GeneratorMoments.from_moments(moments(psi), 1.0, geom.z_bar,
                                            geom.n_sensors, g1, g2)
@@ -136,10 +136,9 @@ class TestNumericalOracle:
 
         def in_position(a, b):
             s = family(a, b)
-            return JointState(s.branch_plus.to_position(),
+            return JointState(s.mode, s.branch_plus.to_position(),
                               None if s.branch_minus is None
-                              else s.branch_minus.to_position(),
-                              s.weights, s.coherent)
+                              else s.branch_minus.to_position())
 
         def centre_in_position(a, b):
             return in_position(a, b) if (a, b) == (g1, g2) else family(a, b)
@@ -170,7 +169,7 @@ class TestNumericalOracle:
             amps = s.branch_plus.amplitudes.copy()
             amps[7] = math.nan
             branch = WaveFunction(psi.grid, amps, s.branch_plus.representation)
-            return JointState(branch, None, (1.0, 0.0), False)
+            return JointState(SwitchMode.SEQUENTIAL, branch, None)
 
         with pytest.raises(ConvergenceError, match="not finite"):
             qfim_numerical(poisoned, (g1, g2), step=1e-4)

@@ -240,7 +240,7 @@ class TestTraversal:
         geom, kicks, psi = random_instance(seed)
         comp = g_params(geom, kicks)
         brute = traverse_sequence(psi, geom, kicks)[ORDER[direction]]
-        reduced = composite_apply(psi, geom, comp, direction)
+        reduced = composite_apply(psi, geom, comp)[ORDER[direction]]
         assert fidelity(brute, reduced) >= 1.0 - 1e-12
         assert np.max(np.abs(brute.amplitudes
                              - reduced.to_position().amplitudes)) < 1e-12
@@ -281,13 +281,7 @@ class TestSwitchedBranches:
         assert fidelity(fwd, rev) == pytest.approx(1.0, abs=1e-12)
         st = switched_state_family(unit_probe, geom, SwitchMode.QUANTUM_SWITCH)(0.0, 0.0)
         assert fidelity(st.branch_plus, st.branch_minus) == pytest.approx(1.0, abs=1e-12)
-        assert st.coherent and st.is_pure
-
-    def test_invalid_direction_rejected(self, unit_probe):
-        geom = NetworkGeometry((1.0, 1.0), wave_number=1.0)
-        with pytest.raises(ValueError):
-            composite_apply(unit_probe, geom, g_params(geom, KickVector((0.1,))),
-                            "sideways")
+        assert st.mode == SwitchMode.QUANTUM_SWITCH and st.is_pure
 
     @pytest.mark.parametrize("seed", range(6))
     def test_relative_dynamic_phase(self, seed):
@@ -302,16 +296,27 @@ class TestSwitchedBranches:
 
 
 class TestJointStateValidation:
-    def test_weights_must_sum_to_one(self, unit_probe):
-        with pytest.raises(ValueError):
-            JointState(unit_probe, unit_probe, (0.6, 0.6), False)
+    def test_sequential_state_drops_its_reverse_branch(self, unit_probe):
+        st = JointState(SwitchMode.SEQUENTIAL, unit_probe, unit_probe)
+        assert st.branch_minus is None
+        assert st.is_pure and st.weights == (1.0, 0.0)
 
-    @pytest.mark.parametrize("weights", [
-        (math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan),
-    ], ids=["first-weight", "second-weight", "both-weights"])
-    def test_nan_weights_fail_by_name(self, unit_probe, weights):
-        with pytest.raises(DomainError, match="distribution"):
-            JointState(unit_probe, unit_probe, weights, False)
+    @pytest.mark.parametrize("mode", [SwitchMode.QUANTUM_SWITCH,
+                                      SwitchMode.CLASSICAL_SWITCH])
+    def test_switch_labels_both_branches_equally(self, unit_probe, mode):
+        st = JointState(mode, unit_probe, unit_probe)
+        assert st.branch_minus is unit_probe and st.weights == (0.5, 0.5)
+        assert st.is_pure == (mode == SwitchMode.QUANTUM_SWITCH)
+
+    @pytest.mark.parametrize("mode", [SwitchMode.QUANTUM_SWITCH,
+                                      SwitchMode.CLASSICAL_SWITCH])
+    def test_switch_without_reverse_branch_fails_by_name(self, unit_probe, mode):
+        with pytest.raises(DomainError, match="needs a reverse branch"):
+            JointState(mode, unit_probe, None)
+
+    def test_probe_alone_has_no_joint_state(self, unit_probe):
+        with pytest.raises(DomainError, match="probe alone"):
+            JointState(SwitchMode.PROBE_ALONE, unit_probe, unit_probe)
 
     def test_composite_evolution_is_plain_record(self):
         comp = CompositeEvolution(1.0, 2.0, 0.5, 0.25)

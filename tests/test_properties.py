@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclesense import (DomainError, EstimabilityError, FitError, GeneratorMoments,
-                        Grid, KickVector, NetworkGeometry, NoiseModel, PostSelection,
-                        ProbeSpec, ReadoutModel, SensorDriveModel, apply_kick,
+                        Grid, GridError, KickVector, NetworkGeometry, NoiseModel,
+                        PostSelection, ProbeSpec, ReadoutModel, SensorDriveModel, apply_kick,
                         apply_parity, apply_propagation, apply_shift,
                         first_order_momentum_shift, fit_scaling_law,
                         fit_snr_vs_voltage, g_params, make_gaussian,
@@ -172,8 +172,8 @@ def information_matrix(draw):
 def projected_bounds(draw):
     """The closed-form bounds of moments with |Cov| <= sqrt(Var X Var P), at
     any k, from a subnormal to a huge zbar and any g: each mode's matrix
-    projected by qcrb_global, whose bound must be positive (its log finite),
-    and the probe-alone bound."""
+    projected by qcrb_global, and the probe-alone bound; every bound must be
+    positive (its log finite)."""
     var_x, var_p = draw(POSITIVE), draw(POSITIVE)
     cov = draw(st.floats(-1.0, 1.0)) * math.sqrt(var_x) * math.sqrt(var_p)
     n, z_bar = draw(st.integers(1, 10**6)), draw(POSITIVE)
@@ -181,7 +181,30 @@ def projected_bounds(draw):
                           draw(FINITE), draw(FINITE))
     return [*(math.log(qcrb_global(form(gm), n, z_bar)) for form in (
         qfim_sequential, qfim_quantum_switch, qfim_classical_switch)),
-        probe_alone_qfi_at_origin(gm)]
+        math.log(probe_alone_qfi_at_origin(gm))]
+
+
+def paired_lists(draw, first, second):
+    """One to six pairs drawn from two strategies."""
+    size = draw(st.integers(1, 6))
+    return (draw(st.lists(first, min_size=size, max_size=size)),
+            draw(st.lists(second, min_size=size, max_size=size)))
+
+
+def scaling_points(draw):
+    """Sensor counts from 1 to huge, tilts from subnormal to huge."""
+    return list(zip(*paired_lists(draw, st.floats(1.0, allow_infinity=False),
+                                  POSITIVE)))
+
+
+def probe(draw):
+    return ProbeSpec(draw(POSITIVE), draw(POSITIVE), center_p=draw(FINITE))
+
+
+def probe_grid_spacings(draw):
+    grid = Grid.for_probe(probe(draw), draw(NON_NEGATIVE),
+                          1 << draw(st.integers(1, 20)), draw(POSITIVE))
+    return grid.dx, grid.dp
 
 
 #: each call draws every float it reads: records are built from their own
@@ -204,21 +227,32 @@ BOUNDARY_CALLS = {
     "qcrb_global": lambda d: math.log(qcrb_global(
         np.array(information_matrix(d)), d(st.integers(1, 300)), d(POSITIVE))),
     "GeneratorMoments": projected_bounds,
+    "fit_scaling_law": lambda d: astuple(fit_scaling_law(scaling_points(d))),
+    "Grid.for_probe": probe_grid_spacings,
+    "qcrb_comparison": lambda d: qcrb_comparison(
+        d(st.lists(st.integers(1, 10**9), min_size=1, max_size=4)), probe(d),
+        d(POSITIVE)),
+    "fit_snr_vs_voltage": lambda d: fit_snr_vs_voltage(
+        d(st.integers(1, 300)), *paired_lists(d, FINITE, NON_NEGATIVE)),
 }
 
 
-#: the projections may also meet a singular matrix, which raises by name
-PROJECTIONS = {"qcrb_global", "GeneratorMoments"}
+#: what each call may raise besides DomainError: the projections may also
+#: meet a singular matrix, the fits name their own failures, and a grid
+#: whose spacing leaves the float range raises GridError
+NAMED = {"qcrb_global": EstimabilityError, "GeneratorMoments": EstimabilityError,
+         "fit_scaling_law": FitError, "fit_snr_vs_voltage": FitError,
+         "Grid.for_probe": GridError}
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_CALLS))
 @deterministic
 @given(data=st.data())
 def test_finite_floats_give_finite_values_or_fail_by_name(name, data):
-    """A finite input either gives finite values or raises DomainError (or,
-    for a projection, EstimabilityError), which the CLI reports with exit
-    code 3; never inf, NaN or another exception."""
-    named = (DomainError, EstimabilityError) if name in PROJECTIONS else DomainError
+    """A finite input either gives finite values or raises DomainError (or
+    the error NAMED for it), which the CLI reports with exit code 3; never
+    inf, NaN or another exception."""
+    named = (DomainError, NAMED.get(name, DomainError))
     try:
         out = BOUNDARY_CALLS[name](data.draw)
     except named:
@@ -240,6 +274,14 @@ def closed_forms(**changed):
     return np.concatenate([np.ravel(form(gm)) for form in (
         qfim_sequential, qfim_quantum_switch, qfim_classical_switch,
         probe_alone_qfi_at_origin)])
+
+
+def huge_moments(var_x=1e150):
+    """Moments whose Var X Var P overflows at var_x = 7.3e307, where the
+    probe-alone bound 1/(N^2 ((N+1) zbar)^2 Var(H0)) once read 0."""
+    spread = 1.752627053957097e106
+    return closed_forms(var_x=var_x, var_p=spread, cov_xp=spread, mean_p=spread,
+                        wave_number=7186057869756545.0, z_bar=spread, n_sensors=100301)
 
 
 def projection(n=3, z_bar=1.0, q=((1.0, 0.0), (0.0, 1.0))):
@@ -292,15 +334,19 @@ DOMAINS = [
     (closed_forms, "n_sensors", NOT_POSITIVE, DomainError, (1,)),
     (closed_forms, "g1", NOT_FINITE, DomainError, (0.0, -1.0)),
     (closed_forms, "g2", NOT_FINITE, DomainError, (0.0, -1.0)),
+    (huge_moments, "var_x", (7.314629951103294e307,), DomainError, (1e201,)),
     (projection, "n", NOT_POSITIVE, DomainError, (1,)),
     # the Jacobian weight 1/(N (N+1) zbar) over- and underflows at 1e-320 and
     # 1e308, the bound, of order its square, at 1e-200 and 1e200, and at
     # 8e-156 only the sum of the bound's two finite terms overflows
     (projection, "z_bar", NOT_POSITIVE + (1e-320, 1e308, 1e-200, 1e200, 8e-156),
      DomainError, (1e-100, 1e100)),
-    (projection, "q", (((NAN, 0.0), (0.0, 1.0)), ((INF, 0.0), (0.0, 1.0))),
-     DomainError, ()),
-    (projection, "q", (((0.0, 0.0), (0.0, 0.0)), ((-1.0, 0.0), (0.0, -1.0))),
+    # a non-finite entry, or an eigenvalue of -1: no information matrix is
+    # indefinite or negative
+    (projection, "q", (((NAN, 0.0), (0.0, 1.0)), ((INF, 0.0), (0.0, 1.0)),
+                       ((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, -1.0)),
+                       ((-1.0, 0.0), (0.0, -1.0))), DomainError, ()),
+    (projection, "q", (((0.0, 0.0), (0.0, 0.0)),),
      EstimabilityError, (((1.0, 1.0), (1.0, 1.0)),)),
     # xi = z kick^2 overflows at 1e200, g = z kick at 1e10 over 1e300 legs,
     # and the partial sum of the two kicks 1.7e308

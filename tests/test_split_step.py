@@ -348,10 +348,29 @@ class TestPhaseMasks:
 
 
 class TestBranchFamilies:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_composite_pair_has_the_bits_of_its_steps(self, seed):
+        """Each order of composite_apply is the shared kick and transform, then
+        its own shift, the propagation over the span and its scalar phase."""
+        geom, kicks, psi = _random_instance(np.random.default_rng(seed), 1 << 12)
+        comp = network.g_params(geom, kicks)
+        g, k = psi.grid, geom.wave_number
+        span = (geom.n_sensors + 1) * geom.z_bar
+        kicked = np.fft.fft(psi.amplitudes * g.kick_mask((comp.g1 + comp.g2) / span))
+        kicked *= g.dx / math.sqrt(2.0 * math.pi)
+        pair = network.composite_apply(psi, geom, comp)
+        assert len(pair) == 2
+        for branch, shift, xi in zip(pair, (comp.g1, comp.g2), (comp.xi1, comp.xi2)):
+            mask = symmetric_phase(g.momenta, lambda p: -(shift / k) * p, odd=True)
+            moved = kicked * mask * g.propagation_mask(span, k)
+            ref = np.exp(-1j * xi / (2.0 * k)) * moved
+            assert branch.representation == MOMENTUM
+            assert np.array_equal(branch.amplitudes.view(np.uint64), ref.view(np.uint64))
+
     def test_one_centre_build_and_no_inverse_transforms(self, monkeypatch):
         """9 builds per matrix (centre, then 2 x 4 steps), each one forward FFT
-        per branch of the shifted state; differences stay in momentum space.
-        The classical mixture builds only the two branches it differentiates."""
+        of the kicked state that both branches of its pair share; differences
+        stay in momentum space.  Every mode pays the same transforms."""
         psi = make_gaussian(ProbeSpec(2.0, 1.0), Grid(1 << 10, 24.0))
         moments(psi)                          # measured once, before counting
         geom = NetworkGeometry.uniform(2, 1.0, wave_number=1.0)
@@ -366,33 +385,29 @@ class TestBranchFamilies:
         monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
         for mode, ffts in ((SwitchMode.SEQUENTIAL, 9),
-                           (SwitchMode.CLASSICAL_SWITCH, 18)):
+                           (SwitchMode.CLASSICAL_SWITCH, 9)):
             counts.update(builder=0, fft=0, ifft=0)
             build = switched_state_family(psi, geom, mode)
             qfim_numerical(counted("builder", build), (0.03, -0.05), step=1e-4)
             assert counts == {"builder": 9, "fft": ffts, "ifft": 0}, mode
 
-    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.2, 0.8)])
-    def test_labeled_mixture_is_the_weighted_branch_average(self, unit_probe,
-                                                            weights):
+    def test_labeled_mixture_is_the_weighted_branch_average(self, unit_probe):
         geom = NetworkGeometry.uniform(2, 1.0, wave_number=1.0)
         at = (0.03, -0.05)
         family = switched_state_family(unit_probe, geom, SwitchMode.QUANTUM_SWITCH)
 
         def mixture(a, b):
             s = family(a, b)
-            return JointState(s.branch_plus, s.branch_minus, weights, 0.0)
+            return JointState(SwitchMode.CLASSICAL_SWITCH, s.branch_plus, s.branch_minus)
 
         def only(pick):
             def build(a, b):
-                return JointState(getattr(family(a, b), pick), None, (1.0, 0.0), 0.0)
+                return JointState(SwitchMode.SEQUENTIAL, getattr(family(a, b), pick), None)
             return build
 
         mixed = qfim_numerical(mixture, at, step=1e-4)
-        average = (weights[0] * qfim_numerical(only("branch_plus"), at,
-                                               step=1e-4)
-                   + weights[1] * qfim_numerical(only("branch_minus"), at,
-                                                 step=1e-4))
+        average = (0.5 * qfim_numerical(only("branch_plus"), at, step=1e-4)
+                   + 0.5 * qfim_numerical(only("branch_minus"), at, step=1e-4))
         assert np.linalg.norm(mixed - average) / np.linalg.norm(average) < 1e-12
 
 

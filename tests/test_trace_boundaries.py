@@ -61,3 +61,24 @@ def test_every_workload_fires_its_expected_spans(tmp_path, monkeypatch):
         for cmd, rc in zip(wl.commands, rcs):
             outcome = cmd.check(cmd, rc)
             assert outcome.ok, (name, cmd.label, outcome.detail)
+
+
+def test_oracle_verify_builds_each_stencil_pair_once(tmp_path, monkeypatch):
+    """The smoke oracle-verify (2 walk and 2 Fisher instances) makes one
+    composite_apply call per walk instance and per build, 9 builds per
+    Fisher instance, and differentiates each built branch 1.5 times: the
+    fixed order takes one branch of a pair, the quantum switch both."""
+    tracing = load("tracing", monkeypatch)
+    workloads = load("workloads", monkeypatch)
+    wl = workloads.build("oracle_verify", 0, True, tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rcs = [cyclesense.cli.main(list(cmd.argv)) for cmd in wl.commands]
+    finally:
+        tracer.uninstall()
+    assert rcs == [0]
+    counters = tracer.summary()
+    assert counters["fisher.builder_calls"] == 18
+    assert counters["network.composite_apply.calls"] == 20
+    assert counters["fisher.branch_use_ratio"] == 1.5
