@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, EstimabilityError
-from .grid import POSITION, Moments, ProbeSpec, WaveFunction, _vdot
+from .grid import Moments, ProbeSpec, WaveFunction, _vdot
 
 #: eigenvalues below RANK_TOL * max(eigenvalue) are treated as zero.
 RANK_TOL = 1e-10
@@ -48,10 +48,10 @@ class JointState:
     """Probe-ancilla state of one query strategy over a branch pair.
 
     branch_plus / branch_minus are the normalized forward- and reverse-order
-    probe states, dynamic phases included.  The fixed order keeps the
-    forward branch and drops a reverse one; the quantum switch is the
-    balanced control-qubit superposition, the classical switch the balanced
-    labeled mixture, whose label keeps the branches orthogonal.  A switch
+    probe states, dynamic phases included, and branches pairs those kept with
+    their ancilla populations: the forward branch alone in the fixed order,
+    both at 1/2 in the quantum switch (a control-qubit superposition) and the
+    classical switch (a mixture whose label keeps them orthogonal).  A switch
     without a reverse branch, or the probe alone, raises DomainError.
     """
 
@@ -72,9 +72,11 @@ class JointState:
         return self.mode != SwitchMode.CLASSICAL_SWITCH
 
     @property
-    def weights(self) -> tuple[float, float]:
-        """Ancilla populations of (branch_plus, branch_minus)."""
-        return (1.0, 0.0) if self.mode == SwitchMode.SEQUENTIAL else (0.5, 0.5)
+    def branches(self) -> tuple[tuple[float, WaveFunction], ...]:
+        """(ancilla population, branch) of every branch the state holds."""
+        if self.mode == SwitchMode.SEQUENTIAL:
+            return ((1.0, self.branch_plus),)
+        return ((0.5, self.branch_plus), (0.5, self.branch_minus))
 
 
 @dataclass(frozen=True)
@@ -227,9 +229,15 @@ def probe_alone_qfi_at_origin(gm: GeneratorMoments) -> float | np.ndarray:
 
     1 / (N^2 (N+1)^2 zbar^2 Var(H0)) per sensor count of gm; at g = 0 also
     both switched bounds, 2 w^2 / (q11 + q12) of their equal-diagonal matrices.
+    A bound that is not positive and finite raises DomainError naming its N.
     """
     n, span = gm.n_sensors, gm.span
-    return 1.0 / (n * n * (span * span) * _var_h0(gm))
+    with np.errstate(all="ignore"):         # what leaves the range fails below
+        bound = 1.0 / (n * n * (span * span) * _var_h0(gm))
+    if not np.all((0 < bound) & (bound < math.inf)):        # NaN fails too
+        b, n_b = next((b, m) for b, m in np.broadcast(bound, n) if not 0 < b < math.inf)
+        raise DomainError(f"bound {b:g} at N = {n_b} is not positive and finite")
+    return bound
 
 
 def _qcrb_sequential(gm: GeneratorMoments) -> float | np.ndarray:
@@ -301,38 +309,28 @@ def _qfim_fd(builder: StateBuilder, at: tuple[float, float],
              h: float, center: JointState) -> np.ndarray:
     """Central-difference matrix at step h around center = builder(*at).
 
-    With branch projections p_ij = <psi_i|d_j psi_i>, a pure centre subtracts
-    the joint projection conj(sum_i w_i p_ij) * sum_i w_i p_il, and a labeled
-    mixture subtracts each branch's own, sum_i w_i conj(p_ij) p_il, which
-    makes its matrix the weight-average of the branch matrices.  Differences
-    and inner products are taken in the representation the centre's forward
-    branch comes in, with that representation's quadrature weight; a branch
-    built in the other one is transformed first.  By Parseval the matrix is
-    the same in either, to rounding.
+    With branch projections p_ij = <psi_i|d_j psi_i> over the (w_i, psi_i)
+    of JointState.branches, a pure centre subtracts the joint projection
+    conj(sum_i w_i p_ij) * sum_i w_i p_il, and a labeled mixture subtracts
+    each branch's own, sum_i w_i conj(p_ij) p_il, which makes its matrix the
+    weight-average of the branch matrices.  All of it is taken in momentum
+    space, where the reduced traversal ends, with weight dp; a position-space
+    branch is transformed first (by Parseval, the same matrix to rounding).
     """
     g1, g2 = at
-    rep = center.branch_plus.representation
-    weight = center.branch_plus._weight
-    # a branch of weight 0, the fixed order's missing reverse branch, drops out
-    used = [(w, pick) for w, pick in zip(center.weights,
-                                         ("branch_plus", "branch_minus")) if w != 0.0]
+    dp = center.branch_plus.grid.dp
 
     def amps(state: JointState) -> list[np.ndarray]:
-        out = []
-        for _, pick in used:
-            psi = getattr(state, pick)
-            out.append((psi.to_position() if rep == POSITION
-                        else psi.to_momentum()).amplitudes)
-        return out
+        return [psi.to_momentum().amplitudes for _, psi in state.branches]
 
-    def diff(plus: JointState, minus: JointState, h: float) -> list[np.ndarray]:
+    def diff(plus: JointState, minus: JointState) -> list[np.ndarray]:
         return [(a - b) / (2 * h) for a, b in zip(amps(plus), amps(minus))]
 
     def terms(a, b) -> list[complex]:
-        return [w * _vdot(x, y) * weight for (w, _), x, y in zip(used, a, b)]
+        return [w * _vdot(x, y) * dp for (w, _), x, y in zip(center.branches, a, b)]
 
-    ders = (diff(builder(g1 + h, g2), builder(g1 - h, g2), h),
-            diff(builder(g1, g2 + h), builder(g1, g2 - h), h))
+    ders = (diff(builder(g1 + h, g2), builder(g1 - h, g2)),
+            diff(builder(g1, g2 + h), builder(g1, g2 - h)))
     cen = amps(center)
     proj = [terms(cen, d) for d in ders]
     if center.is_pure:
@@ -341,7 +339,7 @@ def _qfim_fd(builder: StateBuilder, at: tuple[float, float],
     else:
         def projection(j: int, l: int) -> complex:
             return sum(a.conjugate() * b / w
-                       for (w, _), a, b in zip(used, proj[j], proj[l]))
+                       for (w, _), a, b in zip(center.branches, proj[j], proj[l]))
     # swapping the arguments of an inner product conjugates it exactly, so
     # q is symmetric
     q = np.empty((2, 2))
@@ -363,11 +361,15 @@ def qfim_numerical(builder: StateBuilder, at: tuple[float, float],
     differentiated jointly; in a labeled mixture each branch keeps its own
     projection, which gives the weight-average of the branch matrices (the
     weights do not depend on the parameters, the label keeps the branches
-    orthogonal).  The centre is built once, so a matrix costs 9 builds.
+    orthogonal).  The centre is built once, so a matrix costs 9 builds.  A
+    step that is not positive and finite raises DomainError.
     """
+    if not 0 < step < math.inf:                             # NaN fails too
+        raise DomainError(f"finite-difference step {step:g} is not positive and finite")
     center = builder(*at)
-    q_h = _qfim_fd(builder, at, step, center)
-    q_h2 = _qfim_fd(builder, at, 0.5 * step, center)
+    with np.errstate(all="ignore"):         # a non-finite matrix fails below
+        q_h = _qfim_fd(builder, at, step, center)
+        q_h2 = _qfim_fd(builder, at, 0.5 * step, center)
     if not np.isfinite([q_h, q_h2]).all():
         raise ConvergenceError(f"finite-difference matrix is not finite: {q_h2.tolist()}")
     scale = np.linalg.norm(q_h2)

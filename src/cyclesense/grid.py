@@ -25,7 +25,7 @@ results do not depend on the BLAS thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 import math
 from typing import Callable, Optional
 
@@ -97,6 +97,9 @@ class Grid:
         exact and fast.
     half_extent : float
         Grid covers [-half_extent, half_extent) in meters.
+
+    kick_mask and propagation_mask keep their last mask in an lru_cache(maxsize=1)
+    that closes over the coordinates, not the grid: the masks die with the grid.
     """
 
     num_points: int
@@ -127,36 +130,28 @@ class Grid:
     def momenta(self) -> np.ndarray:
         return _readonly(_fft_order(self.num_points) * self.dp)
 
-    def kick_mask(self, theta: float) -> np.ndarray:
-        """Position-space phase exp(-i theta x) of a momentum kick."""
-        return self._reused_mask(
-            "_kick_mask", theta,
-            lambda: symmetric_phase(self.positions, lambda x: -theta * x, odd=True))
+    @cached_property
+    def kick_mask(self) -> Callable[[float], np.ndarray]:
+        """kick_mask(theta): position-space phase exp(-i theta x) of a kick."""
+        positions = self.positions
 
-    def propagation_mask(self, z: float, wave_number: float) -> np.ndarray:
-        """Momentum-space phase exp(-i z p^2 / 2k) of a free propagation."""
+        @lru_cache(maxsize=1)
+        def kick_mask(theta: float) -> np.ndarray:
+            return _readonly(symmetric_phase(positions, lambda x: -theta * x, odd=True))
+        return kick_mask
+
+    @cached_property
+    def propagation_mask(self) -> Callable[[float, float], np.ndarray]:
+        """propagation_mask(z, k): momentum-space phase exp(-i z p^2 / 2k)."""
+        momenta = self.momenta
+
         # numpy divides a complex array by a real scalar by multiplying with
         # its reciprocal; the angle repeats that to keep np.exp's bits.
-        return self._reused_mask(
-            "_propagation_mask", (z, wave_number),
-            lambda: symmetric_phase(
-                self.momenta, lambda p: -z * p**2 * (1.0 / (2.0 * wave_number)),
-                odd=False))
-
-    def _reused_mask(self, slot: str, key, build: Callable[[], np.ndarray]
-                     ) -> np.ndarray:
-        """Read-only mask, rebuilt only when key differs from the last call's.
-
-        One entry per slot, because traversals repeat their legs and uniform
-        kicks back to back; the (key, mask) pair is stored as one object so
-        that no thread reads a mask under another key.
-        """
-        last = self.__dict__.get(slot)
-        if last is not None and last[0] == key:
-            return last[1]
-        mask = _readonly(build())
-        self.__dict__[slot] = (key, mask)
-        return mask
+        @lru_cache(maxsize=1)
+        def propagation_mask(z: float, wave_number: float) -> np.ndarray:
+            return _readonly(symmetric_phase(
+                momenta, lambda p: -z * p**2 * (1.0 / (2.0 * wave_number)), odd=False))
+        return propagation_mask
 
     @classmethod
     def for_probe(cls, spec: "ProbeSpec", total_path: float = 0.0,

@@ -13,14 +13,14 @@ a non-finite error is an entry with analytic, oracle and rel_error None
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import functools
 import math
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .fisher import (QFIM_CLOSED_FORMS, GeneratorMoments, JointState, SwitchMode,
+from .fisher import (QFIM_CLOSED_FORMS, GeneratorMoments, SwitchMode,
                      probe_alone_qfi_at_origin, qcrb_global, qfim_numerical)
 from .grid import Grid, ProbeSpec, fidelity, make_gaussian, moments, overlap
 from .network import (KickVector, NetworkGeometry, apply_propagation, composite_apply,
@@ -162,8 +162,7 @@ def _fisher_instances(rng: np.random.Generator, num_points: int):
 
 def _relabeled(mode: SwitchMode, stencil: Callable, g1: float, g2: float):
     """The (forward, reverse) pair stencil builds at (g1, g2), labeled for mode."""
-    pair = stencil(g1, g2)
-    return JointState(mode, pair.branch_plus, pair.branch_minus)
+    return replace(stencil(g1, g2), mode=mode)
 
 
 def _qfim_readings(instances: int, num_points: int) -> dict[SwitchMode, list]:

@@ -253,6 +253,18 @@ class TestProbeAlone:
         assert probe_alone_qfi_at_origin(gm) == pytest.approx(1.0 / (1 * 4 * var_h0),
                                                               rel=1e-12)
 
+    def test_bound_out_of_range_is_named_by_its_first_sensor_count(self):
+        # at zbar = 2e153, N^2 ((N+1) zbar)^2 Var(H0) overflows from N = 3 on;
+        # an array of N raises the scalar's message, and without a
+        # RuntimeWarning (an error under the suite's warning filter)
+        def gm(n):
+            return GeneratorMoments(1.0, 0.25, 0.0, 0.0, 1.0, 2e153, n)
+        assert probe_alone_qfi_at_origin(gm(2)) > 0
+        message = r"^bound 0 at N = 3 is not positive and finite$"
+        for n in (3, np.array([1, 3, 2, 4])):
+            with pytest.raises(DomainError, match=message):
+                probe_alone_qfi_at_origin(gm(n))
+
     def test_scaled_bound_approaches_momentum_limit(self):
         gm = lambda n: GeneratorMoments(1.0, 0.25, 0.0, 0.0, 1.0, 1.0, n)
         limit = 1.0 / (1.0**2 * 0.25) * 1.0  # k^2/(zbar^2 VarP) = 4

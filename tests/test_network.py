@@ -299,13 +299,15 @@ class TestJointStateValidation:
     def test_sequential_state_drops_its_reverse_branch(self, unit_probe):
         st = JointState(SwitchMode.SEQUENTIAL, unit_probe, unit_probe)
         assert st.branch_minus is None
-        assert st.is_pure and st.weights == (1.0, 0.0)
+        assert st.is_pure and st.branches == ((1.0, unit_probe),)
 
     @pytest.mark.parametrize("mode", [SwitchMode.QUANTUM_SWITCH,
                                       SwitchMode.CLASSICAL_SWITCH])
     def test_switch_labels_both_branches_equally(self, unit_probe, mode):
-        st = JointState(mode, unit_probe, unit_probe)
-        assert st.branch_minus is unit_probe and st.weights == (0.5, 0.5)
+        other = apply_parity(unit_probe)
+        st = JointState(mode, unit_probe, other)
+        assert st.branch_minus is other
+        assert st.branches == ((0.5, unit_probe), (0.5, other))
         assert st.is_pure == (mode == SwitchMode.QUANTUM_SWITCH)
 
     @pytest.mark.parametrize("mode", [SwitchMode.QUANTUM_SWITCH,

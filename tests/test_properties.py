@@ -16,17 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclesense import (DomainError, EstimabilityError, FitError, GeneratorMoments,
-                        Grid, GridError, KickVector, NetworkGeometry, NoiseModel,
-                        PostSelection, ProbeSpec, ReadoutModel, SensorDriveModel, apply_kick,
+from cyclesense import (ConvergenceError, DomainError, EstimabilityError, FitError,
+                        GeneratorMoments, Grid, GridError, GridOverflowError, KickVector,
+                        NetworkGeometry, NoiseModel, PostSelection, ProbeSpec,
+                        ReadoutModel, SensorDriveModel, SwitchMode, apply_kick,
                         apply_parity, apply_propagation, apply_shift,
                         first_order_momentum_shift, fit_scaling_law,
                         fit_snr_vs_voltage, g_params, make_gaussian,
                         min_detectable_tilt, momentum_readout,
                         probe_alone_qfi_at_origin, qcrb_comparison, qcrb_global,
-                        qfim_classical_switch, qfim_quantum_switch, qfim_sequential,
-                        qpd_signal, snr_model, voltage_to_beam_tilt,
-                        waveplate_compensation)
+                        qfim_classical_switch, qfim_numerical, qfim_quantum_switch,
+                        qfim_sequential, qpd_signal, snr_model, switched_state_family,
+                        voltage_to_beam_tilt, waveplate_compensation)
 from cyclesense.fisher import RANK_TOL
 
 deterministic = settings(derandomize=True, deadline=None, database=None)
@@ -201,6 +202,18 @@ def probe(draw):
     return ProbeSpec(draw(POSITIVE), draw(POSITIVE), center_p=draw(FINITE))
 
 
+#: a w0 = 2 Gaussian at k = 1 on 2^10 points, sized for two unit legs
+FAMILY_GEOMETRY = NetworkGeometry.uniform(2, 1.0, wave_number=1.0)
+FAMILY_PROBE = make_gaussian(ProbeSpec(2.0, 1.0), Grid.for_probe(
+    ProbeSpec(2.0, 1.0), FAMILY_GEOMETRY.z_total, 1 << 10))
+
+
+def family(draw):
+    """The reduced-traversal builder of FAMILY_PROBE for a drawn strategy."""
+    return switched_state_family(FAMILY_PROBE, FAMILY_GEOMETRY, draw(st.sampled_from(
+        [SwitchMode.SEQUENTIAL, SwitchMode.QUANTUM_SWITCH, SwitchMode.CLASSICAL_SWITCH])))
+
+
 def probe_grid_spacings(draw):
     grid = Grid.for_probe(probe(draw), draw(NON_NEGATIVE),
                           1 << draw(st.integers(1, 20)), draw(POSITIVE))
@@ -234,15 +247,23 @@ BOUNDARY_CALLS = {
         d(POSITIVE)),
     "fit_snr_vs_voltage": lambda d: fit_snr_vs_voltage(
         d(st.integers(1, 300)), *paired_lists(d, FINITE, NON_NEGATIVE)),
+    "switched_state_family": lambda d: [psi.amplitudes for _, psi in family(d)(
+        d(FINITE), d(FINITE)).branches],
+    "qfim_numerical": lambda d: qfim_numerical(
+        family(d), (d(FINITE), d(FINITE)), d(FINITE)),
 }
 
 
 #: what each call may raise besides DomainError: the projections may also
-#: meet a singular matrix, the fits name their own failures, and a grid
-#: whose spacing leaves the float range raises GridError
-NAMED = {"qcrb_global": EstimabilityError, "GeneratorMoments": EstimabilityError,
-         "fit_scaling_law": FitError, "fit_snr_vs_voltage": FitError,
-         "Grid.for_probe": GridError}
+#: meet a singular matrix, the fits name their own failures, a grid whose
+#: spacing leaves the float range raises GridError, a state family pushed
+#: off its grid GridOverflowError, and finite differences that do not
+#: converge ConvergenceError
+NAMED = {"qcrb_global": (EstimabilityError,), "GeneratorMoments": (EstimabilityError,),
+         "fit_scaling_law": (FitError,), "fit_snr_vs_voltage": (FitError,),
+         "Grid.for_probe": (GridError,),
+         "switched_state_family": (GridOverflowError,),
+         "qfim_numerical": (GridOverflowError, ConvergenceError)}
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_CALLS))
@@ -252,7 +273,7 @@ def test_finite_floats_give_finite_values_or_fail_by_name(name, data):
     """A finite input either gives finite values or raises DomainError (or
     the error NAMED for it), which the CLI reports with exit code 3; never
     inf, NaN or another exception."""
-    named = (DomainError, NAMED.get(name, DomainError))
+    named = (DomainError, *NAMED.get(name, ()))
     try:
         out = BOUNDARY_CALLS[name](data.draw)
     except named:
@@ -318,6 +339,17 @@ def bound_table(n=2, z_bar=1.0):
     return qcrb_comparison([1, n], UNIT_PROBE, z_bar)
 
 
+def family_state(g1=0.01, g2=0.02):
+    state = switched_state_family(FAMILY_PROBE, FAMILY_GEOMETRY,
+                                  SwitchMode.QUANTUM_SWITCH)(g1, g2)
+    return np.concatenate([psi.amplitudes for _, psi in state.branches]).view(float)
+
+
+def family_matrix(step=1e-3):
+    return qfim_numerical(switched_state_family(
+        FAMILY_PROBE, FAMILY_GEOMETRY, SwitchMode.QUANTUM_SWITCH), (0.01, 0.02), step)
+
+
 NOT_FINITE = (NAN, INF, -INF)
 NOT_POSITIVE = NOT_FINITE + (0.0, -1.0)
 
@@ -330,7 +362,9 @@ DOMAINS = [
     (closed_forms, "cov_xp", NOT_FINITE + (0.5, 2.0, -5.0), DomainError, (0.0, -0.4)),
     (closed_forms, "mean_p", NOT_FINITE, DomainError, (0.0, -1.0)),
     (closed_forms, "wave_number", NOT_POSITIVE, DomainError, ()),
-    (closed_forms, "z_bar", NOT_POSITIVE, DomainError, ()),
+    # the probe-alone bound 1/(N^2 ((N+1) zbar)^2 Var(H0)) reads 0 from 2e153
+    # on, where N^2 ((N+1) zbar)^2 Var(H0) overflows in its evaluation order
+    (closed_forms, "z_bar", NOT_POSITIVE + (2e153, 3e153), DomainError, (1e153,)),
     (closed_forms, "n_sensors", NOT_POSITIVE, DomainError, (1,)),
     (closed_forms, "g1", NOT_FINITE, DomainError, (0.0, -1.0)),
     (closed_forms, "g2", NOT_FINITE, DomainError, (0.0, -1.0)),
@@ -367,6 +401,13 @@ DOMAINS = [
     (snr_line, "snr", NOT_FINITE + (-1.0,), FitError, (0.0,)),
     (bound_table, "n", (0, -1), DomainError, ()),
     (bound_table, "z_bar", NOT_POSITIVE, DomainError, ()),
+    # g1^2 overflows at 1e155; at 1e154, or at a g1 that is not finite, the
+    # kick (g1 + g2)/((N+1) zbar) leaves the momentum window
+    (family_state, "g1", (1e155,), DomainError, (0.0, -1.0)),
+    (family_state, "g1", NOT_FINITE + (1e154,), GridOverflowError, ()),
+    # the h/2 differences of a subnormal step overflow to a non-finite matrix
+    (family_matrix, "step", NOT_POSITIVE, DomainError, (1e-2, 1e-4)),
+    (family_matrix, "step", (1e-320, 5e-324), ConvergenceError, ()),
 ]
 
 EDGE_CASES = [pytest.param(call, {arg: value}, error, id=f"{call.__name__}-{arg}={value}")

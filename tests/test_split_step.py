@@ -1,7 +1,9 @@
 """Split-step traversal: exactly tracked guard moments, reused phase masks and
 both traversal orders walked as one stack, pinned against single-state walks."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from cyclesense import (DomainError, Grid, GridOverflowError, JointState,
                         apply_propagation, apply_shift, make_gaussian, moments,
                         qfim_numerical, switched_state_family, traverse_sequence,
                         wva_final_probe)
-from cyclesense import network
+from cyclesense import grid as grid_module, network
 from cyclesense.grid import MOMENTUM, POSITION, symmetric_phase
 from cyclesense.oracle import _random_instance
 
@@ -345,6 +347,37 @@ class TestPhaseMasks:
             assert not mask.flags.writeable
             with pytest.raises(ValueError):
                 mask[0] = 0.0
+
+    def test_uniform_walk_builds_one_mask_of_each_kind(self, monkeypatch):
+        geom, kicks, psi = lab_instance(50, 0.01, 1 << 10)
+        built = []
+
+        def counted(coordinates, angle, odd):
+            built.append(odd)
+            return symmetric_phase(coordinates, angle, odd)
+
+        monkeypatch.setattr(grid_module, "symmetric_phase", counted)
+        traverse_sequence(psi, geom, kicks, parity_reverse=True)
+        assert sorted(built) == [False, True]       # one propagation, one kick
+
+    def test_masks_are_freed_with_their_grid(self):
+        """Reference counting alone frees a grid's masks: nothing outside the
+        grid keeps them, and no cycle through the grid does."""
+        def walked_masks():
+            geom, kicks, psi = lab_instance(3, 0.01, 1 << 10)
+            traverse_sequence(psi, geom, kicks)
+            g = psi.grid
+            return [weakref.ref(m) for m in (g.kick_mask(0.01),
+                                              g.propagation_mask(0.2, LAB_WAVE_NUMBER))]
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            refs = walked_masks()
+            assert [r() for r in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestBranchFamilies:
