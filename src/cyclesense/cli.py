@@ -7,9 +7,11 @@ printed in exponent form with 12 digits after the point, JSON keys are
 sorted, and the inner products behind the outputs are numpy sums, so their
 bits do not depend on the BLAS thread count.  Amplitudes are stored in FFT
 order (sample 0 at x = 0), so the grid transforms are plain numpy FFTs.
-Each CSV table runs over the product of its key axes and is written one
-block of rows at a time (one (N, voltage) cell of the SNR sweep), each
-block one %-template with its keys baked in, filled by a single %.  A
+Each CSV table runs over the product of its key axes and is written a
+fixed number of rows at a time, so no table is held whole: numpy builds
+each chunk as fixed-width byte rows, its floats printed byte for byte as
+"%.12e" prints them, and only the few floats off the numpy kernel's exact
+path (zero, a far exponent, a tie after scaling) take a Python %.  A
 non-finite config value is a configuration error, and no NaN or infinity
 is written to JSON or CSV.  Exit codes: 0 success, 1 at least one
 verification check failed, 2 configuration error, 3 any other toolkit error
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -44,18 +45,73 @@ from .wva import (first_order_momentum_shift, min_detectable_tilt,
 
 #: every float in a CSV file: 12 digits after the point, exponent form
 _FLOAT = "%.12e"
+#: bytes of one float field, NUL-padded: "-d.dddddddddddde-ddd" at most
+_FLOAT_WIDTH = 20
+#: rows formatted per chunk; the writer's buffers hold this many rows, never
+#: the whole table
+_CHUNK_ROWS = 4096
+
+# Tables of the float kernel: 10^k for k = 0..22 (each an exact double),
+# then each 4-byte text read as one uint32: the four ASCII digits of
+# 0..9999, and "e+dd", the exponent 12 - k of a value scaled by 10^k.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+                                + np.uint8(ord("0"))).view(np.uint32).ravel()
+_EXPONENTS = np.array([b"e%+03d" % (12 - k) for k in range(23)]).view(np.uint32)
+
+
+def _format_floats(x: np.ndarray, out: np.ndarray) -> None:
+    """Write _FLOAT % v of each finite v in x into its row of out, NUL-padded.
+
+    out holds _FLOAT_WIDTH bytes per row, its last axis contiguous.  For
+    |v| > 0 take e = floor(log10 |v|) and k = 12 - e.  For k in 0..22, 10^k
+    is an exact double, so y = |v| 10^k is the true product t rounded once
+    to nearest.  Below 2^44 every half-integer is a double, and rounding is
+    monotonic, so a y that is not a half-integer lies strictly between the
+    same two half-integers as t: rint(y) is then the correctly rounded
+    13-digit mantissa of t.  It is kept where 10^12 <= y and rint(y) < 10^13;
+    a t just below 10^12 rounds to 10^13 units of the exponent below, which
+    prints the same.  Its digits come from exact integer divisions into
+    4-digit groups.  Every other value (zero, |v| outside 1e-10..1e13, a y
+    on a half-integer, a misjudged e) goes through _FLOAT % v.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):              # log10(0) = -inf
+        k = 12.0 - np.floor(np.log10(a))
+    ok = (k >= 0) & (k <= 22)
+    k = np.where(ok, k, 0).astype(np.intp)
+    y = a * _POW10[k]
+    m = np.rint(y)
+    ok &= (y >= 1e12) & (m < 1e13) & (y - np.floor(y) != 0.5)
+    m = np.where(ok, m, 1e12).astype(np.int64)
+    words = out[:, 3:19].view(np.uint32)
+    for i in (2, 1, 0):
+        q = m // 10_000
+        words[:, i] = _DIGITS4[m - q * 10_000]
+        m = q
+    words[:, 3] = _EXPONENTS[k]
+    out[:, 0] = np.where(x < 0, ord("-"), 0)
+    out[:, 1] = m + ord("0")
+    out[:, 2] = ord(".")
+    out[:, 19:] = 0
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        text = [_FLOAT % v for v in x[rest].tolist()]
+        out[rest] = np.array(text, dtype=f"S{_FLOAT_WIDTH}").view(np.uint8).reshape(
+            -1, _FLOAT_WIDTH)
 
 
 def _non_finite(path: Path, column: str) -> DomainError:
     return DomainError(f"{path.name}: non-finite value in column {column}")
 
 
-def _key_fields(path: Path, column: str, axis: Sequence) -> list[str]:
-    """%-template text of one key axis: floats as _FLOAT, anything else by str."""
+def _key_table(path: Path, column: str, axis: Sequence) -> np.ndarray:
+    """Text of one key axis as NUL-padded bytes: floats as _FLOAT, anything
+    else by str."""
     if not all(math.isfinite(k) for k in axis if isinstance(k, float)):
         raise _non_finite(path, column)
-    return [_FLOAT % k if isinstance(k, float) else str(k).replace("%", "%%")
-            for k in axis]
+    return np.array([(_FLOAT % k if isinstance(k, float) else str(k)).encode()
+                     for k in axis], dtype=bytes)
 
 
 def _write_csv(path: Path, header: Sequence[str], keys: Sequence[Sequence],
@@ -64,26 +120,41 @@ def _write_csv(path: Path, header: Sequence[str], keys: Sequence[Sequence],
 
     The first key axis varies slowest.  Each row holds its keys, then one
     entry of each float column in values, whose entries follow the row
-    order.  The rows that share all but the last key form one block: one
-    %-template with the key fields baked in and _FLOAT per value, filled by
-    one % with the block's values interleaved row by row.  Every field is a
-    number or an identifier, so none is quoted.  A non-finite float raises
-    DomainError naming the file and column before the file is opened.
+    order.  Rows are built _CHUNK_ROWS at a time in one byte buffer of
+    fixed-width fields, whose separators are set once: key fields gathered
+    from per-axis tables, floats written by _format_floats.  The NUL padding
+    is dropped on write.  Every field is a number or an identifier, so none
+    is quoted.  A non-finite float, or a column whose length is not the row
+    count, raises DomainError naming the file and column before the file is
+    opened.
     """
-    *outer, inner = [_key_fields(path, column, axis)
-                     for column, axis in zip(header, keys)]
-    columns = [np.asarray(v, dtype=float) for v in values]
+    tables = [_key_table(path, column, axis) for column, axis in zip(header, keys)]
+    n_rows = math.prod(len(t) for t in tables)
+    columns = [np.asarray(v, dtype=float).ravel() for v in values]
     for column, col in zip(header[len(keys):], columns):
+        if col.size != n_rows:
+            raise DomainError(f"{path.name}: column {column} has {col.size} "
+                              f"values for {n_rows} rows")
         if not np.all(np.isfinite(col)):
             raise _non_finite(path, column)
-    tails = ["%s,%s\n" % (f, ",".join([_FLOAT] * len(columns))) for f in inner]
-    blocks = [col.reshape(-1, len(tails)) for col in columns]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for fields, *cells in zip(itertools.product(*outer), *blocks):
-            prefix = "".join(f + "," for f in fields)
-            fh.write((prefix + prefix.join(tails))
-                     % tuple(np.ravel(cells, order="F").tolist()))
+    widths = [t.itemsize for t in tables] + [_FLOAT_WIDTH] * len(columns)
+    ends = np.cumsum(np.add(widths, 1))             # each past its separator
+    text = np.zeros((min(n_rows, _CHUNK_ROWS), ends[-1]), dtype=np.uint8)
+    text[:, ends - 1] = ord(",")
+    text[:, -1] = ord("\n")
+    fields = [text[:, end - 1 - width:end - 1] for end, width in zip(ends, widths)]
+    key_fields = [f.view(t.dtype)[:, 0] for f, t in zip(fields, tables)]
+    strides = np.cumprod([1] + [len(t) for t in tables[:0:-1]])[::-1]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            n = min(_CHUNK_ROWS, n_rows - start)
+            rows = np.arange(start, start + n)
+            for table, stride, field in zip(tables, strides, key_fields):
+                field[:n] = table[rows // stride % len(table)]
+            for col, field in zip(columns, fields[len(tables):]):
+                _format_floats(col[start:start + n], field[:n])
+            fh.write(text[:n].tobytes().translate(None, b"\0"))
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -8,7 +8,7 @@ echoed into each output directory for provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 import math
 from pathlib import Path
 
@@ -158,9 +158,13 @@ class RunConfig:
     # -- YAML round trip --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        flat, out = asdict(self), {}
+        # a shallow copy of each list keeps the dict apart from the config, as
+        # asdict did, without asdict's deepcopy of every entry
+        out = {}
         for f in fields(self):
-            out.setdefault(f.metadata["section"], {})[f.name] = flat[f.name]
+            value = getattr(self, f.name)
+            out.setdefault(f.metadata["section"], {})[f.name] = (
+                list(value) if isinstance(value, list) else value)
         return out
 
     @classmethod

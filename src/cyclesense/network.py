@@ -317,11 +317,14 @@ def switched_state_family(psi: WaveFunction, geom: NetworkGeometry, mode: Switch
     closed forms.  Every build makes the (forward, reverse) pair with one
     transform; the fixed order drops the reverse branch, which costs a shift
     mask and three products but no transform.  Branches come in momentum
-    space, where the reduced evolution ends; a g^2 out of range raises DomainError.
+    space, where the reduced evolution ends; a g that is not finite, or a g^2
+    out of range, raises DomainError.
     """
     span = (geom.n_sensors + 1) * geom.z_bar
 
     def build(g1: float, g2: float) -> JointState:
+        if not (math.isfinite(g1) and math.isfinite(g2)):
+            raise DomainError(f"(g1, g2) = ({g1:g}, {g2:g}) is not finite")
         try:
             xi = (g1**2 - g2**2) / (2.0 * span)
         except OverflowError:                       # float ** out of range

@@ -7,6 +7,7 @@ import json
 import math
 import platform
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,18 @@ class TestCli:
             _write_csv(path, ["n_sensors", "drive_voltage_pp", "snr"], keys, values)
         assert not path.exists()
 
+    @pytest.mark.parametrize("n_values", [9, 4], ids=["too-many", "too-few"])
+    def test_csv_writer_refuses_a_column_of_the_wrong_length(self, tmp_path,
+                                                             n_values):
+        """6 rows over 2 x 3 keys: a column of another length is named, and
+        the file is not opened."""
+        path = tmp_path / "bad.csv"
+        with pytest.raises(DomainError, match=f"^bad.csv: column snr_sq has "
+                                              f"{n_values} values for 6 rows$"):
+            _write_csv(path, ["n_sensors", "drive_voltage_pp", "snr", "snr_sq"],
+                       ([1, 2], [0, 1, 2]), ([1.0] * 6, [1.0] * n_values))
+        assert not path.exists()
+
     def test_integral_float_sensor_counts_accepted(self, tmp_path):
         path = tmp_path / "float_n.yaml"
         path.write_text("sweep: {n_values: [3.0]}\n")
@@ -556,6 +569,60 @@ class TestCsvBytes:
         _write_csv(path, header, keys, values)
         assert path.read_bytes() == reference_csv(
             header, [r + [v0, v1] for r, v0, v1 in zip(rows, *values)])
+
+    @staticmethod
+    def float_kernel_cases() -> dict[str, np.ndarray]:
+        """Derandomized value sets for the float kernel, each of either sign."""
+        rng = np.random.default_rng(20261020)
+        bits = rng.integers(0, 1 << 64, 40_000, dtype=np.uint64, endpoint=False)
+        raw = bits.view(np.float64)
+        raw = np.concatenate([raw[np.isfinite(raw)], [
+            0.0, 5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
+            1e-100, 9.99e99, 1e100, 1e-300, 1e300, sys.float_info.max]])
+        # (M + 1/2) 10^(e - 12): every exponent of the fast path and its edges
+        mantissas = rng.integers(10**12, 10**13, 40_000)
+        exps = rng.integers(-13, 15, 40_000)
+        ties = (mantissas + 0.5) * 10.0 ** (exps - 12)
+        tens = 10.0 ** np.arange(-30, 31)
+        # 13 nines and a 5: a mantissa that rounds up to 10^13
+        nines = 9.9999999999995 * 10.0 ** np.arange(-14, 16)
+        return {
+            "raw-bits": raw,
+            "near-ties": np.concatenate([ties, np.nextafter(ties, np.inf),
+                                         np.nextafter(ties, -np.inf)]),
+            "powers-of-ten": np.concatenate([tens, np.nextafter(tens, np.inf),
+                                             np.nextafter(tens, -np.inf)]),
+            "round-up-to-1e13": np.concatenate([nines, np.nextafter(nines, np.inf),
+                                                np.nextafter(nines, -np.inf)]),
+        }
+
+    @pytest.mark.parametrize("case", ["raw-bits", "near-ties", "powers-of-ten",
+                                      "round-up-to-1e13"])
+    def test_float_kernel_matches_percent_formatting(self, case):
+        x = self.float_kernel_cases()[case]
+        x = np.concatenate([x, -x])
+        out = np.zeros((x.size, cli._FLOAT_WIDTH), dtype=np.uint8)
+        cli._format_floats(x, out)
+        got = [r.replace(b"\0", b"").decode()
+               for r in out.view(f"S{cli._FLOAT_WIDTH}")[:, 0].tolist()]
+        wrong = [(v, g) for v, g in zip(x.tolist(), got) if g != cli._FLOAT % v]
+        assert not wrong, f"{len(wrong)} of {x.size} differ, first {wrong[:3]}"
+
+    def test_replay_table_is_written_in_bounded_memory(self, tmp_path):
+        """The 300,000-row replay table is 13 MB of text; the writer holds
+        one chunk of rows at a time, so its traced peak stays below 4 MB."""
+        snr = np.random.default_rng(0).lognormal(3.0, 1.0, (30, 10, 1000))
+        keys = (range(1, 31), [i * 1e-3 for i in range(1, 11)], range(1000))
+        header = ["n_sensors", "drive_voltage_pp", "replicate", "snr"]
+        path = tmp_path / "snr_sweep.csv"
+        tracemalloc.start()
+        try:
+            _write_csv(path, header, keys, (snr,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert path.stat().st_size > 3 * peak
 
     def test_precision_points_match_csv_module(self, tmp_path):
         out = tmp_path / "tab"

@@ -401,10 +401,10 @@ DOMAINS = [
     (snr_line, "snr", NOT_FINITE + (-1.0,), FitError, (0.0,)),
     (bound_table, "n", (0, -1), DomainError, ()),
     (bound_table, "z_bar", NOT_POSITIVE, DomainError, ()),
-    # g1^2 overflows at 1e155; at 1e154, or at a g1 that is not finite, the
-    # kick (g1 + g2)/((N+1) zbar) leaves the momentum window
-    (family_state, "g1", (1e155,), DomainError, (0.0, -1.0)),
-    (family_state, "g1", NOT_FINITE + (1e154,), GridOverflowError, ()),
+    # a g1 that is not finite is refused by name, g1^2 overflows at 1e155,
+    # and at 1e154 the kick (g1 + g2)/((N+1) zbar) leaves the momentum window
+    (family_state, "g1", NOT_FINITE + (1e155,), DomainError, (0.0, -1.0)),
+    (family_state, "g1", (1e154,), GridOverflowError, ()),
     # the h/2 differences of a subnormal step overflow to a non-finite matrix
     (family_matrix, "step", NOT_POSITIVE, DomainError, (1e-2, 1e-4)),
     (family_matrix, "step", (1e-320, 5e-324), ConvergenceError, ()),
