@@ -572,7 +572,8 @@ class TestCsvBytes:
 
     @staticmethod
     def float_kernel_cases() -> dict[str, np.ndarray]:
-        """Derandomized value sets for the float kernel, each of either sign."""
+        """Derandomized value sets for the float kernel; the test adds the
+        negation of each value."""
         rng = np.random.default_rng(20261020)
         bits = rng.integers(0, 1 << 64, 40_000, dtype=np.uint64, endpoint=False)
         raw = bits.view(np.float64)
