@@ -11,9 +11,8 @@ from .errors import (ConfigError, ConvergenceError, CycleSenseError,
 from .grid import (Grid, Moments, ProbeSpec, WaveFunction, diffracted_radius,
                    fidelity, make_gaussian, moments, overlap)
 from .network import (CompositeEvolution, KickVector, NetworkGeometry,
-                      apply_kick, apply_parity, apply_propagation, apply_shift,
-                      composite_apply, g_params, switched_state_family,
-                      traverse_sequence)
+                      apply_kick, apply_propagation, apply_shift, composite_apply,
+                      g_params, switched_state_family, traverse_sequence)
 from .fisher import (GeneratorMoments, JointState, SwitchMode,
                      probe_alone_qfi_at_origin, qcrb_global,
                      qfim_classical_switch, qfim_numerical,

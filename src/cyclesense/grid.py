@@ -16,10 +16,10 @@ smooth, rapidly decaying states handled here.  A wavefunction holds one
 state; only a traversal stacks its forward/reverse pair in the rows of one
 array, advanced in lockstep by one numpy call per step.  All values are
 immutable and every operation returns a new object, so instances can be
-shared freely across threads; a grid only remembers the last phase mask of
-each kind it built, and a single state its moments once measured.  Inner
-products that reach outputs are numpy sums, not BLAS dot products, so
-results do not depend on the BLAS thread count.
+shared freely across threads; a grid only remembers the last two kick masks
+and the last propagation mask it built, and a single state its moments once
+measured.  Inner products that reach outputs are numpy sums, not BLAS dot
+products, so results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ class Grid:
     half_extent : float
         Grid covers [-half_extent, half_extent) in meters.
 
-    kick_mask and propagation_mask keep their last mask in an lru_cache(maxsize=1)
-    that closes over the coordinates, not the grid: the masks die with the grid.
+    kick_mask keeps its last two masks in an lru_cache, one for each sign a
+    parity-reversed walk kicks by, and propagation_mask its last one; each
+    cache closes over the coordinates, not the grid: the masks die with the grid.
     """
 
     num_points: int
@@ -135,7 +136,7 @@ class Grid:
         """kick_mask(theta): position-space phase exp(-i theta x) of a kick."""
         positions = self.positions
 
-        @lru_cache(maxsize=1)
+        @lru_cache(maxsize=2)
         def kick_mask(theta: float) -> np.ndarray:
             return _readonly(symmetric_phase(positions, lambda x: -theta * x, odd=True))
         return kick_mask
@@ -224,7 +225,7 @@ class ProbeSpec:
 @dataclass(frozen=True)
 class Moments:
     """First and second phase-space moments of a pure state, with their exact
-    Heisenberg updates under the grid's kick, propagation, shift and parity."""
+    Heisenberg updates under the grid's kick, propagation and shift."""
 
     mean_x: float
     mean_p: float
@@ -260,11 +261,6 @@ class Moments:
     def shifted(self, d: float) -> "Moments":
         """X -> X + d; the second moments stay."""
         return self._stepped(self.mean_x + d, self.mean_p, self.var_x, self.var_p,
-                             self.cov_xp)
-
-    def flipped(self) -> "Moments":
-        """X -> -X and P -> -P: both means change sign, the second moments stay."""
-        return self._stepped(-self.mean_x, -self.mean_p, self.var_x, self.var_p,
                              self.cov_xp)
 
 

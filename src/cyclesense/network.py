@@ -11,7 +11,8 @@ applies it in both orders as plain grid phases and ends in momentum space,
 where the reduced evolution ends; switched_state_family labels its pair as
 the fixed-order, quantum-switch or classical-switch state.
 traverse_sequence applies the raw operator product in both orders and
-serves as the brute-force oracle for both.
+serves as the brute-force oracle for both; the optical table's
+parity-sandwiched reverse arm is the same walk with every kick negated.
 """
 
 from __future__ import annotations
@@ -234,27 +235,7 @@ def apply_propagation(psi: WaveFunction, z, wave_number: float) -> WaveFunction:
                    [psi.grid.propagation_mask(zr, wave_number) for zr in zs], carried)
 
 
-def apply_parity(psi: WaveFunction) -> WaveFunction:
-    """Spatial inversion psi(x) -> psi(-x) of one state; exact involution on the grid.
-
-    Carries the moments unguarded; it maps the symmetric windows onto themselves.
-    """
-    amps = psi.amplitudes
-    out = np.empty_like(amps)
-    out[0] = amps[0]                          # x = 0 (p = 0) maps to itself
-    out[1:] = amps[:0:-1]                     # sample j to sample -j mod n
-    m = psi.guard_moments
-    flipped = None if m is None else m.flipped()
-    return WaveFunction._adopt(psi.grid, out, psi.representation, flipped)
-
-
 # -- traversals ----------------------------------------------------------------
-
-
-def _pair(fwd: WaveFunction, rev: WaveFunction) -> WaveFunction:
-    """Two single states in one representation as the rows of one stack."""
-    return WaveFunction._adopt(fwd.grid, np.stack([fwd.amplitudes, rev.amplitudes]),
-                               fwd.representation, [s.guard_moments for s in (fwd, rev)])
 
 
 def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
@@ -264,25 +245,27 @@ def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVecto
 
     forward applies U_zN U_thetaN ... U_theta1 U_z0, reverse applies
     U_z0 U_theta1 U_z1 ... U_thetaN U_zN: the legs and kicks read backwards,
-    walked in lockstep as the two rows of one stack.  With parity_reverse the
-    reverse order is sandwiched between spatial inversions, as on the optical
-    table.  The input's moments, measured once unless it carries them, seed
-    both rows; the first failing guard of either row raises.
+    walked in lockstep as the two rows of one stack.  parity_reverse gives
+    the reverse order of the optical table, sandwiched between spatial
+    inversions P.  P commutes with free propagation and turns each kick
+    exp(-i theta X) into exp(+i theta X), so that arm is walked as the plain
+    reverse order with every kick negated.  The input's moments, measured
+    once unless it carries them, seed both rows; the first failing guard of
+    either row raises.
     """
     n = geom.n_sensors
     if len(kicks) != n:
         raise DomainError(f"{len(kicks)} kicks for a network with {n} sensors")
     k = geom.wave_number
     z, th = geom.distances, kicks.thetas
-    psi = WaveFunction._adopt(psi.grid, psi.amplitudes, psi.representation,
-                              _guard_moments(psi)[0])
-    psi = _pair(psi, apply_parity(psi) if parity_reverse else psi)
+    back = tuple(-t for t in th[::-1]) if parity_reverse else th[::-1]
+    m = _guard_moments(psi)[0]
+    psi = WaveFunction._adopt(psi.grid, np.stack([psi.amplitudes] * 2),
+                              psi.representation, [m, m])
     psi = apply_propagation(psi, (z[0], z[n]), k)
     for j in range(n):
-        psi = apply_kick(psi, (th[j], th[n - 1 - j]))
+        psi = apply_kick(psi, (th[j], back[j]))
         psi = apply_propagation(psi, (z[j + 1], z[n - 1 - j]), k)
-    if parity_reverse:          # no name keeps the unflipped stack alive
-        psi = _pair(psi.rows()[0], apply_parity(psi.rows()[1]))
     return psi.to_position().rows()
 
 

@@ -1,7 +1,8 @@
 """Polarization ancilla, post-selection and the amplified momentum readout.
 
 The polarization doubles as the order switch: H traverses the network
-forward, V traverses it backward through a parity sandwich.  Projecting the
+forward, V traverses it backward through a parity sandwich, which the walk
+takes as the reverse order with every kick negated.  Projecting the
 output polarization onto a nearly-orthogonal state concentrates the tilt
 signal into the small surviving amplitude with weak-value gain A_w; because
 the gain is imaginary here, the branch-antisymmetric position displacement
@@ -128,9 +129,10 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
     """Post-selected probe state and the post-selection success probability.
 
     exact_grid runs both polarization branches through the full operator
-    product (reverse branch parity-sandwiched), between the lead-in and a
-    projection onto the post-selected polarization; the state is returned
-    in position space at the network output.
+    product (reverse branch parity-sandwiched, so walked with negated kicks),
+    between the lead-in and a projection onto the post-selected
+    polarization; the state is returned in position space at the network
+    output.
     first_order applies the linearized joint evolution instead and is only
     allowed inside the small-signal guards: amplified displacement
     |A_w| (zbar/2k) N^2 tbar DeltaP < 0.05, accumulated kick
@@ -165,8 +167,7 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
     tbar = kicks.theta_bar
     a_w = weak_value(ps)
     comp = g_params(geom, kicks)
-    kappa = (geom.z_bar / (2.0 * k)) * n**2 * tbar \
-        + (geom.z_bar / (2.0 * k) + geom.lead_in / k) * n * tbar
+    kappa = (geom.z_bar / (2.0 * k)) * _lead_gain(geom) * tbar
 
     # written as not metric < bound, so a NaN metric fails too
     amplified = abs(a_w) * (geom.z_bar / (2.0 * k)) * n**2 * abs(tbar) * delta_p
@@ -195,9 +196,7 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
     bracket = WaveFunction(psi.grid, amps, POSITION)
     survival = abs(ps.state.inner(PolarizationState.diagonal())) ** 2
     prob = survival * bracket.norm_squared()
-    out = bracket.normalized()
-    if geom.z_total > 0:
-        out = apply_propagation(out, geom.z_total, k).to_position()
+    out = apply_propagation(bracket.normalized(), geom.z_total, k).to_position()
     return out, prob
 
 
@@ -213,10 +212,7 @@ def first_order_momentum_shift(geom: NetworkGeometry, var_p: float,
         raise DomainError(f"var_p must be positive and finite, got {var_p}")
     if not math.isfinite(theta_bar):
         raise DomainError(f"theta_bar must be finite, got {theta_bar}")
-    k = geom.wave_number
-    n = geom.n_sensors
-    bracket = (geom.z_bar / (2.0 * k)) * n**2 \
-        + (geom.z_bar / (2.0 * k) + geom.lead_in / k) * n
+    bracket = (geom.z_bar / (2.0 * geom.wave_number)) * _lead_gain(geom)
     shift = 2.0 / math.tan(ps.epsilon) * var_p * bracket * theta_bar
     if not abs(shift) < math.inf:             # NaN fails too
         raise DomainError(f"momentum shift {shift} for var_p {var_p} and theta_bar "

@@ -4,12 +4,18 @@ from pathlib import Path
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from cyclesense import Grid, ProbeSpec, make_gaussian
+from cyclesense import Grid, ProbeSpec, WaveFunction, make_gaussian
 
 LAB_WAVELENGTH = 780e-9
 LAB_WAVE_NUMBER = 2.0 * math.pi / LAB_WAVELENGTH
+
+
+def parity(psi):
+    """Spatial inversion psi(x) -> psi(-x) of one state: sample j to sample -j mod n."""
+    return WaveFunction(psi.grid, np.roll(psi.amplitudes[::-1], 1), psi.representation)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import numpy as np
 
 from cyclesense import (GeneratorMoments, Grid, KickVector, NetworkGeometry,
                         PostSelection, ProbeSpec, RunConfig, SwitchMode,
-                        TABLETOP_PRECISION_TABLE, apply_parity, fidelity,
+                        TABLETOP_PRECISION_TABLE, fidelity,
                         fit_scaling_law, g_params, make_gaussian, moments,
                         min_detectable_tilt, probe_alone_qfi_at_origin,
                         qcrb_global, qfim_classical_switch, qfim_numerical,
@@ -254,14 +254,6 @@ class TestCriterion10Properties:
         assert report(worst <= 1e-10,
                       f"criterion 10a: traversals preserve the norm "
                       f"(worst drift {worst:.2e})")
-
-    def test_parity_involution(self, unit_grid):
-        psi = make_gaussian(ProbeSpec(1.3, 1.0, center_x=0.7, center_p=-0.4),
-                            unit_grid)
-        twice = apply_parity(apply_parity(psi))
-        diff = float(np.max(np.abs(twice.amplitudes - psi.amplitudes)))
-        assert report(diff == 0.0,
-                      f"criterion 10b: parity is an exact involution (diff {diff:.1e})")
 
     def test_qfim_positive_semidefinite(self):
         smallest = math.inf

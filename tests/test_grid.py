@@ -306,13 +306,13 @@ class TestStacks:
     def test_rows_are_read_only_views_with_their_own_moments(self, stack):
         m = moments(stack.rows()[0])
         kicked = apply_kick(WaveFunction._adopt(stack.grid, stack.amplitudes, POSITION,
-                                                (m, m.flipped())), (0.1, -0.2))
+                                                (m, m.shifted(0.3))), (0.1, -0.2))
         rows = kicked.rows()
         assert [r.amplitudes.shape for r in rows] == [(stack.grid.num_points,)] * 2
         assert all(np.shares_memory(r.amplitudes, kicked.amplitudes) for r in rows)
         assert not rows[1].amplitudes.flags.writeable
         assert rows[0].guard_moments == m.kicked(0.1)
-        assert rows[1].guard_moments == m.flipped().kicked(-0.2)
+        assert rows[1].guard_moments == m.shifted(0.3).kicked(-0.2)
 
     def test_step_values_one_per_row(self, stack):
         with pytest.raises(DomainError, match="^3 kicks for 2 rows"):

@@ -6,10 +6,12 @@ import pytest
 from cyclesense import (CompositeEvolution, DomainError, Grid, GridOverflowError,
                         JointState, KickVector, NetworkGeometry, ProbeSpec,
                         RunConfig, SwitchMode,
-                        apply_kick, apply_parity, apply_propagation, apply_shift,
+                        apply_kick, apply_propagation, apply_shift,
                         composite_apply, fidelity, g_params, make_gaussian,
                         moments, overlap, switched_state_family, traverse_sequence)
 from cyclesense.oracle import _random_instance
+
+from conftest import parity
 
 
 def random_instance(seed, max_sensors=6):
@@ -124,29 +126,6 @@ class TestElementaryOps:
         assert m.mean_p == pytest.approx(0.0, abs=1e-10)
 
 
-class TestParity:
-    def test_involution_exact(self, unit_grid):
-        psi = make_gaussian(ProbeSpec(1.0, 1.0, center_x=0.5, center_p=-0.3), unit_grid)
-        twice = apply_parity(apply_parity(psi))
-        assert np.max(np.abs(twice.amplitudes - psi.amplitudes)) == 0.0
-
-    def test_reflects_center(self, unit_grid):
-        psi = make_gaussian(ProbeSpec(1.0, 1.0, center_x=1.2), unit_grid)
-        m = moments(apply_parity(psi))
-        assert m.mean_x == pytest.approx(-1.2, rel=1e-9)
-
-    def test_negates_both_means_keeps_covariance(self, unit_grid):
-        # X -> -X and P -> -P leaves the XP product sign unchanged
-        from cyclesense import apply_propagation
-        psi = make_gaussian(ProbeSpec(1.5, 1.0, center_x=0.4, center_p=0.6), unit_grid)
-        psi = apply_propagation(psi, 1.0, 1.0).to_position()
-        m0, m1 = moments(psi), moments(apply_parity(psi))
-        assert m1.mean_x == pytest.approx(-m0.mean_x, rel=1e-9)
-        assert m1.mean_p == pytest.approx(-m0.mean_p, rel=1e-9)
-        assert m1.var_x == pytest.approx(m0.var_x, rel=1e-12)
-        assert m1.cov_xp == pytest.approx(m0.cov_xp, rel=1e-9)
-
-
 #: row of each order in the (forward, reverse) pair traverse_sequence returns
 ORDER = {"forward": 0, "reverse": 1}
 
@@ -163,7 +142,7 @@ def parity_identity_error(psi, geom, kicks, direction):
     for the forward order through the mirrored network's reverse row."""
     if direction == "forward":
         geom, kicks = mirrored(geom, kicks)
-    sandwiched = traverse_sequence(psi, geom, kicks, parity_reverse=True)[1]
+    sandwiched = parity(traverse_sequence(parity(psi), geom, kicks)[1])
     negated = traverse_sequence(psi, geom,
                                 KickVector(tuple(-t for t in kicks.thetas)))[1]
     return (np.max(np.abs(sandwiched.amplitudes - negated.amplitudes))
@@ -266,8 +245,8 @@ class TestTraversal:
         psi = apply_propagation(unit_probe, 0.7, 1.0)        # an input in momentum space
         fwd, rev = traverse_sequence(psi, geom, kicks, parity_reverse=True)
         plain_fwd, plain_rev = traverse_sequence(psi.to_position(), geom, kicks)
-        _, manual = traverse_sequence(apply_parity(psi).to_position(), geom, kicks)
-        manual = apply_parity(manual)
+        _, manual = traverse_sequence(parity(psi).to_position(), geom, kicks)
+        manual = parity(manual)
         assert np.max(np.abs(fwd.amplitudes - plain_fwd.amplitudes)) < 1e-12
         assert np.max(np.abs(rev.amplitudes - manual.amplitudes)) < 1e-12
         assert np.max(np.abs(rev.amplitudes - plain_rev.amplitudes)) > 1e-3
@@ -304,7 +283,7 @@ class TestJointStateValidation:
     @pytest.mark.parametrize("mode", [SwitchMode.QUANTUM_SWITCH,
                                       SwitchMode.CLASSICAL_SWITCH])
     def test_switch_labels_both_branches_equally(self, unit_probe, mode):
-        other = apply_parity(unit_probe)
+        other = parity(unit_probe)
         st = JointState(mode, unit_probe, other)
         assert st.branch_minus is other
         assert st.branches == ((0.5, unit_probe), (0.5, other))

@@ -29,6 +29,23 @@ rows = qcrb_comparison(range(1, 2001), ProbeSpec(2e-3, 2 * math.pi / 780e-9), 0.
 print(repr(rows.tolist()))
 """
 
+#: both replays' fit outputs and the tabletop fit's oracle readings: numpy
+#: sums, not BLAS calls, so every kernel rounds them alike
+REPLAY_PROBE = """
+import contextlib, hashlib, io, pathlib, tempfile
+from cyclesense import oracle
+from cyclesense.cli import main
+lines = [repr(c) for c in oracle.check_tabletop_fit()]
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    for source in ("tabletop", "synthetic"):
+        out = pathlib.Path(tmp, source)
+        assert main(["--out", str(out), "reproduce-experiment", "--source", source]) == 0
+        for name in ("scaling_fit.json", "fitted_curve.csv", "heisenberg_curve.csv"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            lines.append(f"{source} {name} {digest}")
+print("\\n".join(lines))
+"""
+
 #: largest relative distance of the closed-form table from qcrb_global's
 #: eigen projection of the closed-form matrices (1.0e-15 measured, N = 1..2000)
 EIGEN_ROUTE_REL = 2e-15
@@ -359,9 +376,10 @@ class TestQcrbComparison:
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                         reason="OPENBLAS_CORETYPE names x86-64 kernels")
     def test_bounds_do_not_depend_on_the_blas_kernel(self, run_probe):
-        seen = [run_probe(KERNEL_PROBE, OPENBLAS_CORETYPE=coretype)
-                for coretype in (None, "Prescott")]
-        assert seen[0] == seen[1]
+        for probe in (KERNEL_PROBE, REPLAY_PROBE):
+            seen = [run_probe(probe, OPENBLAS_CORETYPE=coretype)
+                    for coretype in (None, "Prescott")]
+            assert seen[0] == seen[1]
 
     def test_probe_alone_equals_classical_rows(self):
         bounds = qcrb_comparison([1, 5, 20], PROBE, 0.2)

@@ -20,7 +20,7 @@ from cyclesense import (ConvergenceError, DomainError, EstimabilityError, FitErr
                         GeneratorMoments, Grid, GridError, GridOverflowError, KickVector,
                         NetworkGeometry, NoiseModel, PostSelection, ProbeSpec,
                         ReadoutModel, SensorDriveModel, SwitchMode, apply_kick,
-                        apply_parity, apply_propagation, apply_shift,
+                        apply_propagation, apply_shift,
                         first_order_momentum_shift, fit_scaling_law,
                         fit_snr_vs_voltage, g_params, make_gaussian,
                         min_detectable_tilt, momentum_readout,
@@ -124,15 +124,6 @@ UNITARY_STEPS = {
 def test_unitary_steps_keep_the_norm(name, gaussian, u):
     psi, w0 = gaussian
     assert abs(UNITARY_STEPS[name](psi, w0, u).norm_squared() - 1.0) <= 1e-12
-
-
-@deterministic
-@given(gaussians())
-def test_parity_is_an_involution(gaussian):
-    psi, _ = gaussian
-    for state in (psi, psi.to_momentum()):
-        twice = apply_parity(apply_parity(state))
-        assert np.array_equal(twice.amplitudes, state.amplitudes)
 
 
 #: every finite float, subnormals and both signed zeros included

@@ -134,7 +134,7 @@ PUBLIC_NAMES = [
     "PostSelection", "PostSelectionError", "ProbeSpec", "ReadoutModel",
     "RegimeError", "RunConfig", "ScalingFit", "SensorDriveModel", "SweepResult",
     "SwitchMode", "TABLETOP_PRECISION_TABLE", "WaveFunction", "apply_kick",
-    "apply_parity", "apply_propagation", "apply_shift", "calibrate_noise_floor",
+    "apply_propagation", "apply_shift", "calibrate_noise_floor",
     "composite_apply", "config", "diffracted_radius", "end_to_end_sweep", "errors",
     "fidelity", "first_order_momentum_shift", "fisher", "fit_scaling_law",
     "fit_snr_vs_voltage", "g_params", "grid", "half_wave_plate", "make_gaussian",

@@ -1,5 +1,7 @@
 """Split-step traversal: exactly tracked guard moments, reused phase masks and
-both traversal orders walked as one stack, pinned against single-state walks."""
+both traversal orders walked as one stack, pinned against single-state walks.
+The parity-sandwiched reverse arm is walked with negated kicks; the sandwich
+itself is only a reference here."""
 
 import gc
 import math
@@ -10,15 +12,16 @@ import pytest
 
 from cyclesense import (DomainError, Grid, GridOverflowError, JointState,
                         KickVector, Moments, NetworkGeometry, PostSelection, ProbeSpec,
-                        SwitchMode, WaveFunction, apply_kick, apply_parity,
+                        RunConfig, SwitchMode, WaveFunction, apply_kick,
                         apply_propagation, apply_shift, make_gaussian, moments,
                         qfim_numerical, switched_state_family, traverse_sequence,
                         wva_final_probe)
 from cyclesense import grid as grid_module, network
+from cyclesense.cli import main
 from cyclesense.grid import MOMENTUM, POSITION, symmetric_phase
 from cyclesense.oracle import _random_instance
 
-from conftest import LAB_WAVE_NUMBER
+from conftest import LAB_WAVE_NUMBER, parity
 
 
 def random_instance(seed):
@@ -73,9 +76,9 @@ class TestTrackedMoments:
         for row in pair_after_lead_in(psi, geom, kicks):
             assert_tracked_match_grid(row)
 
-    def test_shift_and_parity_carry_moments(self, unit_probe):
+    def test_shift_carries_moments(self, unit_probe):
         psi = apply_propagation(apply_kick(unit_probe, 0.3), 1.5, 1.0)
-        assert_tracked_match_grid(apply_parity(apply_shift(psi, 0.7)))
+        assert_tracked_match_grid(apply_shift(psi, 0.7))
 
     def test_moments_measure_the_grid(self, unit_probe):
         # wrong carried moments steer the guard, never the measurement
@@ -170,23 +173,26 @@ class TestGuards:
         assert {"passed", "propagating", "kicking"} <= set(tracked)
 
 
-def walked(psi, geom, kicks, direction, parity=False, include_lead_in=False):
-    """One traversal order as single-state operator calls, step by step, with
-    the lead-in outside the parity sandwich.  The steps are looked up in
-    network at call time, so a test that replaces them there steers this walk."""
+def walked(psi, geom, kicks, direction, negated=False, include_lead_in=False):
+    """One traversal order as single-state operator calls, step by step, after
+    the lead-in if asked, with every kick negated if asked.  The steps are
+    looked up in network at call time, so a test that replaces them there
+    steers this walk."""
     k = geom.wave_number
     step = 1 if direction == "forward" else -1
     z, th = geom.distances[::step], kicks.thetas[::step]
     if include_lead_in and geom.lead_in > 0:
         psi = network.apply_propagation(psi, geom.lead_in, k)
-    if parity:
-        psi = network.apply_parity(psi)
     psi = network.apply_propagation(psi, z[0], k)
     for theta, leg in zip(th, z[1:]):
-        psi = network.apply_propagation(network.apply_kick(psi, theta), leg, k)
-    if parity:
-        psi = network.apply_parity(psi)
+        psi = network.apply_kick(psi, -theta if negated else theta)
+        psi = network.apply_propagation(psi, leg, k)
     return psi.to_position()
+
+
+def sandwiched(psi, geom, kicks):
+    """The reverse order between two spatial inversions, walked alone."""
+    return parity(walked(parity(psi), geom, kicks, "reverse"))
 
 
 def assert_same_bits(a, b):
@@ -195,13 +201,14 @@ def assert_same_bits(a, b):
 
 
 def assert_pair_matches_walks(psi, geom, kicks, parity_reverse):
-    """Each row of the pair has the bits of its order walked alone, step by step."""
+    """Each row of the pair has the bits of its order walked alone, step by
+    step; the parity-reversed row is the reverse order with negated kicks."""
     pair = traverse_sequence(psi, geom, kicks, parity_reverse)
     assert len(pair) == 2
-    for row, direction, parity in zip(pair, ("forward", "reverse"),
-                                      (False, parity_reverse)):
+    for row, direction, negated in zip(pair, ("forward", "reverse"),
+                                       (False, parity_reverse)):
         assert row.representation == POSITION
-        assert_same_bits(row, walked(psi, geom, kicks, direction, parity))
+        assert_same_bits(row, walked(psi, geom, kicks, direction, negated))
 
 
 class TestStackedOrders:
@@ -245,7 +252,7 @@ class TestStackedOrders:
         _, _, psi = lab_instance(3, 0.0, 1 << 14)
         g, k = psi.grid, LAB_WAVE_NUMBER
         stack = WaveFunction._adopt(
-            g, np.array([psi.amplitudes, apply_parity(apply_kick(psi, 40.0)).amplitudes]),
+            g, np.array([psi.amplitudes, parity(apply_kick(psi, 40.0)).amplitudes]),
             POSITION)
         kicked = apply_kick(stack, (30.0, -20.0))
         for row, a, theta in zip(kicked.rows(), stack.amplitudes, (30.0, -20.0)):
@@ -286,9 +293,9 @@ class TestStackedOrders:
                 psi = apply_propagation(psi, geom.lead_in, geom.wave_number)
                 kicks = KickVector(tuple(t * np.linspace(0.1, 2.0, n)))
                 alone = []
-                for direction, parity in (("forward", False), ("reverse", True)):
+                for direction, negated in (("forward", False), ("reverse", True)):
                     try:
-                        walked(psi, geom, kicks, direction, parity)
+                        walked(psi, geom, kicks, direction, negated)
                     except GridOverflowError as exc:
                         alone.append(str(exc))
                 try:
@@ -348,17 +355,37 @@ class TestPhaseMasks:
             with pytest.raises(ValueError):
                 mask[0] = 0.0
 
-    def test_uniform_walk_builds_one_mask_of_each_kind(self, monkeypatch):
-        geom, kicks, psi = lab_instance(50, 0.01, 1 << 10)
-        built = []
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The odd flag of every phase mask a grid builds: True for a kick."""
+        odd_flags = []
 
         def counted(coordinates, angle, odd):
-            built.append(odd)
+            odd_flags.append(odd)
             return symmetric_phase(coordinates, angle, odd)
 
         monkeypatch.setattr(grid_module, "symmetric_phase", counted)
-        traverse_sequence(psi, geom, kicks, parity_reverse=True)
-        assert sorted(built) == [False, True]       # one propagation, one kick
+        return odd_flags
+
+    def test_uniform_walk_builds_one_mask_of_each_kind(self, built):
+        # one propagation, and one kick of each sign the two rows kick by
+        for parity_reverse, kinds in ((True, [False, True, True]), (False, [False, True])):
+            geom, kicks, psi = lab_instance(50, 0.01, 1 << 10)
+            built.clear()
+            traverse_sequence(psi, geom, kicks, parity_reverse)
+            assert sorted(built) == kinds, parity_reverse
+
+    def test_wva_sim_ladder_builds_two_kick_masks_per_run(self, built, tmp_path):
+        """The +theta and -theta kicks of the readout's lockstep walk keep one
+        slot each of the kick-mask cache; one slot would rebuild both at every
+        sensor."""
+        cfg = tmp_path / "config.yaml"
+        RunConfig(num_points=1 << 10).echo_yaml(cfg)
+        for n in (9, 50, 200):
+            built.clear()
+            assert main(["--config", str(cfg), "--out", str(tmp_path / str(n)),
+                         "wva-sim", "--n", str(n)]) == 0
+            assert 1 <= built.count(True) <= 2, n
 
     def test_masks_are_freed_with_their_grid(self):
         """Reference counting alone frees a grid's masks: nothing outside the
@@ -445,17 +472,22 @@ class TestBranchFamilies:
 
 
 def test_exact_readout_projects_the_walked_orders():
-    """The exact readout has the bits of both orders walked alone after the
-    lead-in and projected onto the post-selected polarization."""
-    geom, kicks, psi = lab_instance(9, 0.0125, 1 << 14)
+    """The exact readout is both orders after the lead-in, the reverse one
+    between spatial inversions, projected onto the post-selected
+    polarization: within 1e-12 of the largest amplitude of that reference."""
     ps = PostSelection.from_weak_value_magnitude(7.0)
-    chi, prob = wva_final_probe(psi, geom, kicks, ps)
-    fwd = walked(psi, geom, kicks, "forward", False, include_lead_in=True)
-    rev = walked(psi, geom, kicks, "reverse", True, include_lead_in=True)
     post = ps.state
-    ref = WaveFunction(psi.grid, (post.amp_h.conjugate() * fwd.amplitudes
-                                  + post.amp_v.conjugate() * rev.amplitudes)
-                       / math.sqrt(2.0), POSITION)
-    assert chi.representation == POSITION
-    assert_same_bits(chi, ref.normalized())
-    assert prob == ref.norm_squared()
+    for n in (9, 50, 200):
+        geom, kicks, psi = lab_instance(n, 0.0125, 1 << 14)
+        chi, prob = wva_final_probe(psi, geom, kicks, ps)
+        lead = apply_propagation(psi, geom.lead_in, geom.wave_number)
+        fwd = walked(lead, geom, kicks, "forward")
+        rev = sandwiched(lead, geom, kicks)
+        ref = WaveFunction(psi.grid, (post.amp_h.conjugate() * fwd.amplitudes
+                                      + post.amp_v.conjugate() * rev.amplitudes)
+                           / math.sqrt(2.0), POSITION)
+        assert chi.representation == POSITION
+        expected = ref.normalized().amplitudes
+        gap = np.max(np.abs(chi.amplitudes - expected)) / np.max(np.abs(expected))
+        assert gap <= 1e-12, (n, gap)
+        assert prob == pytest.approx(ref.norm_squared(), rel=1e-12, abs=0)
