@@ -288,8 +288,9 @@ class WaveFunction:
 
     The constructor takes the n amplitudes of one state and copies them.
     traverse_sequence alone stacks its forward/reverse pair as the rows of
-    one (2, n) state, through the private _adopt; the transforms, apply_kick
-    and apply_propagation advance it and rows() splits it.  guard_moments,
+    one (2, n) state (one (1, n) row when both orders make the same steps),
+    through the private _adopt; the transforms, apply_kick and
+    apply_propagation advance it and rows() splits it.  guard_moments,
     set only by _adopt, are the moments carried forward exactly by the
     unitary operators that produced the state, a tuple of one per row for a
     stack; the grid guards read them instead of measuring the state at every
@@ -406,7 +407,9 @@ def make_gaussian(spec: ProbeSpec, grid: Grid) -> WaveFunction:
                         f"beyond half of the grid half_extent {grid.half_extent:.3g} m")
     x = grid.positions
     amps = np.exp(-((x - spec.center_x) ** 2) / spec.waist_radius**2)
-    amps = amps.astype(np.complex128) * np.exp(1j * spec.center_p * x)
+    amps = amps.astype(np.complex128)
+    if spec.center_p != 0:                    # a unit phase would change no bit
+        amps *= np.exp(1j * spec.center_p * x)
     return WaveFunction._adopt(grid, amps, POSITION).normalized()
 
 

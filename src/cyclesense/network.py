@@ -12,7 +12,8 @@ where the reduced evolution ends; switched_state_family labels its pair as
 the fixed-order, quantum-switch or classical-switch state.
 traverse_sequence applies the raw operator product in both orders and
 serves as the brute-force oracle for both; the optical table's
-parity-sandwiched reverse arm is the same walk with every kick negated.
+parity-sandwiched reverse arm is the same walk with every kick negated, and
+a network whose orders make the same steps is walked once.
 """
 
 from __future__ import annotations
@@ -249,8 +250,11 @@ def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVecto
     the reverse order of the optical table, sandwiched between spatial
     inversions P.  P commutes with free propagation and turns each kick
     exp(-i theta X) into exp(+i theta X), so that arm is walked as the plain
-    reverse order with every kick negated.  The input's moments, measured
-    once unless it carries them, seed both rows; the first failing guard of
+    reverse order with every kick negated.  When the reverse order makes the
+    same steps as the forward one (palindromic legs, and reverse kicks equal
+    to the forward kicks), one row is walked and returned as both orders,
+    with the bits of the two-row walk.  The input's moments, measured once
+    unless it carries them, seed every row; the first failing guard of
     either row raises.
     """
     n = geom.n_sensors
@@ -259,14 +263,16 @@ def traverse_sequence(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVecto
     k = geom.wave_number
     z, th = geom.distances, kicks.thetas
     back = tuple(-t for t in th[::-1]) if parity_reverse else th[::-1]
+    rows = 1 if z == z[::-1] and back == th else 2
     m = _guard_moments(psi)[0]
-    psi = WaveFunction._adopt(psi.grid, np.stack([psi.amplitudes] * 2),
-                              psi.representation, [m, m])
-    psi = apply_propagation(psi, (z[0], z[n]), k)
+    psi = WaveFunction._adopt(psi.grid, np.stack([psi.amplitudes] * rows),
+                              psi.representation, [m] * rows)
+    psi = apply_propagation(psi, (z[0], z[n])[:rows], k)
     for j in range(n):
-        psi = apply_kick(psi, (th[j], back[j]))
-        psi = apply_propagation(psi, (z[j + 1], z[n - 1 - j]), k)
-    return psi.to_position().rows()
+        psi = apply_kick(psi, (th[j], back[j])[:rows])
+        psi = apply_propagation(psi, (z[j + 1], z[n - 1 - j])[:rows], k)
+    walked = psi.to_position().rows()
+    return walked[0], walked[-1]
 
 
 def composite_apply(psi: WaveFunction, geom: NetworkGeometry, comp: CompositeEvolution

@@ -1,18 +1,20 @@
 """Polarization ancilla, post-selection and the amplified momentum readout.
 
 The polarization doubles as the order switch: H traverses the network
-forward, V traverses it backward through a parity sandwich, which the walk
-takes as the reverse order with every kick negated.  Projecting the
-output polarization onto a nearly-orthogonal state concentrates the tilt
-signal into the small surviving amplitude with weak-value gain A_w; because
-the gain is imaginary here, the branch-antisymmetric position displacement
-shows up as a momentum shift of the surviving probe, which a Fourier lens
-plus quadrant detector reads out directly.
+forward, V traverses it backward through a parity sandwich: the plain
+reverse walk mirrored for a parity-even probe, the reverse walk with every
+kick negated for any other.  Projecting the output polarization onto a
+nearly-orthogonal state concentrates the tilt signal into the small
+surviving amplitude with weak-value gain A_w; because the gain is imaginary
+here, the branch-antisymmetric position displacement shows up as a momentum
+shift of the surviving probe, which a Fourier lens plus quadrant detector
+reads out directly.
 
 The polarization is kept as an explicit two-component register tensored
 with the grid state: one grid wavefunction per branch, both walked through
-the network as the two rows of one stack; the branches only meet in the
-final projection, so nothing ever needs a joint grid.
+the network as the rows of one stack (a single row on a palindromic network
+with an even probe, whose mirrored reverse walk is the forward walk); the
+branches only meet in the final projection, so nothing needs a joint grid.
 """
 
 from __future__ import annotations
@@ -129,10 +131,11 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
     """Post-selected probe state and the post-selection success probability.
 
     exact_grid runs both polarization branches through the full operator
-    product (reverse branch parity-sandwiched, so walked with negated kicks),
-    between the lead-in and a projection onto the post-selected
+    product, between the lead-in and a projection onto the post-selected
     polarization; the state is returned in position space at the network
-    output.
+    output.  The reverse branch is parity-sandwiched: for an input exactly
+    even on the grid (psi[j] == psi[-j mod n]) it is the plain reverse walk
+    mirrored by j -> -j mod n, else the reverse walk with negated kicks.
     first_order applies the linearized joint evolution instead and is only
     allowed inside the small-signal guards: amplified displacement
     |A_w| (zbar/2k) N^2 tbar DeltaP < 0.05, accumulated kick
@@ -144,14 +147,19 @@ def wva_final_probe(psi: WaveFunction, geom: NetworkGeometry, kicks: KickVector,
     k = geom.wave_number
 
     if method == "exact_grid":
+        # P psi = psi turns P R P U psi into P R U psi; psi is tested, not the
+        # lead-in state, whose transforms break its evenness by an ulp
+        even = np.array_equal(psi.amplitudes[1:], psi.amplitudes[:0:-1])
         # the lead-in state is passed unnamed, so the walk drops it once stacked
         fwd, rev = traverse_sequence(
             apply_propagation(psi, geom.lead_in, k) if geom.lead_in > 0 else psi,
-            geom, kicks, parity_reverse=True)
+            geom, kicks, parity_reverse=not even)
+        # the outer P of an even input's arm: sample j to sample -j mod n
+        v_arm = np.roll(rev.amplitudes[::-1], 1) if even else rev.amplitudes
         post = ps.state
         # joint state (fwd (x) H + rev (x) V)/sqrt(2) projected onto <post|
         amps = (post.amp_h.conjugate() * fwd.amplitudes
-                + post.amp_v.conjugate() * rev.amplitudes) / math.sqrt(2.0)
+                + post.amp_v.conjugate() * v_arm) / math.sqrt(2.0)
         chi = WaveFunction(psi.grid, amps, POSITION)
         prob = chi.norm_squared()
         if prob < 1e-12:

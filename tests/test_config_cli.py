@@ -373,19 +373,30 @@ class TestCli:
                      "wva-sim", "--n", "200"]) == 3
         assert capsys.readouterr().err.startswith("error: GridOverflowError: ")
 
-    def test_stacked_traversal_overflow_exit_code(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("center_p,parity_reverse", [(0.0, False), (30.0, True)],
+                             ids=["lab-probe", "center_p-30"])
+    def test_stacked_traversal_overflow_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                  center_p, parity_reverse):
+        """The guard of the readout's walk ends wva-sim with exit code 3 on both
+        routes: the even lab probe walks the plain orders, a probe with a
+        centre momentum the parity-reversed ones."""
         walks = []
 
         def recording(psi, geom, kicks, **kwargs):
             walks.append(kwargs)
-            return traverse_sequence(psi, geom, kicks, **kwargs)
+            try:
+                return traverse_sequence(psi, geom, kicks, **kwargs)
+            except GridOverflowError:
+                walks.append("raised")
+                raise
 
         monkeypatch.setattr(wva, "traverse_sequence", recording)
-        cfg = write_config(tmp_path, theta_bar=1e5, num_points=1 << 10)
+        cfg = write_config(tmp_path, theta_bar=1e5, num_points=1 << 10,
+                           center_p=center_p)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),
                      "wva-sim", "--n", "200"]) == 3
         assert capsys.readouterr().err.startswith("error: GridOverflowError: ")
-        assert walks == [{"parity_reverse": True}]
+        assert walks == [{"parity_reverse": parity_reverse}, "raised"]
 
     def test_too_few_sensor_counts_for_fit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_values=[2], voltages=[1e-3, 2e-3])

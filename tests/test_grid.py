@@ -112,6 +112,24 @@ class TestMakeGaussian:
         assert m.mean_p == pytest.approx(3.0, abs=1e-9)
         assert m.var_p == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("w0,grid", [(1.0, Grid(1 << 10, 8.0)),
+                                         (2e-3, Grid(1 << 14, 0.0437))])
+    def test_centred_probe_is_exactly_even(self, w0, grid):
+        """psi[j] == psi[-j mod n] bit for bit, the test the exact readout's
+        mirrored route takes; the skipped unit phase exp(i 0 x) would have
+        left the same bits, the signs of zeros included."""
+        psi = make_gaussian(ProbeSpec(w0, 1.0), grid)
+        a = psi.amplitudes
+        bits = a.view(np.uint64).reshape(-1, 2)         # (real, imag) per sample
+        assert np.array_equal(bits[1:], bits[:0:-1])
+        x = grid.positions
+        unit = np.exp(-(x**2) / w0**2).astype(np.complex128) * np.exp(1j * 0.0 * x)
+        assert np.array_equal(a.view(np.uint64), (unit / np.sqrt(
+            np.sum(np.abs(unit) ** 2) * grid.dx)).view(np.uint64))
+        for off in ({"center_x": grid.dx}, {"center_p": 0.5}):
+            b = make_gaussian(ProbeSpec(w0, 1.0, **off), grid).amplitudes
+            assert not np.array_equal(b[1:], b[:0:-1])
+
     def test_grid_too_small_raises(self):
         with pytest.raises(GridError):
             make_gaussian(ProbeSpec(1.0, 1.0), Grid(1 << 10, 3.9))

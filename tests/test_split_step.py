@@ -1,7 +1,8 @@
 """Split-step traversal: exactly tracked guard moments, reused phase masks and
-both traversal orders walked as one stack, pinned against single-state walks.
-The parity-sandwiched reverse arm is walked with negated kicks; the sandwich
-itself is only a reference here."""
+both traversal orders walked as one stack, pinned against single-state walks;
+orders that make the same steps walk one row.  The parity-sandwiched reverse
+arm is walked with negated kicks, or for an exactly even probe as the plain
+reverse walk mirrored; the sandwich itself is only a reference here."""
 
 import gc
 import math
@@ -16,7 +17,7 @@ from cyclesense import (DomainError, Grid, GridOverflowError, JointState,
                         apply_propagation, apply_shift, make_gaussian, moments,
                         qfim_numerical, switched_state_family, traverse_sequence,
                         wva_final_probe)
-from cyclesense import grid as grid_module, network
+from cyclesense import grid as grid_module, network, wva
 from cyclesense.cli import main
 from cyclesense.grid import MOMENTUM, POSITION, symmetric_phase
 from cyclesense.oracle import _random_instance
@@ -314,6 +315,62 @@ class TestStackedOrders:
             traverse_sequence(unit_probe, geom, KickVector((0.1, 0.2)))
 
 
+class TestIdenticalOrders:
+    """The reverse order makes the forward order's steps when the legs are
+    palindromic and the walked reverse kicks equal the forward kicks: one row
+    is walked and returned as both orders, with the bits of one state walked
+    alone.  Any other network walks two rows."""
+
+    @pytest.fixture
+    def stacked_rows(self, monkeypatch):
+        """The row count of every transform of a stack."""
+        rows = []
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                if a.ndim == 2:
+                    rows.append(a.shape[0])
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        return rows
+
+    @staticmethod
+    def offset_instance(legs, thetas):
+        geom = NetworkGeometry(legs, wave_number=1.0)
+        spec = ProbeSpec(1.5, 1.0, center_x=0.2, center_p=-0.1)
+        psi = make_gaussian(spec, Grid.for_probe(spec, geom.z_total, 1 << 12))
+        return geom, KickVector(thetas), psi
+
+    @pytest.mark.parametrize("legs,thetas", [
+        ((1.0,) * 10, (0.03,) * 9),                       # uniform
+        ((1.0, 2.0, 1.0), (0.04, 0.04)),                  # symmetric, non-uniform
+        ((0.7, 1.3, 1.3, 0.7), (0.05, -0.08, 0.05)),
+    ], ids=["uniform", "z121", "z7_13"])
+    def test_palindromic_network_walks_one_row(self, stacked_rows, legs, thetas):
+        geom, kicks, psi = self.offset_instance(legs, thetas)
+        fwd, rev = traverse_sequence(psi, geom, kicks)
+        assert stacked_rows and set(stacked_rows) == {1}
+        assert fwd.representation == rev.representation == POSITION
+        assert_same_bits(fwd, rev)
+        assert_same_bits(fwd, walked(psi, geom, kicks, "forward"))
+
+    @pytest.mark.parametrize("legs,thetas,parity_reverse", [
+        ((1.0, 2.0, 3.0), (0.04, 0.04), False),           # palindromic kicks only
+        ((1.0, 2.0, 1.0), (0.04, 0.04), True),            # palindromic, parity flag
+        ((1.0,) * 10, (0.03,) * 9, True),
+    ], ids=["asymmetric-legs", "parity-z121", "parity-uniform"])
+    def test_orders_that_differ_walk_two_rows(self, stacked_rows, legs, thetas,
+                                              parity_reverse):
+        geom, kicks, psi = self.offset_instance(legs, thetas)
+        fwd, rev = traverse_sequence(psi, geom, kicks, parity_reverse)
+        assert stacked_rows and set(stacked_rows) == {2}
+        assert not np.array_equal(fwd.amplitudes, rev.amplitudes)
+        assert_pair_matches_walks(psi, geom, kicks, parity_reverse)
+
+
 class TestPhaseMasks:
     def test_alternating_keys_give_correct_masks(self):
         grids = (Grid(1 << 8, 10.0), Grid(1 << 9, 6.0))
@@ -376,16 +433,18 @@ class TestPhaseMasks:
             assert sorted(built) == kinds, parity_reverse
 
     def test_wva_sim_ladder_builds_two_kick_masks_per_run(self, built, tmp_path):
-        """The +theta and -theta kicks of the readout's lockstep walk keep one
-        slot each of the kick-mask cache; one slot would rebuild both at every
-        sensor."""
+        """The +theta and -theta kicks of the readout's lockstep walk for a
+        probe with a centre momentum keep one slot each of the kick-mask
+        cache; one slot would rebuild both at every sensor.  The even lab
+        probe's readout kicks by +theta only."""
         cfg = tmp_path / "config.yaml"
-        RunConfig(num_points=1 << 10).echo_yaml(cfg)
-        for n in (9, 50, 200):
-            built.clear()
-            assert main(["--config", str(cfg), "--out", str(tmp_path / str(n)),
-                         "wva-sim", "--n", str(n)]) == 0
-            assert 1 <= built.count(True) <= 2, n
+        for center_p, kick_masks in ((0.0, 1), (30.0, 2)):
+            RunConfig(num_points=1 << 10, center_p=center_p).echo_yaml(cfg)
+            for n in (9, 50, 200):
+                built.clear()
+                assert main(["--config", str(cfg), "--out", str(tmp_path / str(n)),
+                             "wva-sim", "--n", str(n)]) == 0
+                assert built.count(True) == kick_masks, (center_p, n)
 
     def test_masks_are_freed_with_their_grid(self):
         """Reference counting alone frees a grid's masks: nothing outside the
@@ -471,23 +530,53 @@ class TestBranchFamilies:
         assert np.linalg.norm(mixed - average) / np.linalg.norm(average) < 1e-12
 
 
-def test_exact_readout_projects_the_walked_orders():
+def assert_readout_projects_the_walked_orders(psi, geom, kicks, ps):
     """The exact readout is both orders after the lead-in, the reverse one
     between spatial inversions, projected onto the post-selected
     polarization: within 1e-12 of the largest amplitude of that reference."""
-    ps = PostSelection.from_weak_value_magnitude(7.0)
     post = ps.state
+    chi, prob = wva_final_probe(psi, geom, kicks, ps)
+    lead = apply_propagation(psi, geom.lead_in, geom.wave_number)
+    fwd = walked(lead, geom, kicks, "forward")
+    rev = sandwiched(lead, geom, kicks)
+    ref = WaveFunction(psi.grid, (post.amp_h.conjugate() * fwd.amplitudes
+                                  + post.amp_v.conjugate() * rev.amplitudes)
+                       / math.sqrt(2.0), POSITION)
+    assert chi.representation == POSITION
+    expected = ref.normalized().amplitudes
+    gap = np.max(np.abs(chi.amplitudes - expected)) / np.max(np.abs(expected))
+    assert gap <= 1e-12, (geom.n_sensors, gap)
+    assert prob == pytest.approx(ref.norm_squared(), rel=1e-12, abs=0)
+
+
+def test_exact_readout_projects_the_walked_orders():
+    ps = PostSelection.from_weak_value_magnitude(7.0)
     for n in (9, 50, 200):
         geom, kicks, psi = lab_instance(n, 0.0125, 1 << 14)
-        chi, prob = wva_final_probe(psi, geom, kicks, ps)
-        lead = apply_propagation(psi, geom.lead_in, geom.wave_number)
-        fwd = walked(lead, geom, kicks, "forward")
-        rev = sandwiched(lead, geom, kicks)
-        ref = WaveFunction(psi.grid, (post.amp_h.conjugate() * fwd.amplitudes
-                                      + post.amp_v.conjugate() * rev.amplitudes)
-                           / math.sqrt(2.0), POSITION)
-        assert chi.representation == POSITION
-        expected = ref.normalized().amplitudes
-        gap = np.max(np.abs(chi.amplitudes - expected)) / np.max(np.abs(expected))
-        assert gap <= 1e-12, (n, gap)
-        assert prob == pytest.approx(ref.norm_squared(), rel=1e-12, abs=0)
+        assert_readout_projects_the_walked_orders(psi, geom, kicks, ps)
+
+
+@pytest.mark.parametrize("offset,parity_reverse", [
+    ({}, False), ({"center_x": 1}, True), ({"center_p": 30.0}, True),
+], ids=["lab", "center_x-one-sample", "center_p-30"])
+def test_readout_route_follows_the_probe_parity(monkeypatch, offset, parity_reverse):
+    """Only an exactly even probe walks the plain orders and mirrors the
+    reverse row; a probe one sample off centre, or with a centre momentum,
+    walks the parity-reversed order.  Both routes give the sandwich."""
+    walks = []
+
+    def recording(psi, geom, kicks, **kwargs):
+        walks.append(kwargs)
+        return traverse_sequence(psi, geom, kicks, **kwargs)
+
+    monkeypatch.setattr(wva, "traverse_sequence", recording)
+    geom = NetworkGeometry.uniform(9, 0.2, 0.325, LAB_WAVE_NUMBER)
+    spec = ProbeSpec(2e-3, LAB_WAVE_NUMBER)
+    grid = Grid.for_probe(spec, geom.z_total, 1 << 12)
+    if "center_x" in offset:
+        offset = {"center_x": grid.dx}
+    psi = make_gaussian(ProbeSpec(2e-3, LAB_WAVE_NUMBER, **offset), grid)
+    kicks = KickVector.uniform(9, 0.0125)
+    assert_readout_projects_the_walked_orders(
+        psi, geom, kicks, PostSelection.from_weak_value_magnitude(7.0))
+    assert walks == [{"parity_reverse": parity_reverse}]

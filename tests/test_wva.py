@@ -196,11 +196,14 @@ def _closed_form_readout(spec, geom, kicks, ps):
 class TestClosedFormReadout:
     """The exact grid readout against the Gaussian closed form, from linear
     response (theta_bar = 1e-6 1/m) to far beyond it, for the lab probe and
-    one with a centre momentum.  Measured worst at 2^12 points: 1.1e-13
-    relative in probability and 3.2e-14 Delta P in mean momentum (N = 200).
+    one with a centre momentum.  Measured worst at 2^12 points: 1.4e-13
+    relative in probability and 6.7e-14 Delta P in mean momentum (lab probe,
+    N = 200, theta_bar = 0.2; the lab probe's reverse arm is the plain reverse
+    walk mirrored, the other probe's the reverse walk with negated kicks).
     A sign error, the reverse arm walked with negated kicks inside a parity
     sandwich, fails every case: its mean is 5.7e-3 Delta P off at N = 9 and
-    theta_bar = 0.2, 2.5e-9 Delta P at N = 1 and theta_bar = 1e-6."""
+    theta_bar = 0.2, 2.5e-9 Delta P at N = 1 and theta_bar = 1e-6.  Dropping
+    the mirror, or mirroring the negated walk, fails the lab probe's cases."""
 
     @pytest.mark.parametrize("center_p", [0.0, 30.0])
     @pytest.mark.parametrize("n", [1, 3, 9, 50, 200])
